@@ -3,14 +3,24 @@
 // bit-identical stats digest on every run.  The whole suite runs with
 // invariant_audits on, so event-queue ordering, RAID-5 parity and journal
 // commit-order audits are exercised across every layer along the way.
+//
+// The Golden* tests at the end go further: they compare against digests
+// committed with the code (inline below, and in tests/golden/),
+// so a refactor that must not change simulated behaviour is checked
+// against a fixed past run, not only against itself.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <iterator>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/checkpoint.h"
+#include "core/fleet.h"
 #include "core/testbed.h"
 #include "obs/report.h"
 #include "sim/rng.h"
@@ -191,6 +201,136 @@ TEST(InvariantAudits, RaidParityHoldsAfterAuditedWorkload) {
   // Full sweep over the region the workload touched (the per-write audit
   // spot-checks stripes as they are written; this is the global version).
   EXPECT_TRUE(bed.raid().verify_parity(16 * 1024));
+}
+
+// ---------------------------------------------------------------------
+// Golden digests.  Changing any expected value below is a change to what
+// the simulator computes and must be made on purpose.  The sim.timer.*
+// counters are left out: they count the event queue's host-side work
+// (how many events it handled), not anything the simulated system did.
+
+const char* protocol_slug(Protocol p) {
+  switch (p) {
+    case Protocol::kNfsV2: return "NfsV2";
+    case Protocol::kNfsV3: return "NfsV3";
+    case Protocol::kNfsV4: return "NfsV4";
+    default: return "Iscsi";
+  }
+}
+
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(NETSTORE_GOLDEN_DIR) + "/" + name);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// run_digest() at seed 0xfeedface on every paper protocol.
+std::string golden_run_digest(Protocol p) {
+  switch (p) {
+    case Protocol::kNfsV2:
+      return "NFS v2 seed=4277009102 msgs=246 raw=492 bytes=1201256 rexmit=0 "
+             "now=12179697016 srv_cpu=99960000 cli_cpu=7690000 "
+             "data=b38b3d8b868dd0";
+    case Protocol::kNfsV3:
+      return "NFS v3 seed=4277009102 msgs=227 raw=454 bytes=870152 rexmit=0 "
+             "now=12157412734 srv_cpu=90720000 cli_cpu=7690000 "
+             "data=b38b3d8b868dd0";
+    case Protocol::kNfsV4:
+      return "NFS v4 seed=4277009102 msgs=389 raw=778 bytes=1086832 rexmit=0 "
+             "now=12271521006 srv_cpu=153405000 cli_cpu=7690000 "
+             "data=b38b3d8b868dd0";
+    default:
+      return "iSCSI seed=4277009102 msgs=178 raw=356 bytes=1181376 rexmit=0 "
+             "now=12059771729 srv_cpu=52025000 cli_cpu=45700000 "
+             "data=b38b3d8b868dd0";
+  }
+}
+
+class GoldenDigest : public ::testing::TestWithParam<Protocol> {};
+
+TEST_P(GoldenDigest, MixedWorkloadMatchesCommittedDigest) {
+  EXPECT_EQ(digest_of(GetParam(), 0xfeedfaceull), golden_run_digest(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllProtocols, GoldenDigest,
+                         ::testing::Values(Protocol::kNfsV2, Protocol::kNfsV3,
+                                           Protocol::kNfsV4, Protocol::kIscsi),
+                         [](const auto& info) {
+                           return protocol_slug(info.param);
+                         });
+
+// A checkpoint-forked fleet (24 clients, 400 ops, seed 4242): its full
+// metrics report, minus sim.timer.*, plus the world's end time.  The
+// expected text lives in tests/golden/fleet_<protocol>.txt.
+std::string fleet_report_of(Protocol p) {
+  core::WorkloadConfig w;
+  w.clients = 24;
+  w.ops = 400;
+  w.seed = 4242;
+  Testbed proto(p);
+  proto.quiesce();
+  core::Checkpoint cp(proto);
+  std::unique_ptr<core::Fleet> fleet = cp.fleet(w);
+  fleet->run();
+
+  obs::MetricsRegistry::Snapshot snap = fleet->world().metrics().snapshot();
+  std::erase_if(snap, [](const auto& kv) {
+    return kv.first.starts_with("sim.timer.");
+  });
+  obs::Report report("determinism_test", "golden fleet");
+  report.add_snapshot("fleet", std::move(snap));
+  // One metric per line, so a deliberate change diffs readably.
+  std::string text = report.json();
+  for (std::size_t at = 0; (at = text.find("},\"", at)) != std::string::npos;) {
+    text.insert(at += 2, "\n");
+  }
+  return text + "\nend=" + std::to_string(fleet->world().env().now()) + "\n";
+}
+
+class GoldenFleet : public ::testing::TestWithParam<Protocol> {};
+
+TEST_P(GoldenFleet, ReportMatchesCommittedFile) {
+  const std::string name =
+      std::string("fleet_") + protocol_slug(GetParam()) + ".txt";
+  const std::string want = read_golden(name);
+  ASSERT_FALSE(want.empty()) << "missing golden file tests/golden/" << name;
+  EXPECT_EQ(fleet_report_of(GetParam()), want);
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, GoldenFleet,
+                         ::testing::Values(Protocol::kNfsV3, Protocol::kIscsi),
+                         [](const auto& info) {
+                           return protocol_slug(info.param);
+                         });
+
+// NFSv3 over a 120 ms round trip, above the 70 ms retransmission timeout:
+// every call sends one or two spurious duplicates.  net_test only checks
+// that some happen; this pins how many, and what they cost.
+TEST(GoldenDigest, NfsRetransmissionsAboveTimeoutMatchCommittedDigest) {
+  Testbed bed(Protocol::kNfsV3, audited_config());
+  bed.set_injected_rtt(sim::milliseconds(120));
+  vfs::Vfs& v = bed.vfs();
+  ASSERT_TRUE(v.mkdir("/wan", 0755).ok());
+  std::vector<std::uint8_t> buf(64 * 1024, 0x5a);
+  for (int i = 0; i < 4; ++i) {
+    const std::string path = "/wan/f" + std::to_string(i);
+    auto fd = v.creat(path, 0644);
+    ASSERT_TRUE(fd.ok());
+    ASSERT_TRUE(v.write(*fd, 0, buf).ok());
+    ASSERT_TRUE(v.fsync(*fd).ok());
+    ASSERT_TRUE(v.close(*fd).ok());
+    ASSERT_TRUE(v.stat(path).ok());
+  }
+  ASSERT_TRUE(v.readdir("/wan").ok());
+  bed.settle();
+
+  const core::StatsSnapshot s = bed.snapshot();
+  std::ostringstream os;
+  os << "calls=" << bed.metrics().counter("rpc.calls").value()
+     << " rexmit=" << s.retransmissions << " c2s=" << s.c2s_messages << "/"
+     << s.c2s_bytes << " s2c=" << s.s2c_messages << "/" << s.s2c_bytes
+     << " end=" << bed.env().now();
+  EXPECT_EQ(os.str(),
+            "calls=62 rexmit=89 c2s=151/778320 s2c=62/13664 end=17084341235");
 }
 
 }  // namespace
