@@ -45,24 +45,6 @@ class WarmPool {
     return slot->fork();
   }
 
-  /// The worlds of one sharded fleet (DESIGN.md §17): `n` byte-identical
-  /// worlds, one per reactor.  Forked from the cached image normally;
-  /// under NETSTORE_NO_FORK=1 each world is built from scratch with the
-  /// same history, so the determinism contract makes the set identical
-  /// either way (the bench-smoke byte cmp covers the sharded path too).
-  [[nodiscard]] std::vector<std::unique_ptr<core::Testbed>> acquire_shards(
-      core::Protocol p, std::uint32_t n) {
-    if (no_fork_) {
-      std::vector<std::unique_ptr<core::Testbed>> worlds;
-      worlds.reserve(n);
-      for (std::uint32_t s = 0; s < n; ++s) worlds.push_back(build(p));
-      return worlds;
-    }
-    auto& slot = checkpoints_[p];
-    if (!slot) slot = std::make_unique<core::Checkpoint>(*build(p));
-    return slot->fork_shards(n);
-  }
-
  private:
   static std::unique_ptr<core::Testbed> build(core::Protocol p) {
     auto bed = std::make_unique<core::Testbed>(p);

@@ -33,11 +33,6 @@ struct FleetOptions {
   std::uint64_t max_clients = 1000000;
   std::uint64_t ops = 4000;
   std::uint64_t seed = 42;
-  // Reactor count (DESIGN.md §17): 1 = the classic sequential drive;
-  // N > 1 forks N server-core worlds per point and drives them in
-  // parallel under conservative lookahead.  Output stays byte-identical
-  // run to run for any fixed value (CI cmps --shards 4 twice).
-  std::uint32_t shards = 1;
 };
 
 FleetOptions parse_fleet_args(int argc, char** argv) {
@@ -61,21 +56,17 @@ FleetOptions parse_fleet_args(int argc, char** argv) {
       o.ops = std::strtoull(need_value(i++), nullptr, 10);
     } else if (arg == "--seed") {
       o.seed = std::strtoull(need_value(i++), nullptr, 10);
-    } else if (arg == "--shards") {
-      o.shards =
-          static_cast<std::uint32_t>(std::strtoul(need_value(i++), nullptr, 10));
     } else {
       std::fprintf(stderr,
                    "unknown argument: %s\nusage: %s [--json <path>] "
                    "[--csv <path>] [--max-clients <n>] [--ops <n>] "
-                   "[--seed <n>] [--shards <n>]\n",
+                   "[--seed <n>]\n",
                    arg.c_str(), argv[0]);
       std::exit(2);
     }
   }
-  if (o.max_clients == 0 || o.ops == 0 || o.shards == 0) {
-    std::fprintf(stderr,
-                 "--max-clients, --ops and --shards must be positive\n");
+  if (o.max_clients == 0 || o.ops == 0) {
+    std::fprintf(stderr, "--max-clients and --ops must be positive\n");
     std::exit(2);
   }
   return o;
@@ -96,14 +87,8 @@ int main(int argc, char** argv) {
   obs::Report report("bench_fleet",
                      "Radkov et al., FAST'04, §6 sharing, extended");
   obs::ReportTable& tab = report.table(
-      "fleet", {"protocol", "shards", "clients", "ops", "p50_us", "p99_us",
-                "p999_us", "queue_p99_us", "revalidations", "messages",
-                "fairness"});
-  if (opts.shards > 1) {
-    std::printf("sharded drive: %u reactors per point, conservative "
-                "lookahead = link min RTT\n",
-                opts.shards);
-  }
+      "fleet", {"protocol", "clients", "ops", "p50_us", "p99_us", "p999_us",
+                "queue_p99_us", "revalidations", "messages", "fairness"});
 
   // Log-spaced client counts, decade steps to the requested maximum.
   std::vector<std::uint64_t> counts;
@@ -123,10 +108,7 @@ int main(int argc, char** argv) {
       w.clients = n;
       w.seed = opts.seed;
       w.ops = opts.ops;
-      w.shards = opts.shards;
-      core::Fleet fleet = opts.shards > 1
-                              ? core::Fleet(pool.acquire_shards(p, opts.shards), w)
-                              : core::Fleet(pool.acquire(p), w);
+      core::Fleet fleet(pool.acquire(p), w);
       fleet.run();
 
       const obs::MetricsRegistry::Snapshot snap =
@@ -134,10 +116,7 @@ int main(int argc, char** argv) {
       const auto& resp = snap.at("fleet.response_us").summary;
       const double queue_p99 = snap.at("fleet.queue_delay_us").summary.p99;
       const std::uint64_t revals = fleet.forced_revalidations();
-      std::uint64_t msgs = 0;  // wire traffic summed over all reactors
-      for (std::uint32_t s = 0; s < fleet.shard_count(); ++s) {
-        msgs += fleet.shard_world(s).snapshot().messages;
-      }
+      const std::uint64_t msgs = fleet.world().snapshot().messages;
       const double jain = fleet.jain_fairness_index();
 
       std::printf("%-9llu | %9.0f %9.0f %9.0f %11.0f %8llu %9llu %7.3f\n",
@@ -145,9 +124,8 @@ int main(int argc, char** argv) {
                   resp.p999, queue_p99,
                   static_cast<unsigned long long>(revals),
                   static_cast<unsigned long long>(msgs), jain);
-      tab.row({core::to_string(p), static_cast<std::uint64_t>(opts.shards), n,
-               opts.ops, resp.p50, resp.p99, resp.p999, queue_p99, revals,
-               msgs, jain});
+      tab.row({core::to_string(p), n, opts.ops, resp.p50, resp.p99,
+               resp.p999, queue_p99, revals, msgs, jain});
       report.add_snapshot(
           std::string("fleet_") + slug(p) + "_n" + std::to_string(n), snap);
     }

@@ -4,11 +4,7 @@
 // the simulator's own hot loops with the host clock:
 //
 //   events/sec    a self-rescheduling daemon workload drained through the
-//                 event loop.  Run twice: once on the current engine
-//                 (sim::Task + 4-ary heap) and once on an embedded copy of
-//                 the pre-overhaul engine (std::function + std::priority_
-//                 queue with copy-before-pop), so the speedup is measured,
-//                 not asserted.
+//                 event loop (sim::Task + 4-ary heap).
 //   syscalls/sec  warm-cache reads driven through a full Testbed VFS stack
 //                 (protocol, caches, RAID — the end-to-end per-op cost).
 //
@@ -35,7 +31,7 @@
 //                 (4 KB..64 KB, iSCSI and NFSv3): with the zero-copy
 //                 plane on, every charged copy is a user-boundary
 //                 crossing, so below-boundary bytes/syscall is ~0 in the
-//                 warm steady state (DESIGN.md §19).
+//                 warm steady state (DESIGN.md §17).
 //
 //   zerocopy speedup  NFSv3 64 KB cold-client reads (caches invalidated
 //                 per op, server page cache warm) run twice in-process:
@@ -44,28 +40,10 @@
 //                 moving references instead of bytes is measured, not
 //                 asserted.
 //
-//   timer ops/sec  the cancellable-timer churn the wheel exists for
-//                 (DESIGN.md §18): arm N timers spread across the wheel
-//                 levels, cancel half by handle, fire the rest.  Run per
-//                 depth (10^2..10^6 pending) on both backends — the
-//                 hierarchical wheel (O(1) amortized per op) and the
-//                 NETSTORE_TIMER=heap 4-ary heap (O(log n) pushes plus
-//                 tombstone pops) — so the speedup is measured, not
-//                 asserted.  The CI gate pins the 10^5-pending point.
-//
-//   shard speedup  (--shards N) the sharded parallel drive (DESIGN.md
-//                 §17): an NFSv3 fleet of --shard-clients flyweights
-//                 driven sequentially, then again across {1, 2, 4, ...,
-//                 N} per-shard reactors under conservative lookahead.
-//                 Wall-clock, so it needs >= N free hardware threads to
-//                 show the parallel win.
-//
 //   bench_sim_selfperf [--events N] [--syscalls N] [--json PATH]
-//                      [--shards N] [--shard-clients N] [--shard-ops N]
 //                      [--zerocopy-ops N]
 //                      [--min-events-per-sec X] [--min-sweep-speedup X]
-//                      [--min-fork-speedup X] [--min-shard-speedup X]
-//                      [--min-timer-ops-per-sec X] [--min-timer-speedup X]
+//                      [--min-fork-speedup X]
 //                      [--max-allocs-per-syscall X]
 //                      [--max-copied-bytes-per-syscall X]
 //                      [--min-zerocopy-speedup X]
@@ -78,9 +56,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -105,61 +81,15 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// --- the pre-overhaul event engine, embedded as the baseline -------------
-//
-// Verbatim shape of sim::Env before the hot-path overhaul: type-erased
-// std::function callbacks in a std::priority_queue, with the documented
-// copy-before-pop ("the callback may schedule new events").  Kept here so
-// the before/after numbers in EXPERIMENTS.md regenerate from one binary.
-class LegacyEnv {
- public:
-  [[nodiscard]] netstore::sim::Time now() const { return now_; }
-
-  void schedule_at(netstore::sim::Time at, std::function<void()> fn) {
-    queue_.push(Event{at, next_seq_++, std::move(fn)});
-  }
-  void schedule_after(netstore::sim::Duration after,
-                      std::function<void()> fn) {
-    schedule_at(now_ + after, std::move(fn));
-  }
-
-  void drain() {
-    while (!queue_.empty()) {
-      Event ev = queue_.top();  // copy: top() is const&, fn is copied
-      queue_.pop();
-      if (ev.at > now_) now_ = ev.at;
-      ev.fn();
-    }
-  }
-
- private:
-  struct Event {
-    netstore::sim::Time at;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-  netstore::sim::Time now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-};
-
 // --- events/sec ----------------------------------------------------------
 //
 // `chains` concurrent daemons, each rescheduling itself at a staggered
 // period until the shared budget runs out — the flusher/journal/lease
 // pattern that dominates real runs.  The capture mirrors an I/O
 // completion closure (context pointers plus a file handle and offset):
-// 40 bytes, exactly sim::Task's inline storage, while under LegacyEnv
-// every schedule heap-allocates and every dispatch copy-clones it.
-template <typename EnvT>
+// 40 bytes, exactly sim::Task's inline storage.
 struct Tick {
-  EnvT* env;
+  netstore::sim::Env* env;
   std::uint64_t* remaining;
   std::uint64_t period;
   std::uint64_t fh;      // completion payload: file handle...
@@ -173,118 +103,17 @@ struct Tick {
   }
 };
 
-template <typename EnvT>
 double events_per_sec(std::uint64_t total_events, int chains) {
-  EnvT env;
+  netstore::sim::Env env;
   std::uint64_t remaining = total_events;
   for (int i = 0; i < chains; ++i) {
     const auto u = static_cast<std::uint64_t>(i);
-    env.schedule_after(i + 1,
-                       Tick<EnvT>{&env, &remaining, u % 7 + 1, u, u * 4096});
+    env.schedule_after(i + 1, Tick{&env, &remaining, u % 7 + 1, u, u * 4096});
   }
   const auto t0 = Clock::now();
   env.drain();
   const double dt = seconds_since(t0);
   return static_cast<double>(total_events + chains) / dt;
-}
-
-// --- timer ops/sec (hierarchical wheel vs 4-ary heap, DESIGN.md §18) -----
-//
-// The depth question the wheel answers: how fast are near-term
-// schedule/cancel/fire operations while a large *standing set* of
-// pending timers sits underneath — a million fleet arrivals, thousands
-// of armed retransmission timers.  Per depth: arm `pending` far-future
-// timers (untimed), then run a timed churn of short-deadline timers over
-// them — arm, cancel half by handle, fire the rest by advancing.  On the
-// wheel the churn lives in the lowest levels and never touches the
-// standing set (O(1) per op regardless of depth); the heap pays
-// O(log depth) to sift every push through the standing set and carries
-// every cancellation as a tombstone to its pop.
-struct TimerPoint {
-  std::uint64_t pending = 0;
-  double wheel_ops_per_sec = 0.0;
-  double heap_ops_per_sec = 0.0;
-  [[nodiscard]] double speedup() const {
-    return heap_ops_per_sec > 0 ? wheel_ops_per_sec / heap_ops_per_sec : 0.0;
-  }
-};
-
-// One churn pass: batches of near-term timers (the RPC pattern: every
-// one is armed, half are cancelled by the "reply", half fire).  Returns
-// ops performed; each armed timer counts twice (arm + resolution).
-std::uint64_t timer_churn(netstore::sim::Env& env, std::uint64_t churn_ops,
-                          std::uint64_t& sink) {
-  constexpr std::uint64_t kBatch = 256;
-  constexpr std::uint64_t kWindow = 64;  // ns per batch: wheel level 0
-  std::vector<netstore::sim::TimerHandle> handles(kBatch);
-  std::uint64_t ops = 0;
-  while (ops < churn_ops) {
-    const netstore::sim::Time base = env.now();
-    for (std::uint64_t b = 0; b < kBatch; ++b) {
-      const auto at = static_cast<netstore::sim::Time>(
-          base + 1 + netstore::sim::mix64(ops + b) % kWindow);
-      handles[b] = env.arm_timer_at(at, [&sink, b] { sink += b; });
-    }
-    for (std::uint64_t b = 0; b < kBatch; b += 2) {
-      if (!env.cancel_timer(handles[b])) std::abort();
-    }
-    env.advance_to(base + kWindow);  // fires the surviving half
-    ops += 2 * kBatch;  // each armed timer is resolved exactly once
-  }
-  return ops;
-}
-
-double timer_ops_per_sec(bool heap_backend, std::uint64_t pending,
-                         std::uint64_t churn_ops) {
-  if (heap_backend) {
-    ::setenv("NETSTORE_TIMER", "heap", 1);
-  } else {
-    ::unsetenv("NETSTORE_TIMER");
-  }
-  netstore::sim::Env env;
-  ::unsetenv("NETSTORE_TIMER");  // Env read it in its constructor
-  if (env.uses_wheel() == heap_backend) std::abort();
-
-  // Standing set: deadlines spread far beyond the churn window, so none
-  // fires during the measurement (untimed — depth is the variable here,
-  // not the cost of building it).
-  std::uint64_t sink = 0;
-  for (std::uint64_t i = 0; i < pending; ++i) {
-    const auto at = static_cast<netstore::sim::Time>(
-        (std::uint64_t{1} << 50) + netstore::sim::mix64(i) % (1 << 30));
-    (void)env.arm_timer_at(at, [&sink, i] { sink += i; });
-  }
-
-  // Warm-up (untimed): faults in the handle table and bucket vectors and
-  // lets the CPU leave its idle frequency before the timed pass.
-  (void)timer_churn(env, churn_ops / 4, sink);
-
-  const auto t0 = Clock::now();
-  const std::uint64_t ops = timer_churn(env, churn_ops, sink);
-  const double dt = seconds_since(t0);
-  if (env.pending_events() != pending) std::abort();  // standing set intact
-  return static_cast<double>(ops) / dt;
-}
-
-std::vector<TimerPoint> timer_scaling() {
-  constexpr std::uint64_t kChurnOps = 400'000;
-  std::vector<TimerPoint> points;
-  for (std::uint64_t pending : {std::uint64_t{100}, std::uint64_t{1'000},
-                                std::uint64_t{10'000}, std::uint64_t{100'000},
-                                std::uint64_t{1'000'000}}) {
-    TimerPoint pt;
-    pt.pending = pending;
-    // Best of two interleaved reps per backend: a single rep is at the
-    // mercy of frequency scaling and whatever else shares the machine.
-    for (int rep = 0; rep < 2; ++rep) {
-      pt.wheel_ops_per_sec = std::max(
-          pt.wheel_ops_per_sec, timer_ops_per_sec(false, pending, kChurnOps));
-      pt.heap_ops_per_sec = std::max(
-          pt.heap_ops_per_sec, timer_ops_per_sec(true, pending, kChurnOps));
-    }
-    points.push_back(pt);
-  }
-  return points;
 }
 
 // --- syscalls/sec --------------------------------------------------------
@@ -330,7 +159,7 @@ SyscallPerf syscalls_per_sec(netstore::core::Protocol proto,
   return res;
 }
 
-// --- copy scaling (zero-copy data plane, DESIGN.md §19) ------------------
+// --- copy scaling (zero-copy data plane, DESIGN.md §17) ------------------
 
 struct CopyPoint {
   netstore::core::Protocol proto;
@@ -444,8 +273,8 @@ double zerocopy_phase(std::uint64_t ops) {
 ZerocopyPerf zerocopy_speedup(std::uint64_t ops) {
   ZerocopyPerf res;
   auto& pool = netstore::core::BufferPool::instance();
-  // Best of two interleaved reps per mode (same rationale as the timer
-  // scaling: one rep is at the mercy of frequency scaling).
+  // Best of two interleaved reps per mode: a single rep is at the mercy
+  // of frequency scaling and whatever else shares the machine.
   for (int rep = 0; rep < 2; ++rep) {
     netstore::core::set_zerocopy(true);
     res.on_ops_per_sec = std::max(res.on_ops_per_sec, zerocopy_phase(ops));
@@ -600,72 +429,12 @@ ForkCost fork_cost(netstore::core::Protocol p) {
   return res;
 }
 
-// --- shard scaling (sharded parallel drive, DESIGN.md §17) ---------------
-
-struct ShardPoint {
-  std::uint32_t shards = 1;
-  double drive_ms = 0.0;
-  double speedup_x = 0.0;  // vs the shards=1 sequential drive
-  std::uint64_t epochs = 0;
-  std::uint64_t xshard_msgs = 0;
-};
-
-// One NFS fleet of `clients` flyweights per shard count: a warm
-// checkpoint provides the worlds, setup() runs outside the timed window,
-// so each point times the drive itself — the sequential arrival loop at
-// shards=1 against the barrier-epoch parallel drive above it.  The
-// speedup is wall-clock and therefore host-dependent: it needs >= shards
-// free hardware threads to mean anything (the CI gate runs on 4-vCPU
-// runners; a 1-core container will honestly report ~1x).
-std::vector<ShardPoint> shard_scaling(std::uint32_t max_shards,
-                                      std::uint64_t clients,
-                                      std::uint64_t ops) {
-  using netstore::core::Checkpoint;
-  using netstore::core::Protocol;
-  using netstore::core::Testbed;
-  using netstore::core::WorkloadConfig;
-
-  Testbed proto(Protocol::kNfsV3);
-  proto.quiesce();
-  Checkpoint cp(proto);
-
-  std::vector<std::uint32_t> counts{1};
-  for (std::uint32_t s = 2; s <= max_shards; s *= 2) counts.push_back(s);
-  if (counts.back() != max_shards) counts.push_back(max_shards);
-
-  std::vector<ShardPoint> points;
-  double base_ms = 0.0;
-  for (std::uint32_t s : counts) {
-    WorkloadConfig w;
-    w.clients = clients;
-    w.ops = ops;
-    w.seed = 42;
-    w.shards = s;
-    auto fleet = cp.fleet(w);
-    fleet->setup();
-    const auto t0 = Clock::now();
-    fleet->run();
-    const double ms = seconds_since(t0) * 1e3;
-    if (s == 1) base_ms = ms;
-    ShardPoint pt;
-    pt.shards = s;
-    pt.drive_ms = ms;
-    pt.speedup_x = ms > 0 ? base_ms / ms : 0.0;
-    pt.epochs = fleet->epochs();
-    pt.xshard_msgs = fleet->cross_shard_messages();
-    points.push_back(pt);
-  }
-  return points;
-}
-
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--events N] [--syscalls N] [--json PATH] "
-               "[--shards N] [--shard-clients N] [--shard-ops N] "
                "[--zerocopy-ops N] "
                "[--min-events-per-sec X] [--min-sweep-speedup X] "
-               "[--min-fork-speedup X] [--min-shard-speedup X] "
-               "[--min-timer-ops-per-sec X] [--min-timer-speedup X] "
+               "[--min-fork-speedup X] "
                "[--max-allocs-per-syscall X] "
                "[--max-copied-bytes-per-syscall X] "
                "[--min-zerocopy-speedup X]\n",
@@ -684,24 +453,13 @@ int main(int argc, char** argv) {
   // already generous.  --chains explores deeper queues.
   int chains = 4;
   std::string json_path;
-  // --shards 0 (default) skips the shard-scaling section entirely; the
-  // perf-smoke CI job passes --shards 4 --min-shard-speedup 1.8.
-  std::uint32_t shards = 0;
-  std::uint64_t shard_clients = 100'000;
-  std::uint64_t shard_ops = 20'000;
   double min_events_per_sec = 0.0;
   double min_sweep_speedup = 0.0;
   double min_fork_speedup = 0.0;
-  double min_shard_speedup = 0.0;
-  double min_timer_ops_per_sec = 0.0;
-  double min_timer_speedup = 0.0;
   double max_allocs_per_syscall = -1.0;
   double max_copied_bytes_per_syscall = -1.0;
   double min_zerocopy_speedup = 0.0;
   std::uint64_t zerocopy_ops = 2'000;
-  // The depth the --min-timer-* gates pin: deep enough that the heap's
-  // O(log n) and tombstone churn bite, shallow enough to stay cheap.
-  constexpr std::uint64_t kGatedTimerDepth = 100'000;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -719,20 +477,8 @@ int main(int argc, char** argv) {
       min_events_per_sec = std::strtod(argv[++i], nullptr);
     } else if (arg == "--min-sweep-speedup" && has_value) {
       min_sweep_speedup = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--shards" && has_value) {
-      shards = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg == "--shard-clients" && has_value) {
-      shard_clients = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--shard-ops" && has_value) {
-      shard_ops = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--min-fork-speedup" && has_value) {
       min_fork_speedup = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--min-shard-speedup" && has_value) {
-      min_shard_speedup = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--min-timer-ops-per-sec" && has_value) {
-      min_timer_ops_per_sec = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--min-timer-speedup" && has_value) {
-      min_timer_speedup = std::strtod(argv[++i], nullptr);
     } else if (arg == "--max-allocs-per-syscall" && has_value) {
       max_allocs_per_syscall = std::strtod(argv[++i], nullptr);
     } else if (arg == "--max-copied-bytes-per-syscall" && has_value) {
@@ -751,16 +497,11 @@ int main(int argc, char** argv) {
       netstore::sim::Task::inline_constructions();
   const std::uint64_t heap_before = netstore::sim::Task::heap_constructions();
 
-  const double current = events_per_sec<netstore::sim::Env>(n_events, kChains);
+  const double events = events_per_sec(n_events, kChains);
   const std::uint64_t inline_delta =
       netstore::sim::Task::inline_constructions() - inline_before;
   const std::uint64_t heap_delta =
       netstore::sim::Task::heap_constructions() - heap_before;
-
-  const double legacy = events_per_sec<LegacyEnv>(n_events, kChains);
-  const double speedup = legacy > 0 ? current / legacy : 0.0;
-
-  const std::vector<TimerPoint> timer_points = timer_scaling();
 
   const SyscallPerf sys_iscsi =
       syscalls_per_sec(netstore::core::Protocol::kIscsi, n_syscalls);
@@ -783,29 +524,10 @@ int main(int argc, char** argv) {
     forks.push_back(fork_cost(p));
   }
 
-  std::vector<ShardPoint> shard_points;
-  if (shards >= 2) {
-    shard_points = shard_scaling(shards, shard_clients, shard_ops);
-  }
-
   std::printf("%-24s %16s\n", "metric", "per second");
-  std::printf("%-24s %16.0f\n", "events (current)", current);
-  std::printf("%-24s %16.0f\n", "events (legacy)", legacy);
-  std::printf("%-24s %16.2f\n", "events speedup", speedup);
+  std::printf("%-24s %16.0f\n", "events", events);
   std::printf("%-24s %16.0f\n", "syscalls (iSCSI warm)", sys_iscsi.ops_per_sec);
   std::printf("%-24s %16.0f\n", "syscalls (NFSv3 warm)", sys_nfsv3.ops_per_sec);
-  double gated_timer_ops = 0.0;
-  double gated_timer_x = 0.0;
-  for (const TimerPoint& pt : timer_points) {
-    if (pt.pending == kGatedTimerDepth) {
-      gated_timer_ops = pt.wheel_ops_per_sec;
-      gated_timer_x = pt.speedup();
-    }
-    std::printf("timers %8llu pending: wheel %12.0f ops/s, heap %12.0f "
-                "ops/s, speedup %.2fx\n",
-                static_cast<unsigned long long>(pt.pending),
-                pt.wheel_ops_per_sec, pt.heap_ops_per_sec, pt.speedup());
-  }
   std::printf("task inline/heap constructions: %llu / %llu\n",
               static_cast<unsigned long long>(inline_delta),
               static_cast<unsigned long long>(heap_delta));
@@ -838,40 +560,16 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(fc.image_pages), fc.fork_us,
                 fc.page_copy_us, fc.speedup());
   }
-  double gated_shard_x = 0.0;  // the speedup at the requested shard count
-  for (const ShardPoint& pt : shard_points) {
-    if (pt.shards == shards) gated_shard_x = pt.speedup_x;
-    std::printf("shards %2u: drive %8.1f ms, speedup %.2fx, %llu epochs, "
-                "%llu xshard msgs (NFSv3, %llu clients, %llu ops)\n",
-                pt.shards, pt.drive_ms, pt.speedup_x,
-                static_cast<unsigned long long>(pt.epochs),
-                static_cast<unsigned long long>(pt.xshard_msgs),
-                static_cast<unsigned long long>(shard_clients),
-                static_cast<unsigned long long>(shard_ops));
-  }
-
   if (!json_path.empty()) {
     netstore::obs::Report report("bench_sim_selfperf",
                                  "simulator hot-path wall-clock throughput");
-    auto& t = report.table(
-        "selfperf", {"benchmark", "engine", "ops", "ops_per_sec"});
-    t.row({"events", "current", n_events + kChains, current});
-    t.row({"events", "legacy", n_events + kChains, legacy});
-    t.row({"syscalls_iscsi_warm", "current", n_syscalls,
-           sys_iscsi.ops_per_sec});
-    t.row({"syscalls_nfsv3_warm", "current", n_syscalls,
-           sys_nfsv3.ops_per_sec});
+    auto& t = report.table("selfperf", {"benchmark", "ops", "ops_per_sec"});
+    t.row({"events", n_events + kChains, events});
+    t.row({"syscalls_iscsi_warm", n_syscalls, sys_iscsi.ops_per_sec});
+    t.row({"syscalls_nfsv3_warm", n_syscalls, sys_nfsv3.ops_per_sec});
     auto& s = report.table("task_storage", {"counter", "value"});
     s.row({"inline_constructions", inline_delta});
     s.row({"heap_constructions", heap_delta});
-    s.row({"events_speedup_x", speedup});
-    auto& tm = report.table(
-        "timer_scaling",
-        {"pending", "wheel_ops_per_sec", "heap_ops_per_sec", "speedup_x"});
-    for (const TimerPoint& pt : timer_points) {
-      tm.row({pt.pending, pt.wheel_ops_per_sec, pt.heap_ops_per_sec,
-              pt.speedup()});
-    }
     auto& sw = report.table("checkpoint_sweep", {"metric", "value"});
     sw.row({"points", static_cast<std::uint64_t>(sweep.points)});
     sw.row({"scratch_ms", sweep.scratch_ms});
@@ -883,17 +581,6 @@ int main(int argc, char** argv) {
     for (const ForkCost& fc : forks) {
       fk.row({netstore::core::to_string(fc.proto), fc.image_pages, fc.fork_us,
               fc.page_copy_us, fc.speedup()});
-    }
-    if (!shard_points.empty()) {
-      auto& sh = report.table(
-          "shard_scaling",
-          {"shards", "clients", "ops", "drive_ms", "speedup_x", "epochs",
-           "xshard_messages"});
-      for (const ShardPoint& pt : shard_points) {
-        sh.row({static_cast<std::uint64_t>(pt.shards), shard_clients,
-                shard_ops, pt.drive_ms, pt.speedup_x, pt.epochs,
-                pt.xshard_msgs});
-      }
     }
     auto& ap = report.table("pool_path", {"metric", "value"});
     ap.row({"allocs_per_syscall_iscsi", sys_iscsi.allocs_per_syscall});
@@ -920,9 +607,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (min_events_per_sec > 0 && current < min_events_per_sec) {
+  if (min_events_per_sec > 0 && events < min_events_per_sec) {
     std::fprintf(stderr,
-                 "FAIL: events/sec %.0f below floor %.0f\n", current,
+                 "FAIL: events/sec %.0f below floor %.0f\n", events,
                  min_events_per_sec);
     return 1;
   }
@@ -934,38 +621,6 @@ int main(int argc, char** argv) {
   if (min_fork_speedup > 0 && min_fork_x < min_fork_speedup) {
     std::fprintf(stderr, "FAIL: fork speedup %.2fx below floor %.2fx\n",
                  min_fork_x, min_fork_speedup);
-    return 1;
-  }
-  if (min_shard_speedup > 0) {
-    if (shards < 2) {
-      std::fprintf(stderr,
-                   "FAIL: --min-shard-speedup needs --shards >= 2\n");
-      return 1;
-    }
-    if (gated_shard_x < min_shard_speedup) {
-      std::fprintf(stderr,
-                   "FAIL: shard speedup %.2fx at %u shards below floor "
-                   "%.2fx\n",
-                   gated_shard_x, shards, min_shard_speedup);
-      return 1;
-    }
-  }
-  if (min_timer_ops_per_sec > 0 && gated_timer_ops < min_timer_ops_per_sec) {
-    std::fprintf(stderr,
-                 "FAIL: timer ops/sec %.0f at %llu pending below floor "
-                 "%.0f\n",
-                 gated_timer_ops,
-                 static_cast<unsigned long long>(kGatedTimerDepth),
-                 min_timer_ops_per_sec);
-    return 1;
-  }
-  if (min_timer_speedup > 0 && gated_timer_x < min_timer_speedup) {
-    std::fprintf(stderr,
-                 "FAIL: wheel-vs-heap timer speedup %.2fx at %llu pending "
-                 "below floor %.2fx\n",
-                 gated_timer_x,
-                 static_cast<unsigned long long>(kGatedTimerDepth),
-                 min_timer_speedup);
     return 1;
   }
   if (max_allocs_per_syscall >= 0) {

@@ -104,9 +104,9 @@ class BufferPool {
   /// The process-wide pool.  Frames are storage shared by every world;
   /// see the header comment for why this does not break fork isolation.
   // netstore: shard_safe -- frame storage, not simulated state: handles
-  // own frames exclusively or share them copy-on-write, so shards never
+  // own frames exclusively or share them copy-on-write, so worlds never
   // write the same frame; the free list is the one contended structure
-  // and the sharding PR gives each reactor its own slab.
+  // and is mutex-protected.
   static BufferPool& instance() {
     // Leaked deliberately: BufRefs may outlive static destruction order.
     // The pool is page storage outside the simulated world; worlds own
@@ -151,7 +151,7 @@ class BufferPool {
     return alloc_fallbacks_.load(std::memory_order_relaxed);
   }
 
-  // --- copy telemetry (the zero-copy data plane, DESIGN.md §19) -------
+  // --- copy telemetry (the zero-copy data plane, DESIGN.md §17) -------
   /// Payload memcpy calls charged through the sanctioned copy helpers
   /// (core::copy_out / copy_in / charged_copy in core/iovec.h).
   [[nodiscard]] std::uint64_t copies() const {

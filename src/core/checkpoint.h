@@ -15,8 +15,6 @@
 #pragma once
 
 #include <memory>
-#include <utility>
-#include <vector>
 
 #include "core/fleet.h"
 #include "core/testbed.h"
@@ -38,29 +36,10 @@ class Checkpoint {
     return image_->fork();
   }
 
-  /// The worlds of one sharded fleet (DESIGN.md §17): `n` independent
-  /// forks with reactor indices 0..n-1 assigned.  Every world starts
-  /// byte-identical — one warm server-core image per reactor.
-  [[nodiscard]] std::vector<std::unique_ptr<Testbed>> fork_shards(
-      std::uint32_t n) const {
-    std::vector<std::unique_ptr<Testbed>> worlds;
-    worlds.reserve(n);
-    for (std::uint32_t s = 0; s < n; ++s) {
-      worlds.push_back(fork());
-      worlds.back()->set_shard_index(s);
-    }
-    return worlds;
-  }
-
   /// A fresh fleet over a fresh fork: the standard shape of one contention
-  /// sweep point — warm system image, new workload half.  Honors
-  /// workload.shards: a sharded workload gets one forked world per
-  /// reactor.
+  /// sweep point — warm system image, new workload half.
   [[nodiscard]] std::unique_ptr<Fleet> fleet(WorkloadConfig workload) const {
-    if (workload.shards <= 1) {
-      return std::make_unique<Fleet>(fork(), workload);
-    }
-    return std::make_unique<Fleet>(fork_shards(workload.shards), workload);
+    return std::make_unique<Fleet>(fork(), workload);
   }
 
   [[nodiscard]] Protocol protocol() const { return image_->protocol(); }

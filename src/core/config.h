@@ -130,14 +130,6 @@ struct WorkloadConfig {
   // a 10^6-client point simulates the first `ops` arrivals of the fleet,
   // not a million times more work than a 1-client point.
   std::uint64_t ops = 4000;
-
-  // Drive parallelism (DESIGN.md §17): number of per-shard reactors.
-  // Each shard owns a complete forked world — one server core's stack —
-  // and drives the clients whose id ≡ shard (mod shards); the op budget
-  // splits across shards with clients.  1 keeps the sequential engine
-  // (byte-identical to pre-sharding behaviour); any fixed value is
-  // byte-identical run to run.
-  std::uint32_t shards = 1;
 };
 
 /// Complete testbed configuration.  The split mirrors the two lifetimes:

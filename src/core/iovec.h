@@ -1,6 +1,6 @@
 // core::BufSlice / core::IoVec — sub-range views of pooled frames and the
 // bounded scatter-gather vector the zero-copy data plane moves between
-// layers (DESIGN.md §19).
+// layers (DESIGN.md §17).
 //
 // A BufSlice is a refcounted BufRef plus a byte sub-range: holding one
 // keeps the frame alive, and reading through it never copies.  An IoVec
@@ -45,8 +45,8 @@ namespace netstore::core {
 /// NETSTORE_ZEROCOPY once, lazily; off iff the value is "off" or "0".
 /// set_zerocopy() overrides it in-process (selfperf and zerocopy_test
 /// measure both modes in one run).
-// netstore: shard_safe -- written once before any shard exists; shards
-// only read it.
+// netstore: shard_safe -- written once before any worker thread starts;
+// workers only read it.
 inline bool& zerocopy_flag() {
   // Process-wide diagnostic switch, not simulated state: both modes are
   // byte-identical in everything the simulation observes.

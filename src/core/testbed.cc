@@ -377,15 +377,11 @@ StatsSnapshot Testbed::snapshot() const {
 }
 
 void Testbed::register_metrics() {
-  // Engine scheduling telemetry (DESIGN.md §18).  scheduled/fired/
-  // cancelled are backend-independent; cascades is wheel-only and is the
-  // one key CI strips before byte-comparing NETSTORE_TIMER=heap runs
-  // against wheel runs.
+  // Event-queue telemetry: host-side scheduling work, not simulated
+  // behaviour.
   sim::TimerStats& ts = env_.mutable_timer_stats();
   metrics_.adopt_counter("sim.timer.scheduled", ts.scheduled);
   metrics_.adopt_counter("sim.timer.fired", ts.fired);
-  metrics_.adopt_counter("sim.timer.cancelled", ts.cancelled);
-  metrics_.adopt_counter("sim.timer.cascades", ts.cascades);
 
   metrics_.adopt_counter(
       "link.c2s.messages",

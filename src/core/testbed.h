@@ -80,16 +80,6 @@ class Testbed {
   [[nodiscard]] Protocol protocol() const { return protocol_; }
   [[nodiscard]] bool is_nfs() const { return protocol_ != Protocol::kIscsi; }
 
-  /// Reactor placement inside a sharded fleet (DESIGN.md §17): which
-  /// shard this world is pinned to.  0 for standalone/sequential worlds;
-  /// assigned by Checkpoint::fork_shards / Fleet, propagated to the Env
-  /// so per-shard heap audits can identify their reactor.
-  void set_shard_index(std::uint32_t s) {
-    shard_index_ = s;
-    env_.set_shard(s);
-  }
-  [[nodiscard]] std::uint32_t shard_index() const { return shard_index_; }
-
   [[nodiscard]] vfs::Vfs& vfs() { return *vfs_; }
   [[nodiscard]] sim::Env& env() { return env_; }
   [[nodiscard]] net::Link& link() { return *link_; }
@@ -178,9 +168,6 @@ class Testbed {
 
   Protocol protocol_;
   TestbedConfig config_;
-  // netstore: not_cloned -- reactor placement, reassigned by the owner
-  // (Checkpoint::fork_shards) after every fork, not simulated state
-  std::uint32_t shard_index_ = 0;
   sim::Env env_;
   obs::MetricsRegistry metrics_;
   obs::Tracer tracer_;

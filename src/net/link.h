@@ -63,13 +63,6 @@ class Link {
   /// One-way propagation delay.
   [[nodiscard]] sim::Duration one_way_delay() const { return rtt() / 2; }
 
-  /// Conservative-lookahead bound for sharded drives (DESIGN.md §17): no
-  /// shard can observe another shard's action sooner than one round trip
-  /// after it happened, so the epoch width of a sharded fleet is the
-  /// link's minimum RTT.  Captured once at drive start — changing the
-  /// injected delay mid-drive does not retroactively shrink an epoch.
-  [[nodiscard]] sim::Duration min_rtt() const { return rtt(); }
-
   /// Adjusts injected WAN delay (round-trip), as NISTNet would.
   void set_injected_rtt(sim::Duration d) { config_.injected_rtt = d; }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/check.h"
 #include "obs/trace.h"
 
 namespace netstore::rpc {
@@ -27,25 +26,15 @@ sim::Time RpcTransport::exchange(std::uint32_t request_payload,
     tr->charge(obs::Component::kNetwork, (arrival - t0) + (reply - served));
   }
 
-  // Spurious client retransmissions: the timer fires while the reply is
-  // still in flight; each duplicate request costs a message and delays the
-  // effective completion (duplicate processing at the server).
-  //
-  // The timer itself is a real cancellable Env timer, armed with the
-  // request and disarmed by the reply, exactly like the Linux client's —
-  // a retransmission is a fire + backoff re-arm of the same handle.  The
-  // fire's side effect (the duplicate send) is applied synchronously in
-  // caller context, the house hybrid style (env.h): the reply time is
-  // already determined here, so the number of fires is the closed-form
-  // duplicate count and the Figure 6 message counts are byte-for-byte
-  // what the pre-wheel engine produced.  Because every arm is cancelled
-  // or rescheduled before exchange() returns, the callback can never run.
+  // Spurious client retransmissions: the client's timer fires while the
+  // reply is still in flight; each duplicate request costs a message and
+  // delays the effective completion (duplicate processing at the server).
+  // The reply time is already known here, so the number of fires is a
+  // closed form and the duplicates are sent synchronously in caller
+  // context, the house hybrid style (env.h).  Exponential backoff caps
+  // the damage: at most two duplicates per call (minor timeouts double
+  // the timer in the Linux client).
   if (config_.retrans_timeout > 0) {
-    sim::TimerHandle timer = env_.arm_timer_after(config_.retrans_timeout, [] {
-      NETSTORE_CHECK(false, "rpc retransmission timer outlived its call");
-    });
-    // Exponential backoff caps the damage: at most two duplicates per
-    // call (minor timeouts double the timer in the Linux client).
     const auto duplicates = std::min<std::uint64_t>(
         2, static_cast<std::uint64_t>((reply - t0) / config_.retrans_timeout));
     for (std::uint64_t i = 0; i < duplicates; ++i) {
@@ -55,12 +44,7 @@ sim::Time RpcTransport::exchange(std::uint32_t request_payload,
                              config_.retrans_timeout);
       stats_.retransmissions.add(1);
       reply += config_.retrans_penalty;
-      timer = env_.reschedule_timer_at(
-          timer, t0 + static_cast<sim::Duration>(i + 2) *
-                          config_.retrans_timeout);
     }
-    const bool disarmed = env_.cancel_timer(timer);
-    NETSTORE_CHECK(disarmed, "rpc retransmission timer lost before reply");
   }
   return reply;
 }

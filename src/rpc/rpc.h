@@ -6,12 +6,10 @@
 // The transport reproduces the Linux 2.4 client idiosyncrasy the paper
 // found in the Figure 6 experiments: a conservative retransmission timer
 // that fires even though the reply is in transit once the WAN round-trip
-// approaches it, wasting messages and adding service delay.  The timer is
-// a genuine cancellable sim::Env timer (sim::TimerHandle, DESIGN.md §18):
-// armed with every request, rescheduled with exponential backoff per
-// spurious fire, and disarmed by the reply — the lint rule
-// raw-env-schedule keeps protocol code on this API rather than
-// fire-and-forget schedule_at.
+// approaches it, wasting messages and adding service delay.  An exchange
+// runs synchronously, so the reply time is known before the call returns
+// and the number of spurious fires is computed in closed form; no timer
+// event is scheduled.
 #pragma once
 
 #include <cstdint>

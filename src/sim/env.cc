@@ -1,7 +1,5 @@
 #include "sim/env.h"
 
-#include <cstdlib>
-#include <string_view>
 #include <utility>
 
 #include "core/check.h"
@@ -11,33 +9,12 @@
 
 namespace netstore::sim {
 
-bool Env::wheel_selected() {
-  // Read per construction, not through a process-wide static: tests flip
-  // the backend between Testbed builds within one process.
-  const char* v = std::getenv("NETSTORE_TIMER");
-  return v == nullptr || std::string_view(v) != "heap";
-}
-
-Env::Env() : use_wheel_(wheel_selected()) {
-  wheel_.set_cascade_counter(&timer_stats_.cascades);
-}
-
-void Env::check_deadline(Time at) const {
-  // kNoEvent is the "no pending work" sentinel consumed by the sharded
-  // horizon logic; letting an event carry it (or a wrapped negative from
-  // an overflowing now+after) would silently corrupt epoch skipping.
-  NETSTORE_CHECK_LT(at, kNoEvent, "event deadline overflows sim::Time");
-}
-
 void Env::schedule_at(Time at, Task fn) {
-  check_deadline(at);
+  // kNoEvent is reserved as the far-future sentinel; a deadline at it (or
+  // a wrapped negative from an overflowing now+after) is a caller bug.
+  NETSTORE_CHECK_LT(at, kNoEvent, "event deadline overflows sim::Time");
   timer_stats_.scheduled.add(1);
-  if (use_wheel_) {
-    wheel_.push(at, next_seq_++, std::move(fn));
-  } else {
-    queue_.push(Event{at, next_seq_++, std::move(fn)});
-    ++heap_live_;
-  }
+  queue_.push(Event{at, next_seq_++, std::move(fn)});
 }
 
 void Env::schedule_after(Duration after, Task fn) {
@@ -46,91 +23,13 @@ void Env::schedule_after(Duration after, Task fn) {
   schedule_at(now_ + after, std::move(fn));
 }
 
-TimerHandle Env::arm_timer_at(Time at, Task fn) {
-  check_deadline(at);
-  timer_stats_.scheduled.add(1);
-  if (use_wheel_) {
-    return wheel_.arm(at, next_seq_++, std::move(fn));
-  }
-  const std::uint32_t id = heap_alloc_handle();
-  heap_handles_[id].fn = std::move(fn);
-  queue_.push(Event{at, next_seq_++, Task{}, id, heap_handles_[id].gen});
-  ++heap_live_;
-  return TimerHandle{id, heap_handles_[id].gen};
-}
-
-TimerHandle Env::arm_timer_after(Duration after, Task fn) {
-  NETSTORE_CHECK_LE(after, kNoEvent - 1 - now_,
-                    "event deadline overflows sim::Time");
-  return arm_timer_at(now_ + after, std::move(fn));
-}
-
-bool Env::cancel_timer(TimerHandle h) {
-  if (use_wheel_) {
-    if (!wheel_.cancel(h)) return false;
-    timer_stats_.cancelled.add(1);
-    return true;
-  }
-  if (h.id >= heap_handles_.size()) return false;
-  HeapHandleRec& r = heap_handles_[h.id];
-  if (!r.live || r.gen != h.gen) return false;
-  // Lazy deletion: the queued record becomes a tombstone (generation
-  // mismatch) discarded whenever it reaches the top.
-  r.fn = Task{};
-  heap_release_handle(h.id);
-  --heap_live_;
-  timer_stats_.cancelled.add(1);
-  return true;
-}
-
-TimerHandle Env::reschedule_timer_at(TimerHandle h, Time at) {
-  check_deadline(at);
-  if (use_wheel_) {
-    const TimerHandle moved = wheel_.reschedule(h, at, next_seq_);
-    if (!moved.valid()) return moved;
-    ++next_seq_;  // a reschedule re-enters FIFO order as the newest event
-    timer_stats_.scheduled.add(1);
-    return moved;
-  }
-  if (h.id >= heap_handles_.size()) return TimerHandle{};
-  HeapHandleRec& r = heap_handles_[h.id];
-  if (!r.live || r.gen != h.gen) return TimerHandle{};
-  // The payload stays in the handle record; only the queued (deadline,
-  // seq, generation) record is replaced, tombstoning the old one.
-  ++r.gen;
-  queue_.push(Event{at, next_seq_++, Task{}, h.id, r.gen});
-  timer_stats_.scheduled.add(1);
-  return TimerHandle{h.id, r.gen};
-}
-
-std::uint32_t Env::heap_alloc_handle() {
-  std::uint32_t id = heap_free_head_;
-  if (id != TimerHandle::kInvalidId) {
-    heap_free_head_ = heap_handles_[id].next_free;
-  } else {
-    id = static_cast<std::uint32_t>(heap_handles_.size());
-    heap_handles_.emplace_back();
-  }
-  heap_handles_[id].live = true;
-  return id;
-}
-
-void Env::heap_release_handle(std::uint32_t id) {
-  HeapHandleRec& r = heap_handles_[id];
-  r.live = false;
-  ++r.gen;
-  r.next_free = heap_free_head_;
-  heap_free_head_ = id;
-}
-
 void Env::audit_pop(Time at, std::uint64_t seq, Time target) {
   NETSTORE_CHECK_LE(at, target, "event fired past the sweep target");
   // Between two pops with no intervening schedule_at (the sequence counter
   // is unchanged), the queue must yield events in strict (deadline, seq)
-  // order.  A violation means the backend or its ordering is corrupt —
+  // order.  A violation means the heap or its ordering is corrupt —
   // exactly the class of bug that silently reorders daemon work and breaks
-  // run-to-run determinism.  The wheel's in-bucket sort and batch insert
-  // discipline are verified against the same contract as the heap.
+  // run-to-run determinism.
   if (audit_has_last_pop_ && next_seq_ == audit_seq_snapshot_) {
     NETSTORE_CHECK_GE(at, audit_last_pop_at_,
                       "event queue yielded deadlines out of order");
@@ -145,67 +44,22 @@ void Env::audit_pop(Time at, std::uint64_t seq, Time target) {
   audit_seq_snapshot_ = next_seq_;
 }
 
-void Env::dispatch(Time at, std::uint64_t seq, Task& fn, Time target,
-                   bool drain_all) {
-  timer_stats_.fired.add(1);
-  if (audit_) {
-    audit_pop(at, seq, drain_all ? (at > now_ ? at : now_) : target);
-  }
-  if (at > now_) now_ = at;
-  {
-    // Deferred daemon work must not bill the request whose advance
-    // happens to dispatch it.
-    obs::SuspendGuard guard(tracer_);
-    fn();
-  }
-}
-
-void Env::run_pending_wheel(Time target, bool drain_all) {
-  for (;;) {
-    // next_at() is exact and non-mutating: the decision to STOP must not
-    // cascade overflow buckets.  A sweep ending just short of a large
-    // far-future bucket (a standing set of armed timers, say) would
-    // otherwise redistribute it on every advance.
-    const Time t = wheel_.next_at();
-    if (t == TimerWheel<Task>::kNone) break;
-    if (!drain_all && t > target) break;
-    // pop() leaves the wheel consistent before the callback runs, so
-    // callbacks may schedule, arm, and cancel re-entrantly.
-    TimerWheel<Task>::Entry e = wheel_.pop();
-    dispatch(e.at, e.key, e.payload, target, drain_all);
-  }
-}
-
-void Env::run_pending_heap(Time target, bool drain_all) {
+void Env::run_pending(Time target, bool drain_all) {
   while (!queue_.empty()) {
-    if (heap_dead(queue_.top())) {
-      // Cancelled/rescheduled tombstone: discard without audit or
-      // dispatch — it was never a live event at this deadline.
-      queue_.pop();
-      continue;
-    }
     if (!drain_all && queue_.top().at > target) break;
     // pop() moves the event out and leaves the heap consistent before the
     // callback runs, so callbacks may schedule (push) re-entrantly.
     Event ev = queue_.pop();
-    --heap_live_;
-    if (ev.handle != TimerHandle::kInvalidId) {
-      // Armed timer: the payload lives in the handle record; firing
-      // releases the handle so stale TimerHandles fail cleanly.
-      Task fn = std::move(heap_handles_[ev.handle].fn);
-      heap_release_handle(ev.handle);
-      dispatch(ev.at, ev.seq, fn, target, drain_all);
-    } else {
-      dispatch(ev.at, ev.seq, ev.fn, target, drain_all);
+    timer_stats_.fired.add(1);
+    if (audit_) {
+      audit_pop(ev.at, ev.seq,
+                drain_all ? (ev.at > now_ ? ev.at : now_) : target);
     }
-  }
-}
-
-void Env::run_pending(Time target, bool drain_all) {
-  if (use_wheel_) {
-    run_pending_wheel(target, drain_all);
-  } else {
-    run_pending_heap(target, drain_all);
+    if (ev.at > now_) now_ = ev.at;
+    // Deferred daemon work must not bill the request whose advance
+    // happens to dispatch it.
+    obs::SuspendGuard guard(tracer_);
+    ev.fn();
   }
 }
 
@@ -219,15 +73,6 @@ void Env::advance_to(Time t) {
 
 void Env::drain() { run_pending(/*target=*/0, /*drain_all=*/true); }
 
-Time Env::next_event_at() {
-  if (use_wheel_) return wheel_.next_at();
-  // Prune cancelled tombstones eagerly: reporting a dead deadline here
-  // would hand ShardedEnv a horizon the wheel backend never sees, and the
-  // two backends must drive byte-identical epoch sequences.
-  while (!queue_.empty() && heap_dead(queue_.top())) queue_.pop();
-  return queue_.empty() ? kNoEvent : queue_.top().at;
-}
-
 void Env::check_quiesced() const {
   NETSTORE_CHECK_EQ(pending_events(), std::size_t{0},
                     "events still pending at teardown");
@@ -236,19 +81,12 @@ void Env::check_quiesced() const {
 void Env::clone_from(const Env& src) {
   NETSTORE_CHECK_EQ(src.pending_events(), std::size_t{0},
                     "cannot clone an Env with pending events");
-  NETSTORE_CHECK_EQ(src.queue_.size(), std::size_t{0},
-                    "cannot clone an Env with pending events");
   NETSTORE_CHECK_EQ(pending_events(), std::size_t{0},
-                    "cannot clone into an Env with pending events");
-  NETSTORE_CHECK_EQ(queue_.size(), std::size_t{0},
                     "cannot clone into an Env with pending events");
   now_ = src.now_;
   next_seq_ = src.next_seq_;
-  // Counter values carry over so a forked snapshot equals the source's;
-  // the wheel cursor carries over so future entries file at the same
-  // levels (and cascade identically) as they would have in the source.
+  // Counter values carry over so a forked snapshot equals the source's.
   timer_stats_ = src.timer_stats_;
-  if (use_wheel_ && src.use_wheel_) wheel_.clone_cursor_from(src.wheel_);
   audit_has_last_pop_ = src.audit_has_last_pop_;
   audit_last_pop_at_ = src.audit_last_pop_at_;
   audit_last_pop_seq_ = src.audit_last_pop_seq_;

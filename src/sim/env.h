@@ -8,32 +8,22 @@
 // state machines readable (straight-line code, no callback chains) while
 // still modelling asynchronous daemons faithfully.
 //
-// The event queue is the hottest structure in the repo — every bench sweep
-// pushes and pops millions of events — so it is built from the hot-path
-// primitives in task.h / timer_wheel.h: events hold a sim::Task (inline
-// capture storage, no per-event allocation) and live in a hierarchical
-// timing wheel with O(1) amortized schedule, O(1) handle cancellation,
-// and batched same-tick dispatch (DESIGN.md §18).  The pre-wheel 4-ary
-// heap backend (event_heap.h) remains compiled in and is selected at Env
-// construction by NETSTORE_TIMER=heap; it is the escape hatch CI uses to
-// byte-compare the two backends, so both must produce identical pop
-// order — (deadline, seq) FIFO — and identical scheduled/fired/cancelled
-// counters.  Cancellation on the heap backend is lazy (generation-checked
-// tombstones discarded at pop), which is why next_event_at() is
-// non-const: reporting a cancelled deadline to ShardedEnv's horizon
-// skipping would diverge the epoch count between backends, so dead tops
-// are pruned eagerly there.
+// Events hold a sim::Task (inline capture storage, no per-event
+// allocation) and wait in one 4-ary min-heap (event_heap.h) ordered by
+// (deadline, scheduling sequence): earlier deadlines first, FIFO among
+// equal deadlines.  That order is the determinism contract, and the audit
+// hooks re-verify it on every pop.  Paper workloads keep only a handful
+// of daemon events pending, so the heap is never the bottleneck
+// (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 #include "sim/event_heap.h"
 #include "sim/stats.h"
 #include "sim/task.h"
 #include "sim/time.h"
-#include "sim/timer_wheel.h"
 
 namespace netstore::obs {
 class MetricsRegistry;
@@ -43,20 +33,13 @@ class Tracer;
 namespace netstore::sim {
 
 /// Scheduling telemetry, exported as the sim.timer.* counters (src/obs).
-/// scheduled/fired/cancelled are backend-independent (CI byte-compares
-/// them across NETSTORE_TIMER settings); cascades counts wheel overflow
-/// redistributions and is zero on the heap backend.
 struct TimerStats {
-  Counter scheduled;  // schedule_* + arm_* + reschedule_* accepted
+  Counter scheduled;  // schedule_* calls accepted
   Counter fired;      // events dispatched
-  Counter cancelled;  // successful cancel_timer calls
-  Counter cascades;   // entries re-filed by overflow-bucket cascades
 
   void reset() {
     scheduled.reset();
     fired.reset();
-    cancelled.reset();
-    cascades.reset();
   }
 };
 
@@ -65,10 +48,7 @@ struct TimerStats {
 /// strictly single-threaded and deterministic.
 class Env {
  public:
-  /// Reads NETSTORE_TIMER once per construction (no process-wide cache,
-  /// so tests can flip backends between Testbed builds): "heap" selects
-  /// the 4-ary heap backend, anything else the timing wheel.
-  Env();
+  Env() = default;
   Env(const Env&) = delete;
   Env& operator=(const Env&) = delete;
 
@@ -82,27 +62,9 @@ class Env {
   void schedule_at(Time at, Task fn);
 
   /// Schedules `fn` to run `after` from now.  NETSTORE_CHECKs that
-  /// now() + after does not overflow Time — wheel overflow levels make
-  /// far-future deadlines routine, and a silent wrap would file the event
-  /// in the past.
+  /// now() + after does not overflow Time: a silent wrap would file the
+  /// event in the past.
   void schedule_after(Duration after, Task fn);
-
-  /// Cancellable timers: like schedule_*, but the returned handle can
-  /// disarm (cancel_timer) or move (reschedule_timer_at) the event in
-  /// O(1) before it fires — no pop-and-discard of dead events.  Protocol
-  /// retransmission timers must use these (lint rule raw-env-schedule).
-  [[nodiscard]] TimerHandle arm_timer_at(Time at, Task fn);
-  [[nodiscard]] TimerHandle arm_timer_after(Duration after, Task fn);
-
-  /// Disarms an armed timer; its payload is destroyed without running.
-  /// Returns false on a stale handle (already fired/cancelled/moved).
-  bool cancel_timer(TimerHandle h);
-
-  /// Moves an armed timer to a new deadline.  The old handle value is
-  /// invalidated (on both backends — stale-handle behaviour must not
-  /// depend on NETSTORE_TIMER); the returned handle replaces it, or is
-  /// invalid if `h` was stale.
-  [[nodiscard]] TimerHandle reschedule_timer_at(TimerHandle h, Time at);
 
   /// Advances the clock to `t`, firing every event whose deadline is <= t
   /// in deadline order.  Events may schedule further events; those also run
@@ -116,23 +78,11 @@ class Env {
   /// deadline.  Used at experiment teardown to quiesce daemons.
   void drain();
 
-  /// Number of live (not yet fired, not cancelled) events.
-  [[nodiscard]] std::size_t pending_events() const {
-    return use_wheel_ ? wheel_.size() : heap_live_;
-  }
+  /// Number of events not yet fired.
+  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
-  /// Deadline of the earliest live pending event, or kNoEvent when none.
-  /// Shard bodies use this to report their next work time for
-  /// epoch-horizon skipping (sharded_env.h), so it must be exact: the
-  /// heap backend prunes cancelled tombstones off the top here (hence
-  /// non-const), the wheel reads its cached bucket minima.
+  /// Far-future sentinel: every deadline must lie below it.
   static constexpr Time kNoEvent = std::numeric_limits<Time>::max();
-  [[nodiscard]] Time next_event_at();
-
-  /// Reactor placement (sharded_env.h): which shard this Env belongs to.
-  /// 0 for a standalone sequential environment; assigned by ShardedEnv.
-  void set_shard(std::uint32_t s) { shard_ = s; }
-  [[nodiscard]] std::uint32_t shard() const { return shard_; }
 
   /// Enables runtime invariant audits (debug tooling, off by default):
   /// every event dispatch verifies that the clock never moves backwards
@@ -146,12 +96,11 @@ class Env {
   /// if events are still pending.
   void check_quiesced() const;
 
-  /// Copies the clock, sequence counter, timer counters, wheel cursor,
-  /// and audit bookkeeping from a *quiesced* source environment
-  /// (checkpoint/fork support).  Both queues must be empty — events hold
-  /// type-erased callables that capture pointers into the source world
-  /// and cannot be rewired, which is why fork() only exists for quiesced
-  /// testbeds.  The observability pointers and audit flag are
+  /// Copies the clock, sequence counter, timer counters and audit
+  /// bookkeeping from a *quiesced* source environment (checkpoint/fork
+  /// support).  Both queues must be empty — events hold type-erased
+  /// callables that capture pointers into the source world and cannot be
+  /// rewired, which is why fork() only exists for quiesced testbeds.  The observability pointers and audit flag are
   /// deliberately NOT copied: they belong to the new owner and are wired
   /// up by the forking Testbed.
   void clone_from(const Env& src);
@@ -160,9 +109,6 @@ class Env {
   /// the owning Testbed.
   [[nodiscard]] const TimerStats& timer_stats() const { return timer_stats_; }
   [[nodiscard]] TimerStats& mutable_timer_stats() { return timer_stats_; }
-
-  /// Which backend this Env runs on (benchmark labelling).
-  [[nodiscard]] bool uses_wheel() const { return use_wheel_; }
 
   /// Observability wiring (owned by the Testbed, see src/obs).  Null when
   /// a component is driven standalone; every instrumentation site must
@@ -175,17 +121,10 @@ class Env {
   [[nodiscard]] obs::Tracer* tracer() const { return tracer_; }
 
  private:
-  /// Heap-backend event.  Armed (cancellable) events keep their payload
-  /// in the handle table and carry a generation here: a cancel or
-  /// reschedule bumps the generation, turning the queued record into a
-  /// tombstone discarded at pop — the classic lazy-deletion scheme the
-  /// wheel's O(1) true removal replaces.
   struct Event {
     Time at;
     std::uint64_t seq;  // tie-break: FIFO among same-deadline events
     Task fn;
-    std::uint32_t handle = TimerHandle::kInvalidId;
-    std::uint32_t gen = 0;
   };
   /// Min-heap ordering: earlier deadline pops first, scheduling order
   /// breaks ties.  This pair ordering IS the determinism contract; the
@@ -196,15 +135,6 @@ class Env {
       return a.seq < b.seq;
     }
   };
-  struct HeapHandleRec {
-    std::uint32_t gen = 0;
-    bool live = false;
-    std::uint32_t next_free = TimerHandle::kInvalidId;
-    Task fn;
-  };
-
-  [[nodiscard]] static bool wheel_selected();
-  void check_deadline(Time at) const;
 
   /// Audit-mode dispatch bookkeeping (see set_audit).
   void audit_pop(Time at, std::uint64_t seq, Time target);
@@ -213,18 +143,6 @@ class Env {
   /// the next deadline exceeds `target`) and drain (drain_all=true:
   /// `target` ignored, each event audited against its own deadline).
   void run_pending(Time target, bool drain_all);
-  void run_pending_wheel(Time target, bool drain_all);
-  void run_pending_heap(Time target, bool drain_all);
-  void dispatch(Time at, std::uint64_t seq, Task& fn, Time target,
-                bool drain_all);
-
-  /// True when the queued record is a cancelled/rescheduled tombstone.
-  [[nodiscard]] bool heap_dead(const Event& ev) const {
-    return ev.handle != TimerHandle::kInvalidId &&
-           heap_handles_[ev.handle].gen != ev.gen;
-  }
-  [[nodiscard]] std::uint32_t heap_alloc_handle();
-  void heap_release_handle(std::uint32_t id);
 
   Time now_ = 0;
   // netstore: not_cloned -- observers and config, not simulated state:
@@ -238,23 +156,11 @@ class Env {
   std::uint64_t audit_last_pop_seq_ = 0;
   std::uint64_t audit_seq_snapshot_ = 0;
   std::uint64_t next_seq_ = 0;
-  // netstore: not_cloned -- reactor placement, reassigned by the owning
-  // ShardedEnv / Testbed after a fork, not simulated state
-  std::uint32_t shard_ = 0;
-  // netstore: not_cloned -- backend selection is per-process config
-  // (NETSTORE_TIMER), re-read by each constructed Env, not world state
-  const bool use_wheel_;
   TimerStats timer_stats_;
 
-  TimerWheel<Task> wheel_;
-
-  // Heap backend (NETSTORE_TIMER=heap).  netstore: not_cloned -- clone_from
-  // CHECKs both sides quiesced (no pending events, no heap tombstones), so
-  // the handle table and queue are empty by construction at fork time.
+  // netstore: not_cloned -- clone_from CHECKs both sides quiesced, so the
+  // queue is empty by construction at fork time.
   DaryHeap<Event, Sooner> queue_;
-  std::vector<HeapHandleRec> heap_handles_;    // netstore: not_cloned -- see queue_
-  std::uint32_t heap_free_head_ = TimerHandle::kInvalidId;  // netstore: not_cloned -- see queue_
-  std::size_t heap_live_ = 0;  // netstore: not_cloned -- see queue_
 };
 
 }  // namespace netstore::sim

@@ -44,12 +44,10 @@ class Sampler {
     sorted_valid_ = false;
   }
 
-  /// Appends every sample of `other`, preserving its recording order —
-  /// the shard-local → global folding step of a sharded drive (DESIGN.md
-  /// §17): merging shard samplers in shard order yields the same sample
-  /// sequence a sequential run would have recorded per shard.  One bulk
-  /// insert, one sort-cache invalidation — the next percentile()/
-  /// summary() re-sorts once, not per merged sample.
+  /// Appends every sample of `other`, preserving its recording order, so
+  /// merging a and then b yields the sequence recording a's samples and
+  /// then b's would have.  One bulk insert, one sort-cache invalidation —
+  /// the next percentile()/summary() re-sorts once, not per merged sample.
   void merge(const Sampler& other) {
     samples_.insert(samples_.end(), other.samples_.begin(),
                     other.samples_.end());
@@ -78,9 +76,9 @@ class Sampler {
  private:
   std::vector<double> samples_;
   // Cached ascending copy of samples_, rebuilt lazily after a record().
-  // netstore: shard_local -- every Sampler is owned by one world; the
-  // sharding PR keeps worlds reactor-private, so the const-surface cache
-  // rebuild never races
+  // netstore: shard_local -- every Sampler is owned by one world, and
+  // bench_runner keeps each world on one worker thread, so the
+  // const-surface cache rebuild never races
   mutable std::vector<double> sorted_;
   mutable bool sorted_valid_ = false;  // netstore: shard_local -- see sorted_
 };
@@ -97,7 +95,7 @@ class Histogram {
 
   /// Adds `other`'s bucket counts into this histogram.  Both histograms
   /// must have identical bounds (NETSTORE_CHECK) — merging is only
-  /// meaningful between shard-local copies of the same metric.
+  /// meaningful between copies of the same metric.
   void merge(const Histogram& other);
 
   [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }

@@ -194,7 +194,7 @@ TEST(NfsClientTest, WarmReadServedFromCacheInsideWindow) {
   EXPECT_EQ(rig.calls(), 0u);  // pure cache hit inside the window
 }
 
-// The zero-copy read path (DESIGN.md §19): a cached full-block read
+// The zero-copy read path (DESIGN.md §17): a cached full-block read
 // charges exactly one copy per page — the user-buffer boundary — where
 // the pre-plane path copied twice (server page cache -> reply staging ->
 // client page, then client page -> user buffer).

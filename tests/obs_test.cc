@@ -101,11 +101,10 @@ TEST(MetricsRegistry, HistogramSnapshotsBucketsWithOverflow) {
   EXPECT_EQ(v.buckets[2].second, 1u);
 }
 
-// --- Sampler / Histogram merge (shard folding, DESIGN.md §17) ---------
+// --- Sampler / Histogram merge ------------------------------------------
 
-// Merging shard-local samplers in shard order must reproduce exactly the
-// sample sequence and digest a sequential run recording the same values
-// in the same order would have produced.
+// Merging samplers in order must reproduce exactly the sample sequence
+// and digest of one sampler recording the same values in the same order.
 TEST(SamplerMerge, EqualsSequentialRecordingInShardOrder) {
   sim::Sampler sequential;
   sim::Sampler shard0, shard1;

@@ -83,19 +83,17 @@ TEST(RunnerTest, MergedReportListsScenariosInListOrder) {
   }
 }
 
-TEST(RunnerTest, ClampWorkersBoundsWorkersTimesShardsByHardware) {
-  // 8 hardware threads: plain scenarios keep their requested workers...
-  EXPECT_EQ(clamp_workers(4, 1, 8), 4u);
-  // ...4-shard scenarios allow at most 2 concurrent (2 x 4 = 8)...
-  EXPECT_EQ(clamp_workers(4, 4, 8), 2u);
-  // ...and a scenario wider than the machine still gets one worker.
-  EXPECT_EQ(clamp_workers(4, 16, 8), 1u);
-  // The clamp never raises the request and never returns zero.
-  EXPECT_EQ(clamp_workers(1, 1, 8), 1u);
-  EXPECT_EQ(clamp_workers(0, 0, 1), 1u);
+TEST(RunnerTest, ClampWorkersBoundsWorkersByHardware) {
+  // 8 hardware threads: a request within the machine is kept...
+  EXPECT_EQ(clamp_workers(4, 8), 4u);
+  EXPECT_EQ(clamp_workers(8, 8), 8u);
+  // ...a wider one is cut to the thread count...
+  EXPECT_EQ(clamp_workers(16, 8), 8u);
+  // ...and the clamp never returns zero.
+  EXPECT_EQ(clamp_workers(0, 1), 1u);
   // hardware_threads = 0 queries the host; whatever it reports, the
   // bounds hold.
-  const unsigned w = clamp_workers(64, 2);
+  const unsigned w = clamp_workers(64);
   EXPECT_GE(w, 1u);
   EXPECT_LE(w, 64u);
 }

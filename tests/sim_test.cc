@@ -2,6 +2,9 @@
 // deterministic PRNG, statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "sim/env.h"
@@ -158,6 +161,73 @@ TEST(EnvTest, SameDeadlineFifoHoldsUnderInterleavedScheduling) {
   env.schedule_at(milliseconds(10), [&] { fired.push_back(1); });
   env.advance_to(milliseconds(10));
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
+}
+
+// Dispatch order over deadlines spread from 0 to 262,145 ticks past the
+// clock, with duplicates, past-dated events and a same-tick burst: the
+// observed order must be the (deadline, scheduling order) contract,
+// checked against a reference built by stable-sorting the schedule.
+TEST(EnvTest, DispatchOrderIsDeadlineThenFifo) {
+  Env env;
+  env.set_audit(true);
+  // Each record is (raw scheduled deadline, schedule index) in dispatch
+  // order — raw, because the contract orders past-dated events by their
+  // original deadline even though they *run* at the next advance with the
+  // clock already ahead of them.
+  std::vector<std::pair<Time, int>> fired;
+  int idx = 0;
+  auto at = [&](Time t) {
+    const int id = idx++;
+    env.schedule_at(t, [&fired, t, id] { fired.emplace_back(t, id); });
+  };
+  env.advance_to(100);
+  const Time base = env.now();
+  for (const Time d : {Time{0}, Time{1}, Time{63}, Time{64}, Time{64},
+                       Time{65}, Time{4095}, Time{4096}, Time{4097},
+                       Time{262143}, Time{262144}, Time{262145}, Time{64},
+                       Time{4096}}) {
+    at(base + d);
+  }
+  at(base - 50);  // past deadline: runs at the next advance
+  at(base - 50);  // and FIFO with its same-deadline sibling
+  for (int i = 0; i < 8; ++i) at(base + 4096);  // same-tick burst
+  env.drain();
+
+  ASSERT_EQ(fired.size(), 24u);
+  std::vector<std::pair<Time, int>> expect = fired;
+  std::stable_sort(expect.begin(), expect.end(),
+                   [](const auto& a, const auto& b) {
+                     if (a.first != b.first) return a.first < b.first;
+                     return a.second < b.second;
+                   });
+  EXPECT_EQ(fired, expect) << "dispatch must be (deadline, seq) ordered";
+}
+
+TEST(EnvTest, FarFutureDeadlineFiresExactly) {
+  Env env;
+  const Time far = seconds(3600LL * 24 * 365) * 100;  // ~100 years
+  Time fired = 0;
+  env.schedule_at(far, [&] { fired = env.now(); });
+  env.advance_to(far - 1);
+  EXPECT_EQ(fired, 0);
+  env.advance_to(far);
+  EXPECT_EQ(fired, far);
+}
+
+// Overflow guard (NETSTORE_CHECK): deadlines at/above the kNoEvent
+// sentinel and schedule_after sums past the Time range must die loudly —
+// a silent wrap would file the event in the past and stall the run.
+TEST(TimerOverflowDeathTest, ScheduleAtSentinelDies) {
+  Env env;
+  EXPECT_DEATH(env.schedule_at(Env::kNoEvent, [] {}),
+               "deadline overflows sim::Time");
+}
+
+TEST(TimerOverflowDeathTest, ScheduleAfterOverflowDies) {
+  Env env;
+  env.advance_to(seconds(3600LL * 24 * 365));
+  EXPECT_DEATH(env.schedule_after(std::numeric_limits<Duration>::max(), [] {}),
+               "deadline overflows sim::Time");
 }
 
 TEST(EnvDeathTest, CheckQuiescedFiresWithPendingEvents) {

@@ -1,13 +1,12 @@
-// Zero-copy data plane tests (DESIGN.md §19).
+// Zero-copy data plane tests (DESIGN.md §17).
 //
 // The contracts under test:
 //   * Escape-hatch identity: a mixed workload produces a bit-identical
 //     observable digest with NETSTORE_ZEROCOPY on and off, on every
 //     protocol stack — moving references instead of bytes changes
 //     nothing the simulation observes.
-//   * Fleet determinism survives the plane: sharded (and sequential)
-//     fleet runs stay byte-identical run to run while frames are shared
-//     across layers.
+//   * Fleet determinism survives the plane: fleet runs stay
+//     byte-identical run to run while frames are shared across layers.
 //   * CoW aliasing safety: adopting a frame across a layer crossing
 //     aliases it; mutating either side un-shares first, so no alias ever
 //     sees the other's writes.
@@ -176,36 +175,31 @@ std::string fleet_digest(Fleet& fleet) {
   const StatsSnapshot s = fleet.world().snapshot();
   std::ostringstream os;
   os << report.json() << "\nnow=" << s.now << " msgs=" << s.messages
-     << " bytes=" << s.bytes << " raw=" << s.raw_messages
-     << " epochs=" << fleet.epochs()
-     << " xshard=" << fleet.cross_shard_messages();
+     << " bytes=" << s.bytes << " raw=" << s.raw_messages;
   return os.str();
 }
 
-// Run-to-run identity of the fleet drive with the plane on, sequential
-// and sharded: frames shared across layers (and, sharded, across
-// per-shard worlds forked from one image) must not perturb determinism.
+// Run-to-run identity of the fleet drive with the plane on: frames
+// shared across layers must not perturb determinism.  The name predates
+// the removal of the sharded drive; only the single-world case remains.
 TEST(ZerocopyFleet, RunToRunIdenticalAcrossShardCounts) {
   ZerocopyGuard guard;
   core::set_zerocopy(true);
-  for (std::uint32_t shards : {1u, 4u}) {
-    WorkloadConfig w;
-    w.clients = 64;
-    w.ops = 300;
-    w.seed = 99;
-    w.shards = shards;
-    std::string digests[2];
-    for (std::string& d : digests) {
-      Testbed proto(Protocol::kNfsV3);
-      proto.quiesce();
-      Checkpoint cp(proto);
-      auto fleet = cp.fleet(w);
-      fleet->setup();
-      fleet->run();
-      d = fleet_digest(*fleet);
-    }
-    EXPECT_EQ(digests[0], digests[1]) << "shards=" << shards;
+  WorkloadConfig w;
+  w.clients = 64;
+  w.ops = 300;
+  w.seed = 99;
+  std::string digests[2];
+  for (std::string& d : digests) {
+    Testbed proto(Protocol::kNfsV3);
+    proto.quiesce();
+    Checkpoint cp(proto);
+    auto fleet = cp.fleet(w);
+    fleet->setup();
+    fleet->run();
+    d = fleet_digest(*fleet);
   }
+  EXPECT_EQ(digests[0], digests[1]);
 }
 
 // Aliasing a frame across a crossing is safe because mutable_data() is

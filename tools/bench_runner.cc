@@ -1,6 +1,6 @@
 // bench_runner: fan built-in Testbed scenarios across worker threads.
 //
-//   bench_runner [--workers N] [--shards N] [--out DIR] [--warm-prototype]
+//   bench_runner [--workers N] [--out DIR] [--warm-prototype]
 //                [--list] [scenario...]
 //
 // With no scenario names, runs the whole built-in catalogue.  Each
@@ -13,11 +13,8 @@
 // output is byte-identical to a run without the flag, which CI also
 // diffs.
 //
-// --shards declares how many reactor threads each scenario may spawn
-// (sharded fleet drives, DESIGN.md §17).  The effective worker count is
-// clamped so workers x shards never exceeds the machine's hardware
-// threads (tools::clamp_workers) — oversubscribing barrier-synchronized
-// reactors slows everything at once.  The clamp decision is reported in
+// The effective worker count is clamped to the machine's hardware threads
+// (tools::clamp_workers).  The clamp decision is reported in
 // <out>/runner_meta.json, a separate host-dependent file: merged.json
 // and the per-scenario reports stay byte-comparable across worker
 // counts and machines.
@@ -40,7 +37,7 @@ using netstore::tools::ScenarioResult;
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--workers N] [--shards N] [--out DIR] "
+               "usage: %s [--workers N] [--out DIR] "
                "[--warm-prototype] [--list] [scenario...]\n",
                argv0);
   return 2;
@@ -50,7 +47,6 @@ int usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   unsigned workers = 1;
-  unsigned shards = 1;
   std::string out_dir;
   bool list = false;
   bool warm_prototype = false;
@@ -62,10 +58,6 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) return usage(argv[0]);
       workers = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
       if (workers == 0) workers = 1;
-    } else if (arg == "--shards") {
-      if (i + 1 >= argc) return usage(argv[0]);
-      shards = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-      if (shards == 0) shards = 1;
     } else if (arg == "--out") {
       if (i + 1 >= argc) return usage(argv[0]);
       out_dir = argv[++i];
@@ -118,11 +110,10 @@ int main(int argc, char** argv) {
   }
 
   const unsigned requested_workers = workers;
-  workers = netstore::tools::clamp_workers(workers, shards);
+  workers = netstore::tools::clamp_workers(workers);
   if (workers != requested_workers) {
-    std::printf("workers clamped %u -> %u (%u shards/scenario, %u hardware "
-                "threads)\n",
-                requested_workers, workers, shards,
+    std::printf("workers clamped %u -> %u (%u hardware threads)\n",
+                requested_workers, workers,
                 std::thread::hardware_concurrency());
   }
 
@@ -159,9 +150,6 @@ int main(int argc, char** argv) {
     auto& mt = meta.table("parallelism", {"metric", "value"});
     mt.row({"requested_workers", static_cast<std::uint64_t>(requested_workers)});
     mt.row({"effective_workers", static_cast<std::uint64_t>(workers)});
-    mt.row({"shards_per_scenario", static_cast<std::uint64_t>(shards)});
-    mt.row({"effective_parallelism",
-            static_cast<std::uint64_t>(workers) * shards});
     mt.row({"hardware_threads",
             static_cast<std::uint64_t>(std::thread::hardware_concurrency())});
     if (!netstore::obs::Report::write_file(out_dir + "/runner_meta.json",

@@ -21,9 +21,9 @@ Checks, per file:
   * any snapshot whose label starts with "fleet": the fleet.* metric
     keys (ops counter, response/queue-delay/service samplers, per-client
     fairness sampler) present with consistent counts
-  * any snapshot exporting sim.timer.* (engine timer telemetry,
-    DESIGN.md section 18): all four counters present together, and every
-    timer resolved at most once (fired + cancelled <= scheduled)
+  * any snapshot exporting sim.timer.* (event-queue telemetry): both
+    counters present together, and no event fired more than once
+    (fired <= scheduled)
 
 Exit status 0 iff every file passes.  Stdlib only.
 """
@@ -142,7 +142,7 @@ def check_pool_snapshot(path, metrics):
         return fail(
             path, "pool snapshot: slabs exist but no alloc_fallbacks recorded"
         )
-    # Zero-copy data plane (DESIGN.md section 19): with the plane on (the
+    # Zero-copy data plane (DESIGN.md section 17): with the plane on (the
     # only mode that exports validated pool snapshots), every charged
     # copy is a user-buffer boundary crossing, so the copied bytes can
     # never exceed the bytes that crossed the read/write boundaries.
@@ -204,19 +204,15 @@ def check_fleet_snapshot(path, label, metrics):
 TIMER_KEYS = (
     "sim.timer.scheduled",
     "sim.timer.fired",
-    "sim.timer.cancelled",
-    "sim.timer.cascades",
 )
 
 
 def check_timer_metrics(path, label, metrics):
-    """sim::Env timer telemetry: all-or-nothing, every timer resolved once.
+    """sim::Env event-queue telemetry: all-or-nothing, each event fires once.
 
-    scheduled counts schedule_at/arm/reschedule, fired counts dispatches,
-    cancelled counts successful cancels; a timer is resolved by at most
-    one of fire/cancel, so fired + cancelled <= scheduled always (the
-    difference is timers still pending at snapshot time).  cascades is
-    wheel-backend refiling work, unbounded relative to the others.
+    scheduled counts accepted schedule_at/schedule_after calls and fired
+    counts dispatches, so fired <= scheduled always (the difference is
+    events still pending at snapshot time).
     """
     ok = True
     for key in TIMER_KEYS:
@@ -227,12 +223,11 @@ def check_timer_metrics(path, label, metrics):
         return False
     scheduled = metrics["sim.timer.scheduled"]["value"]
     fired = metrics["sim.timer.fired"]["value"]
-    cancelled = metrics["sim.timer.cancelled"]["value"]
-    if fired + cancelled > scheduled:
+    if fired > scheduled:
         return fail(
             path,
-            f"snapshot {label!r}: fired ({fired}) + cancelled ({cancelled}) "
-            f"exceed scheduled ({scheduled}) — a timer resolved twice",
+            f"snapshot {label!r}: fired ({fired}) exceeds scheduled "
+            f"({scheduled}) — an event fired twice",
         )
     return True
 

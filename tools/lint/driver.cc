@@ -25,7 +25,7 @@ const std::set<std::string> kRequiredRules = {
     // PR-1 determinism family.
     "wall-clock", "rand", "raw-assert", "raw-print", "unordered-iter",
     "virtual-dtor", "float-eq", "std-function-hot-path", "fork-unsafe-state",
-    "raw-blockbuf-alloc", "raw-env-schedule",
+    "raw-blockbuf-alloc",
     // Shard-safety family.
     "shard-mutable-global", "shard-unsafe-singleton", "shard-mutable-member",
     // Clone-completeness family.

@@ -7,7 +7,7 @@
 //
 // Families and where they run:
 //   determinism  (PR 1 rules, re-hosted on the lexer)   src/ or everywhere
-//   shard        shard-safety for the parallel sim core src/ only
+//   shard        shard-safety for bench_runner's workers src/ only
 //   clone        clone()/clone_from() completeness      wherever a body is
 //   ownership    BufRef aliasing, RAII pairing, locks   src/ + tools/
 #pragma once
@@ -38,8 +38,8 @@ void run_determinism_rules(const SourceFile& f, const Index& idx,
                            std::vector<Finding>& out);
 
 /// Shard-safety: mutable namespace-scope state, unannotated singletons,
-/// and mutable members, all of which alias across the per-core reactors
-/// the sharded sim core will introduce (ROADMAP item 2).
+/// and mutable members, all of which alias across the worlds bench_runner
+/// runs on parallel worker threads.
 void run_shard_rules(const SourceFile& f, const Index& idx,
                      std::vector<Finding>& out);
 

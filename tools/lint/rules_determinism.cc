@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
-#include <cstring>
 #include <filesystem>
 #include <set>
 #include <string_view>
@@ -163,41 +162,6 @@ void check_std_function(const SourceFile& f, std::vector<Finding>& out) {
                          "(borrowing), or suppress for a cold "
                          "configuration hook"});
       pos = f.code[li].find("std::function", pos + 1);
-    }
-  }
-}
-
-void check_raw_env_schedule(const SourceFile& f, std::vector<Finding>& out) {
-  // Protocol code arms timers that a reply must be able to cancel (the
-  // RPC retransmission timer, iSCSI command timeouts).  A raw
-  // schedule_at/schedule_after is fire-and-forget: once queued it WILL
-  // run, so the cancel path degenerates to a flag check inside the
-  // callback — state the wheel backend cannot reclaim and the audit
-  // cannot see.  Protocol modules must go through Env::arm_timer_* and
-  // hold the sim::TimerHandle (DESIGN.md section 18).  The engine
-  // itself (src/sim) and pure-dataflow layers keep raw scheduling.
-  static const std::set<std::string> kProtocolModules = {"rpc", "iscsi"};
-  if (!f.in_src || kProtocolModules.count(f.module) == 0) return;
-  static const char* const kNeedles[] = {"schedule_at", "schedule_after"};
-  for (std::size_t li = 0; li < f.code.size(); ++li) {
-    const std::string& line = f.code[li];
-    for (const char* needle : kNeedles) {
-      std::size_t pos = line.find(needle);
-      while (pos != std::string::npos) {
-        if (at_word(line, pos, needle)) {
-          out.push_back({f.path, static_cast<std::uint32_t>(li + 1),
-                         static_cast<std::uint32_t>(pos + 1),
-                         "raw-env-schedule",
-                         "fire-and-forget schedule in protocol module '" +
-                             f.module +
-                             "'; arm a cancellable timer via "
-                             "Env::arm_timer_at/arm_timer_after and keep "
-                             "the sim::TimerHandle so the reply path can "
-                             "cancel it, or suppress for a timer that can "
-                             "never outlive its request"});
-        }
-        pos = line.find(needle, pos + std::strlen(needle));
-      }
     }
   }
 }
@@ -505,7 +469,6 @@ void run_determinism_rules(const SourceFile& f, const Index& idx,
   check_std_clog(f, out);
   check_raw_blockbuf_alloc(f, out);
   check_std_function(f, out);
-  check_raw_env_schedule(f, out);
   check_fork_unsafe_static(f, out);
   check_unordered_iteration(f, idx, out);
   check_virtual_dtor(f, out);

@@ -43,8 +43,8 @@
 //                          (ext3 indirect entries, parity folds).
 //   lock-order-cycle       two functions (possibly in different TUs)
 //                          acquire the same pair of locks in opposite
-//                          orders — the classic ABBA deadlock the
-//                          sharded core must never inherit.  Lock
+//                          orders — the classic ABBA deadlock
+//                          bench_runner's workers must never hit.  Lock
 //                          identity is Class::expr via the cross-TU
 //                          index.
 #include <filesystem>
@@ -267,7 +267,7 @@ void check_lock_order(const SourceFile& f, const Index& idx,
     out.push_back({f.path, e.line, 0, "lock-order-cycle",
                    "'" + e.second + "' acquired while holding '" + e.first +
                        "', but the opposite order is reachable (see " +
-                       counter + "); shards taking these paths "
+                       counter + "); threads taking these paths "
                        "concurrently can deadlock — pick one global order"});
   }
 }

@@ -2,8 +2,9 @@
 //
 // The simulator must be bit-deterministic (every Table 2-10 number is a
 // function of (config, seed) and nothing else), every component must be
-// deep-cloneable for warm-state checkpoints, and — ahead of the sharded
-// parallel sim core — no simulated state may alias across shards.  The
+// deep-cloneable for warm-state checkpoints, and — because bench_runner
+// runs worlds on parallel worker threads — no simulated state may alias
+// across worlds.  The
 // analyzer enforces all three at compile time.  It is a real tokenizer
 // plus a cross-TU symbol index, organized as four rule families; see
 // tools/lint/rules.h for the family inventory, tools/lint/driver.h for

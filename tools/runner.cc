@@ -194,19 +194,15 @@ std::vector<ScenarioResult> run_scenarios(std::span<const Scenario> scenarios,
   return results;
 }
 
-unsigned clamp_workers(unsigned requested, unsigned shards_per_scenario,
-                       unsigned hardware_threads) {
+unsigned clamp_workers(unsigned requested, unsigned hardware_threads) {
   if (requested < 1) requested = 1;
-  if (shards_per_scenario < 1) shards_per_scenario = 1;
   if (hardware_threads == 0) {
     hardware_threads = std::thread::hardware_concurrency();
     // hardware_concurrency() may legitimately return 0 (unknown); treat
     // the machine as a uniprocessor rather than unbounded.
     if (hardware_threads == 0) hardware_threads = 1;
   }
-  const unsigned cap =
-      std::max(1u, hardware_threads / shards_per_scenario);
-  return std::min(requested, cap);
+  return std::min(requested, hardware_threads);
 }
 
 std::string merged_report(std::span<const Scenario> scenarios,

@@ -83,17 +83,13 @@ class WarmPrototypePool {
     std::span<const Scenario> scenarios, unsigned workers,
     WarmPrototypePool* pool = nullptr);
 
-/// Caps `requested` workers so that workers x shards_per_scenario does
-/// not exceed the machine's hardware threads: a scenario driving a
-/// sharded fleet (DESIGN.md §17) spawns `shards_per_scenario` reactor
-/// threads of its own, and oversubscribing the barrier-synchronized
-/// epoch loop degrades every scenario at once instead of queueing
-/// politely.  `hardware_threads` = 0 queries the host; pass an explicit
+/// Caps `requested` workers at the machine's hardware threads: every
+/// scenario runs single-threaded, so more workers than threads only adds
+/// contention.  `hardware_threads` = 0 queries the host; pass an explicit
 /// value for deterministic tests.  Never returns less than 1, and never
 /// raises `requested`.  Worker count only affects wall-clock, so the
 /// clamp cannot change any scenario's output.
 [[nodiscard]] unsigned clamp_workers(unsigned requested,
-                                     unsigned shards_per_scenario,
                                      unsigned hardware_threads = 0);
 
 /// One netstore-report-v1 document summarizing every scenario, rows in

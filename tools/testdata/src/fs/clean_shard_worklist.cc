@@ -7,8 +7,8 @@
 
 namespace netstore::fsx {
 
-// Queued for per-shard storage; fs does not run on reactor threads yet.
-// netstore: shard_local -- moved into per-mount state when fs shards
+// Confined to one world; fs is not a strict module.
+// netstore: shard_local -- only the owning mount touches it
 std::uint64_t g_lookup_cache_hits = 0;
 
 }  // namespace netstore::fsx

@@ -1,6 +1,6 @@
-// Fixture: mutable namespace-scope state is visible to every future
-// shard at once (rule: shard-mutable-global).  Each un-annotated global
-// below must trip; the thread_local one must not (inherently per-shard).
+// Fixture: mutable namespace-scope state is visible to every worker
+// thread at once (rule: shard-mutable-global).  Each un-annotated global
+// below must trip; the thread_local one must not (inherently per-thread).
 #include <cstdint>
 #include <vector>
 
@@ -9,8 +9,8 @@ namespace netstore::simx {
 int g_tick_skew = 0;                       // BAD: shard-mutable-global
 std::vector<std::uint64_t> g_pending_ids;  // BAD: shard-mutable-global
 
-// Per-reactor by construction — passes without annotation.
-thread_local std::uint64_t g_reactor_epoch = 0;
+// Per-thread by construction — passes without annotation.
+thread_local std::uint64_t g_worker_epoch = 0;
 
 // Immutable: harmless to share.
 constexpr int kMaxShards = 64;

@@ -5,15 +5,15 @@
 
 namespace netstore::simx {
 
-// The work-list annotation expired when shards became real threads:
-// still a shard-mutable-global finding in module sim.
-// netstore: shard_local -- should have moved into ReactorState by now
+// shard_local does not confine a global: still a shard-mutable-global
+// finding in module sim.
+// netstore: shard_local -- should live in the world instead
 std::uint64_t g_stale_worklist_counter = 0;
 
 class SharedScratch {
  public:
   // shard-unsafe-singleton despite the annotation: the mutable member
-  // below mutates under const from every reactor at once.
+  // below mutates under const from every worker at once.
   // netstore: shard_safe -- claim contradicted by last_hit_
   static SharedScratch& instance();
 

@@ -8,7 +8,7 @@
 
 namespace netstore::simx {
 
-// Per-reactor by construction.
+// Per-thread by construction.
 thread_local std::uint32_t g_shard_id = 0;
 
 // An explicit suppression is the one remaining escape for a global in a
