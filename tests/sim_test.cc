@@ -163,6 +163,24 @@ TEST(EnvTest, SameDeadlineFifoHoldsUnderInterleavedScheduling) {
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
 }
 
+// Re-entrant scheduling during a same-tick batch: an event that schedules
+// another event for the *same instant* must see it run within the same
+// sweep, after every previously queued same-tick event.
+TEST(CascadeBoundaryTest, SameTickReentrantScheduleRunsInSeqOrder) {
+  Env env;
+  env.set_audit(true);
+  std::vector<int> order;
+  env.schedule_at(10, [&] {
+    order.push_back(0);
+    env.schedule_at(10, [&order] { order.push_back(3); });
+  });
+  env.schedule_at(10, [&order] { order.push_back(1); });
+  env.schedule_at(10, [&order] { order.push_back(2); });
+  env.advance_to(10);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(env.pending_events(), 0u);
+}
+
 // Dispatch order over deadlines spread from 0 to 262,145 ticks past the
 // clock, with duplicates, past-dated events and a same-tick burst: the
 // observed order must be the (deadline, scheduling order) contract,
