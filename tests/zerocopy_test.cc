@@ -1,10 +1,10 @@
 // Zero-copy data plane tests (DESIGN.md §17).
 //
 // The contracts under test:
-//   * Escape-hatch identity: a mixed workload produces a bit-identical
-//     observable digest with NETSTORE_ZEROCOPY on and off, on every
-//     protocol stack — moving references instead of bytes changes
-//     nothing the simulation observes.
+//   * Golden identity: a mixed workload produces a committed observable
+//     digest on every protocol stack, NFSv4 delegation included — moving
+//     references instead of bytes changes nothing the simulation
+//     observes.
 //   * Fleet determinism survives the plane: fleet runs stay
 //     byte-identical run to run while frames are shared across layers.
 //   * CoW aliasing safety: adopting a frame across a layer crossing
@@ -139,30 +139,54 @@ std::string workload_digest(Protocol proto, std::uint64_t seed) {
   return os.str();
 }
 
+// workload_digest() at seed 0x5eed, committed.  These digests are the
+// oracle for data-path refactors: moving references instead of bytes must
+// change nothing the simulation observes.  Changing one is a change to
+// what the simulator computes and must be made on purpose.
+std::string golden_digest(Protocol p) {
+  switch (p) {
+    case Protocol::kNfsV2:
+      return "NFS v2 now=12120772924 msgs=156 raw=312 bytes=844222 rexmit=0 "
+             "c2s=156/361254 s2c=156/482968 scpu=65030000 ccpu=10175000 "
+             "end=12120772924 data=190c12ab6fe0636e";
+    case Protocol::kNfsV3:
+      return "NFS v3 now=12088518188 msgs=128 raw=256 bytes=578998 rexmit=0 "
+             "c2s=128/356822 s2c=128/222176 scpu=53990000 ccpu=10175000 "
+             "end=12088518188 data=190c12ab6fe0636e";
+    case Protocol::kNfsV4:
+      return "NFS v4 now=12125737107 msgs=168 raw=336 bytes=591382 rexmit=0 "
+             "c2s=168/362194 s2c=168/229188 scpu=70040000 ccpu=10175000 "
+             "end=12125737107 data=190c12ab6fe0636e";
+    case Protocol::kNfsV4Delegation:
+      return "NFS v4 + directory delegation now=12057925253 msgs=58 raw=116 "
+             "bytes=555905 rexmit=0 c2s=58/347161 s2c=58/208744 "
+             "scpu=30665000 ccpu=10175000 end=12057925253 "
+             "data=190c12ab6fe0636e";
+    default:
+      return "iSCSI now=12037355656 msgs=148 raw=296 bytes=740224 rexmit=0 "
+             "c2s=148/712128 s2c=148/28096 scpu=36785000 ccpu=46010000 "
+             "end=12037355656 data=190c12ab6fe0636e";
+  }
+}
+
 class ZerocopyIdentity : public ::testing::TestWithParam<Protocol> {};
 
-// The tentpole identity: reference-passing on vs the copying twin must
-// be byte-identical in everything the simulation observes.
-TEST_P(ZerocopyIdentity, OffModeDigestMatchesOnMode) {
-  ZerocopyGuard guard;
-  core::set_zerocopy(true);
-  const std::string on = workload_digest(GetParam(), 0x5eedull);
-  core::set_zerocopy(false);
-  const std::string off = workload_digest(GetParam(), 0x5eedull);
-  ASSERT_FALSE(on.empty());
-  ASSERT_FALSE(off.empty());
-  EXPECT_EQ(on, off);
+TEST_P(ZerocopyIdentity, DigestMatchesGolden) {
+  EXPECT_EQ(workload_digest(GetParam(), 0x5eedull), golden_digest(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStacks, ZerocopyIdentity,
                          ::testing::Values(Protocol::kNfsV2, Protocol::kNfsV3,
                                            Protocol::kNfsV4,
+                                           Protocol::kNfsV4Delegation,
                                            Protocol::kIscsi),
                          [](const auto& info) {
                            switch (info.param) {
                              case Protocol::kNfsV2: return "NfsV2";
                              case Protocol::kNfsV3: return "NfsV3";
                              case Protocol::kNfsV4: return "NfsV4";
+                             case Protocol::kNfsV4Delegation:
+                               return "NfsV4Delegation";
                              default: return "Iscsi";
                            }
                          });
