@@ -112,10 +112,9 @@ inline obs::MetricsRegistry::Snapshot pool_snapshot() {
   put("pool.shared_pages", pool.shared_pages());
   put("pool.unshare_ops", pool.unshare_ops());
   put("pool.alloc_fallbacks", pool.alloc_fallbacks());
-  // Zero-copy data-plane metering (core/iovec.h): with the plane on,
-  // every charged copy is a user-boundary crossing, so
-  // bytes_copied == bytes_read + bytes_written (check_report.py enforces
-  // <= on validated exports).
+  // Data-plane copy metering (core/iovec.h): every charged copy is a
+  // user-boundary crossing, so bytes_copied == bytes_read +
+  // bytes_written (check_report.py enforces <= on validated exports).
   put("pool.copies", pool.copies());
   put("pool.bytes_copied", pool.bytes_copied());
   put("pool.bytes_read", pool.bytes_read());

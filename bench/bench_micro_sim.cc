@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "block/mem_device.h"
+#include "block/raid5.h"
+#include "core/buffer_pool.h"
 #include "core/testbed.h"
 #include "fs/ext3.h"
 
@@ -56,11 +58,12 @@ void BM_Raid5SmallWrite(benchmark::State& state) {
   block::Raid5Config cfg;
   cfg.disk.block_count = 1 << 18;
   block::Raid5Array raid(cfg);
-  std::vector<std::uint8_t> blk(block::kBlockSize, 0x55);
+  core::BufRef blk = core::BufferPool::instance().alloc();
+  blk.mutable_block().fill(0x55);
   sim::Time t = 0;
   std::uint64_t lba = 0;
   for (auto _ : state) {
-    t = raid.write(t, (lba * 977) % (raid.block_count() - 1), 1, blk);
+    t = raid.write(t, (lba * 977) % (raid.block_count() - 1), {&blk, 1});
     lba++;
   }
 }

@@ -28,25 +28,16 @@
 //                 list, so this is ~0 once caches are warm.
 //
 //   copy scaling  charged copy bytes per warm syscall across I/O sizes
-//                 (4 KB..64 KB, iSCSI and NFSv3): with the zero-copy
-//                 plane on, every charged copy is a user-boundary
-//                 crossing, so below-boundary bytes/syscall is ~0 in the
-//                 warm steady state (DESIGN.md §17).
-//
-//   zerocopy speedup  NFSv3 64 KB cold-client reads (caches invalidated
-//                 per op, server page cache warm) run twice in-process:
-//                 NETSTORE_ZEROCOPY on (frames adopted across layers)
-//                 and off (the legacy copying twin), so the win from
-//                 moving references instead of bytes is measured, not
-//                 asserted.
+//                 (4 KB..64 KB, iSCSI and NFSv3): every charged copy is
+//                 a user-boundary crossing, so below-boundary
+//                 bytes/syscall is ~0 in the warm steady state
+//                 (DESIGN.md §17).
 //
 //   bench_sim_selfperf [--events N] [--syscalls N] [--json PATH]
-//                      [--zerocopy-ops N]
 //                      [--min-events-per-sec X] [--min-sweep-speedup X]
 //                      [--min-fork-speedup X]
 //                      [--max-allocs-per-syscall X]
 //                      [--max-copied-bytes-per-syscall X]
-//                      [--min-zerocopy-speedup X]
 //
 // The --min-*/--max-* flags make the binary a CI gate: exit 1 if any
 // measured value lands on the wrong side of its floor/ceiling.
@@ -64,9 +55,7 @@
 #include "bench_common.h"
 #include "core/buffer_pool.h"
 #include "core/checkpoint.h"
-#include "core/iovec.h"
 #include "core/testbed.h"
-#include "nfs/client.h"
 #include "obs/report.h"
 #include "sim/env.h"
 #include "sim/rng.h"
@@ -169,8 +158,8 @@ struct CopyPoint {
   // below-boundary staging the plane failed to eliminate.
   double copied_per_syscall = 0.0;
   // (bytes_copied - bytes_read - bytes_written) / ops: copies that are
-  // NOT user-boundary crossings.  ~0 in the warm steady state with the
-  // plane on — this is what --max-copied-bytes-per-syscall gates.
+  // NOT user-boundary crossings.  ~0 in the warm steady state — this is
+  // what --max-copied-bytes-per-syscall gates.
   double below_boundary_per_syscall = 0.0;
 };
 
@@ -229,66 +218,6 @@ std::vector<CopyPoint> copy_scaling(std::uint64_t ops) {
     }
   }
   return points;
-}
-
-// --- zerocopy speedup (reference-passing vs the copying twin) ------------
-
-struct ZerocopyPerf {
-  double on_ops_per_sec = 0.0;   // NETSTORE_ZEROCOPY default: frames move
-  double off_ops_per_sec = 0.0;  // escape hatch: every crossing copies
-  [[nodiscard]] double speedup() const {
-    return off_ops_per_sec > 0 ? on_ops_per_sec / off_ops_per_sec : 0.0;
-  }
-};
-
-// One phase: 64 KB NFSv3 reads with the client caches dropped before
-// every op, so each read crosses the wire (8 RPCs at the v3 transfer
-// limit) while the server page cache stays warm.  That makes the timed
-// work exactly the data plane: server cache -> RPC reply -> client page
-// cache -> user buffer, per op.
-double zerocopy_phase(std::uint64_t ops) {
-  netstore::core::Testbed bed(netstore::core::Protocol::kNfsV3);
-  constexpr std::uint32_t kIoBytes = 64 * 1024;
-
-  auto fd = bed.vfs().creat("/zc", 0644);
-  if (!fd.ok()) std::abort();
-  std::vector<std::uint8_t> buf(kIoBytes, 0x7d);
-  if (!bed.vfs().write(*fd, 0, buf).ok()) std::abort();
-  if (!bed.vfs().fsync(*fd).ok()) std::abort();
-
-  std::vector<std::uint8_t> rd(kIoBytes);
-  bed.nfs_client().invalidate_caches();
-  (void)bed.vfs().read(*fd, 0, rd);  // warm the server page cache
-
-  const auto t0 = Clock::now();
-  for (std::uint64_t i = 0; i < ops; ++i) {
-    bed.nfs_client().invalidate_caches();
-    if (!bed.vfs().read(*fd, 0, rd).ok()) std::abort();
-  }
-  const double dt = seconds_since(t0);
-  (void)bed.vfs().close(*fd);
-  return static_cast<double>(ops) / dt;
-}
-
-ZerocopyPerf zerocopy_speedup(std::uint64_t ops) {
-  ZerocopyPerf res;
-  auto& pool = netstore::core::BufferPool::instance();
-  // Best of two interleaved reps per mode: a single rep is at the mercy
-  // of frequency scaling and whatever else shares the machine.
-  for (int rep = 0; rep < 2; ++rep) {
-    netstore::core::set_zerocopy(true);
-    res.on_ops_per_sec = std::max(res.on_ops_per_sec, zerocopy_phase(ops));
-    // The OFF twin stages through charged copies that are not
-    // user-boundary crossings, which would break the exported
-    // bytes_copied <= bytes_read + bytes_written invariant in the pool
-    // snapshot below; save the counters around the phase.
-    const netstore::core::BufferPool::CopyStats saved = pool.copy_stats();
-    netstore::core::set_zerocopy(false);
-    res.off_ops_per_sec = std::max(res.off_ops_per_sec, zerocopy_phase(ops));
-    netstore::core::set_zerocopy(true);
-    pool.set_copy_stats(saved);
-  }
-  return res;
 }
 
 // --- sweep speedup (warm-state checkpoint/fork, DESIGN.md §13) -----------
@@ -432,12 +361,10 @@ ForkCost fork_cost(netstore::core::Protocol p) {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--events N] [--syscalls N] [--json PATH] "
-               "[--zerocopy-ops N] "
                "[--min-events-per-sec X] [--min-sweep-speedup X] "
                "[--min-fork-speedup X] "
                "[--max-allocs-per-syscall X] "
-               "[--max-copied-bytes-per-syscall X] "
-               "[--min-zerocopy-speedup X]\n",
+               "[--max-copied-bytes-per-syscall X]\n",
                argv0);
   return 2;
 }
@@ -458,8 +385,6 @@ int main(int argc, char** argv) {
   double min_fork_speedup = 0.0;
   double max_allocs_per_syscall = -1.0;
   double max_copied_bytes_per_syscall = -1.0;
-  double min_zerocopy_speedup = 0.0;
-  std::uint64_t zerocopy_ops = 2'000;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -483,10 +408,6 @@ int main(int argc, char** argv) {
       max_allocs_per_syscall = std::strtod(argv[++i], nullptr);
     } else if (arg == "--max-copied-bytes-per-syscall" && has_value) {
       max_copied_bytes_per_syscall = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--min-zerocopy-speedup" && has_value) {
-      min_zerocopy_speedup = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--zerocopy-ops" && has_value) {
-      zerocopy_ops = std::strtoull(argv[++i], nullptr, 10);
     } else {
       return usage(argv[0]);
     }
@@ -509,7 +430,6 @@ int main(int argc, char** argv) {
       syscalls_per_sec(netstore::core::Protocol::kNfsV3, n_syscalls);
 
   const std::vector<CopyPoint> copy_points = copy_scaling(n_syscalls / 10);
-  const ZerocopyPerf zc = zerocopy_speedup(zerocopy_ops);
 
   const SweepResult sweep = sweep_speedup(
       {netstore::core::Protocol::kNfsV2, netstore::core::Protocol::kNfsV3,
@@ -543,9 +463,6 @@ int main(int argc, char** argv) {
                 pt.ops_per_sec, pt.copied_per_syscall,
                 pt.below_boundary_per_syscall);
   }
-  std::printf("zerocopy (NFSv3 64 KB cold-client reads): on %.0f ops/s, "
-              "off %.0f ops/s, speedup %.2fx\n",
-              zc.on_ops_per_sec, zc.off_ops_per_sec, zc.speedup());
   std::printf("sweep (%d points): scratch %.0f ms, forked %.0f ms, "
               "speedup %.2fx\n",
               sweep.points, sweep.scratch_ms, sweep.forked_ms, sweep_x);
@@ -594,10 +511,6 @@ int main(int argc, char** argv) {
               static_cast<std::uint64_t>(pt.io_bytes), pt.ops_per_sec,
               pt.copied_per_syscall, pt.below_boundary_per_syscall});
     }
-    auto& zt = report.table("zerocopy", {"metric", "value"});
-    zt.row({"on_ops_per_sec", zc.on_ops_per_sec});
-    zt.row({"off_ops_per_sec", zc.off_ops_per_sec});
-    zt.row({"zerocopy_speedup_x", zc.speedup()});
     // Pool telemetry rides along unconditionally here: this bench exists
     // to watch the simulator's own mechanics, and its output is not part
     // of any byte-identity comparison.
@@ -639,12 +552,6 @@ int main(int argc, char** argv) {
                  "FAIL: %.0f below-boundary copied bytes/syscall above "
                  "ceiling %.0f\n",
                  worst_below_boundary, max_copied_bytes_per_syscall);
-    return 1;
-  }
-  if (min_zerocopy_speedup > 0 && zc.speedup() < min_zerocopy_speedup) {
-    std::fprintf(stderr,
-                 "FAIL: zerocopy speedup %.2fx below floor %.2fx\n",
-                 zc.speedup(), min_zerocopy_speedup);
     return 1;
   }
   return 0;

@@ -9,10 +9,6 @@
 #include <cstdint>
 #include <span>
 
-namespace netstore::core {
-class BufRef;  // core/buffer_pool.h includes this header; declare, not include
-}  // namespace netstore::core
-
 namespace netstore::block {
 
 /// Size of one block in bytes.
@@ -29,47 +25,5 @@ using BlockView = std::span<const std::uint8_t, kBlockSize>;
 
 /// Mutable view of exactly one block.
 using MutBlockView = std::span<std::uint8_t, kBlockSize>;
-
-/// A scatter-gather write payload: one BlockView per block, consecutive
-/// views landing on consecutive LBAs.  Lets the caches hand their resident
-/// pages straight to the device without staging them into one contiguous
-/// buffer first.
-using FragSpan = std::span<const BlockView>;
-
-/// Uniform whole-block access over either payload shape (contiguous
-/// buffer or per-block fragments), so block-granular consumers like the
-/// RAID layer implement their write path once.  Non-owning; valid only
-/// while the underlying buffer/views live.
-class BlockSource {
- public:
-  explicit BlockSource(std::span<const std::uint8_t> contig)
-      : contig_(contig.data()) {}
-  explicit BlockSource(FragSpan frags) : frags_(frags.data()) {}
-  /// Ref-shaped payload: one pooled frame per block.  The adoption seam
-  /// of the zero-copy plane — consumers that store blocks (Disk, the
-  /// write cache) take the handle via ref() and share the frame instead
-  /// of copying its bytes.
-  explicit BlockSource(std::span<const core::BufRef> refs);
-
-  /// View of the i-th block of the payload.
-  [[nodiscard]] BlockView block(std::size_t i) const {
-    if (contig_ != nullptr) {
-      return BlockView{contig_ + i * kBlockSize, kBlockSize};
-    }
-    if (frags_ != nullptr) return frags_[i];
-    return ref_block(i);
-  }
-
-  /// The i-th block as a pool handle, or nullptr when the payload is not
-  /// ref-shaped (callers fall back to block()).
-  [[nodiscard]] const core::BufRef* ref(std::size_t i) const;
-
- private:
-  [[nodiscard]] BlockView ref_block(std::size_t i) const;
-
-  const std::uint8_t* contig_ = nullptr;
-  const BlockView* frags_ = nullptr;
-  const core::BufRef* refs_ = nullptr;
-};
 
 }  // namespace netstore::block

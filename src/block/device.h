@@ -4,6 +4,12 @@
 // and inside the NFS server (over LocalBlockDevice); this interface is the
 // seam between them — exactly the abstraction boundary the paper studies.
 //
+// Payload crosses the seam in one shape: refcounted pool frames
+// (core::BufRef), one per block.  Reads hand out shared frames, and writes
+// hand frames to devices that store blocks, which share them instead of
+// copying their bytes; a later mutation on either side un-shares
+// (copy-on-write, DESIGN.md §14).
+//
 // Calls are synchronous from the caller's perspective; implementations
 // advance the simulation clock to model blocking.  Asynchronous writes
 // return immediately and become durable by a later flush() (or on their
@@ -11,14 +17,12 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "block/block.h"
 #include "core/buffer_pool.h"
-#include "core/iovec.h"
 #include "sim/time.h"
 
 namespace netstore::block {
@@ -34,99 +38,32 @@ class BlockDevice {
 
   [[nodiscard]] virtual std::uint64_t block_count() const = 0;
 
-  /// Reads `nblocks` at `lba` into `out`, blocking until data is available.
+  /// Reads `nblocks` at `lba`, appending one frame per block to `out`,
+  /// blocking until the data is available.  The frames are shared with
+  /// the device's store where it has one: zero copies on a warm path.
   virtual void read(Lba lba, std::uint32_t nblocks,
-                    std::span<std::uint8_t> out) = 0;
+                    std::vector<core::BufRef>& out) = 0;
 
-  /// Reads `nblocks` at `lba` as refcounted pool pages, appending one
-  /// handle per block to `out`.  Contents and timing identical to
-  /// read().  The default stages through read() into fresh pool frames
-  /// (same copy count as a caller-staged read); devices whose backing
-  /// store already holds pooled frames override it to share them —
-  /// zero copies and zero allocations on the warm path.
-  virtual void read_refs(Lba lba, std::uint32_t nblocks,
-                         std::vector<core::BufRef>& out) {
-    std::vector<std::uint8_t> buf(static_cast<std::size_t>(nblocks) *
-                                  kBlockSize);
-    read(lba, nblocks, buf);
-    for (std::uint32_t i = 0; i < nblocks; ++i) {
-      core::BufRef ref = core::BufferPool::instance().alloc();
-      core::charged_copy(ref.mutable_data(),
-                         buf.data() + static_cast<std::size_t>(i) * kBlockSize,
-                         kBlockSize);
-      out.push_back(std::move(ref));
-    }
-  }
+  /// Writes blocks[i] to lba + i as one device request.
+  virtual void write(Lba lba, std::span<const core::BufRef> blocks,
+                     WriteMode mode) = 0;
 
-  /// Writes `nblocks` at `lba`.
-  virtual void write(Lba lba, std::uint32_t nblocks,
-                     std::span<const std::uint8_t> data, WriteMode mode) = 0;
-
-  /// Scatter-gather write: frags[i] lands on lba + i.  One device request,
-  /// same timing and durability semantics as write().  The default
-  /// implementation stages the fragments into a contiguous buffer;
-  /// devices on the hot write-back path override it to consume the
-  /// fragments in place.
-  virtual void write_gather(Lba lba, FragSpan frags, WriteMode mode) {
-    std::vector<std::uint8_t> buf(frags.size() * kBlockSize);
-    for (std::size_t i = 0; i < frags.size(); ++i) {
-      core::charged_copy(buf.data() + i * kBlockSize, frags[i].data(),
-                         kBlockSize);
-    }
-    write(lba, static_cast<std::uint32_t>(frags.size()), buf, mode);
-  }
-
-  /// Ref-shaped scatter-gather write: refs[i] lands on lba + i.  Same
-  /// timing and durability as write_gather(); devices whose backing
-  /// store holds pooled frames override it to adopt the handles (share
-  /// the frames) instead of copying payload bytes.  The default downgrades
-  /// to views, so any device is correct without an override.
-  virtual void write_gather_refs(Lba lba, std::span<const core::BufRef> refs,
-                                 WriteMode mode) {
-    std::vector<BlockView> frags;
-    frags.reserve(refs.size());
-    for (const core::BufRef& r : refs) frags.push_back(r.view());
-    write_gather(lba, frags, mode);
-  }
-
-  /// Ref-shaped prefetch: like prefetch(), but appends pooled handles to
-  /// `out` instead of filling a caller buffer, so read-ahead fills adopt
-  /// frames instead of copying.  Same logical-validity contract and
-  /// timing as prefetch(); nullopt when the device has no async path.
-  /// The default stages through prefetch() into fresh frames so devices
-  /// without a native ref path keep identical read-ahead behaviour.
-  virtual std::optional<sim::Time> prefetch_refs(
-      Lba lba, std::uint32_t nblocks, std::vector<core::BufRef>& out) {
-    std::vector<std::uint8_t> buf(static_cast<std::size_t>(nblocks) *
-                                  kBlockSize);
-    auto ready = prefetch(lba, nblocks, buf);
-    if (!ready) return std::nullopt;
-    for (std::uint32_t i = 0; i < nblocks; ++i) {
-      core::BufRef ref = core::BufferPool::instance().alloc();
-      core::charged_copy(ref.mutable_data(),
-                         buf.data() + static_cast<std::size_t>(i) * kBlockSize,
-                         kBlockSize);
-      out.push_back(std::move(ref));
-    }
-    return ready;
-  }
-
-  /// Blocks until every previously issued write is durable.
-  virtual void flush() = 0;
-
-  /// Optional non-blocking prefetch (read-ahead support): starts a read of
-  /// `nblocks` at `lba` without advancing the clock.  `out` receives the
-  /// data immediately in simulation terms, but it is only *logically*
-  /// valid at the returned virtual time; callers must not consume it
-  /// before advancing to that time.  Returns nullopt when the device does
-  /// not support prefetch (callers fall back to blocking reads).
+  /// Optional non-blocking read (read-ahead support): starts a read of
+  /// `nblocks` at `lba` without advancing the clock and appends the
+  /// frames to `out` at once, but they are only *logically* valid at the
+  /// returned virtual time; callers must not consume them before
+  /// advancing to it.  Returns nullopt when the device has no async path
+  /// (callers fall back to blocking reads).
   virtual std::optional<sim::Time> prefetch(Lba lba, std::uint32_t nblocks,
-                                            std::span<std::uint8_t> out) {
+                                            std::vector<core::BufRef>& out) {
     (void)lba;
     (void)nblocks;
     (void)out;
     return std::nullopt;
   }
+
+  /// Blocks until every previously issued write is durable.
+  virtual void flush() = 0;
 };
 
 }  // namespace netstore::block

@@ -14,9 +14,8 @@ void Disk::read_data(Lba lba, MutBlockView out) const {
   if (it == store_.end()) {
     std::fill(out.begin(), out.end(), std::uint8_t{0});
   } else {
-    // Metadata-path read into a caller-owned staging block (Bcache, RAID
-    // parity math); the payload path uses read_ref().
-    // netstore-lint: allow(raw-datapath-memcpy)
+    // Parity math reads into a scratch block; the data path uses
+    // read_ref().  netstore-lint: allow(raw-datapath-memcpy)
     std::memcpy(out.data(), it->second.data(), kBlockSize);
   }
 }
@@ -35,8 +34,8 @@ void Disk::write_data(Lba lba, BlockView data) {
   // cache layer above) is frozen, copy-on-write.  The full block is
   // overwritten, so a fresh frame needs no copy of the old contents.
   if (!slot || slot.shared()) slot = core::BufferPool::instance().alloc();
-  // Media store of a view payload (metadata and the NETSTORE_ZEROCOPY=off
-  // path); ref-shaped payloads adopt via write_ref() instead.
+  // Parity block or rebuilt block computed in a scratch buffer; data
+  // blocks adopt via write_ref() instead.
   // netstore-lint: allow(raw-datapath-memcpy)
   std::memcpy(slot.mutable_data(), data.data(), kBlockSize);
 }

@@ -45,22 +45,21 @@ class Disk {
     return config_.block_count;
   }
 
-  /// Copies stored bytes for `lba` into `out` (zeros if never written).
-  void read_data(Lba lba, MutBlockView out) const;
-
   /// Shares the stored page for `lba` (the pool zero page if never
-  /// written): zero-copy read.  The handle stays valid after the block
-  /// is overwritten — writes un-share, they never mutate in place.
+  /// written).  The handle stays valid after the block is overwritten —
+  /// writes un-share, they never mutate in place.
   [[nodiscard]] core::BufRef read_ref(Lba lba) const;
 
-  /// Stores `data` at `lba`.
-  void write_data(Lba lba, BlockView data);
-
   /// Adopts `data` at `lba`: shares the caller's frame instead of
-  /// copying its bytes — the zero-copy twin of write_data().  Storing
-  /// shares, never mutates, so the caller's handle stays valid and any
-  /// later write_data() un-shares first.
+  /// copying its bytes.  Storing shares, never mutates, so the caller's
+  /// handle stays valid and any later write_data() un-shares first.
   void write_ref(Lba lba, const core::BufRef& data);
+
+  /// Byte access for the RAID layer's parity math and rebuild, which
+  /// fold whole blocks: copies the stored bytes for `lba` into `out`
+  /// (zeros if never written), or stores `data` at `lba`.
+  void read_data(Lba lba, MutBlockView out) const;
+  void write_data(Lba lba, BlockView data);
 
   /// Schedules a media access starting no earlier than `start`; returns
   /// the completion time.  Contiguous-with-previous requests stream at the

@@ -29,36 +29,18 @@ class LocalBlockDevice final : public BlockDevice {
     return array_.block_count();
   }
 
+  /// Shares the array's stored frames.
   void read(Lba lba, std::uint32_t nblocks,
-            std::span<std::uint8_t> out) override {
+            std::vector<core::BufRef>& out) override {
     const sim::Time done = array_.read(env_.now(), lba, nblocks, out);
     charge_media(done - env_.now());
     env_.advance_to(done);
   }
 
-  void read_refs(Lba lba, std::uint32_t nblocks,
-                 std::vector<core::BufRef>& out) override {
-    // Zero-copy: shares the array's stored frames.  Same service-time
-    // accounting as read().
-    const sim::Time done = array_.read_refs(env_.now(), lba, nblocks, out);
-    charge_media(done - env_.now());
-    env_.advance_to(done);
-  }
-
-  void write(Lba lba, std::uint32_t nblocks,
-             std::span<const std::uint8_t> data, WriteMode mode) override {
-    finish_write(array_.write(env_.now(), lba, nblocks, data), mode);
-  }
-
-  void write_gather(Lba lba, FragSpan frags, WriteMode mode) override {
-    // Zero-copy: the array consumes the fragments in place.
-    finish_write(array_.write_frags(env_.now(), lba, frags), mode);
-  }
-
-  void write_gather_refs(Lba lba, std::span<const core::BufRef> refs,
-                         WriteMode mode) override {
-    // Zero-copy: the member disks adopt (share) the frames.
-    finish_write(array_.write_refs(env_.now(), lba, refs), mode);
+  /// The member disks adopt (share) the frames.
+  void write(Lba lba, std::span<const core::BufRef> blocks,
+             WriteMode mode) override {
+    finish_write(array_.write(env_.now(), lba, blocks), mode);
   }
 
   void flush() override {
@@ -72,14 +54,8 @@ class LocalBlockDevice final : public BlockDevice {
   }
 
   std::optional<sim::Time> prefetch(Lba lba, std::uint32_t nblocks,
-                                    std::span<std::uint8_t> out) override {
+                                    std::vector<core::BufRef>& out) override {
     return array_.read(env_.now(), lba, nblocks, out);
-  }
-
-  std::optional<sim::Time> prefetch_refs(
-      Lba lba, std::uint32_t nblocks,
-      std::vector<core::BufRef>& out) override {
-    return array_.read_refs(env_.now(), lba, nblocks, out);
   }
 
   /// Test hook: waits until the spindles are idle (full destage).

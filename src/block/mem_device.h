@@ -3,8 +3,6 @@
 // timing is irrelevant.
 #pragma once
 
-#include <cstring>
-#include <memory>
 #include <unordered_map>
 
 #include "block/device.h"
@@ -18,33 +16,24 @@ class MemBlockDevice final : public BlockDevice {
 
   [[nodiscard]] std::uint64_t block_count() const override { return blocks_; }
 
+  /// Shares the stored frames (the pool zero page for blocks never
+  /// written).
   void read(Lba lba, std::uint32_t nblocks,
-            std::span<std::uint8_t> out) override {
+            std::vector<core::BufRef>& out) override {
     for (std::uint32_t i = 0; i < nblocks; ++i) {
       auto it = store_.find(lba + i);
-      std::uint8_t* dst = out.data() + static_cast<std::size_t>(i) * kBlockSize;
-      if (it == store_.end()) {
-        std::memset(dst, 0, kBlockSize);
-      } else {
-        // Test-only media store serving a caller buffer (same boundary as
-        // Disk::read_data).  netstore-lint: allow(raw-datapath-memcpy)
-        std::memcpy(dst, it->second.data(), kBlockSize);
-      }
+      out.push_back(it == store_.end()
+                        ? core::BufferPool::instance().zero_page()
+                        : it->second);
     }
     reads_++;
   }
 
-  void write(Lba lba, std::uint32_t nblocks,
-             std::span<const std::uint8_t> data, WriteMode) override {
-    for (std::uint32_t i = 0; i < nblocks; ++i) {
-      auto& slot = store_[lba + i];
-      // Full overwrite: replace a shared frame instead of copying it.
-      if (!slot || slot.shared()) slot = core::BufferPool::instance().alloc();
-      // Test-only media store of a caller buffer (same boundary as
-      // Disk::write_data).  netstore-lint: allow(raw-datapath-memcpy)
-      std::memcpy(slot.mutable_data(),
-                  data.data() + static_cast<std::size_t>(i) * kBlockSize,
-                  kBlockSize);
+  /// Stores the caller's frames (shared, copy-on-write).
+  void write(Lba lba, std::span<const core::BufRef> blocks,
+             WriteMode) override {
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      store_[lba + i] = blocks[i];
     }
     writes_++;
   }

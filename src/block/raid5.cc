@@ -94,38 +94,7 @@ void Raid5Array::reconstruct_block(const Mapping& m, MutBlockView out) const {
 }
 
 sim::Time Raid5Array::read(sim::Time start, Lba lba, std::uint32_t nblocks,
-                           std::span<std::uint8_t> out) {
-  NETSTORE_CHECK_GE(out.size(), static_cast<std::size_t>(nblocks) * kBlockSize);
-  NETSTORE_CHECK_LE(lba + nblocks, logical_blocks_);
-  sim::Time done = start;
-  for (std::uint32_t i = 0; i < nblocks; ++i) {
-    const Mapping m = map(lba + i);
-    MutBlockView view{out.data() + static_cast<std::size_t>(i) * kBlockSize,
-                      kBlockSize};
-    if (static_cast<int>(m.data_disk) == failed_disk_) {
-      // Degraded read: every surviving spindle contributes one block.
-      reconstruct_block(m, view);
-      for (std::uint32_t d = 0; d < config_.num_disks; ++d) {
-        if (static_cast<int>(d) == failed_disk_) continue;
-        done = std::max(done,
-                        disks_[d]->submit(controller(start, false),
-                                          m.physical_lba, 1,
-                                          /*is_write=*/false));
-      }
-    } else {
-      disks_[m.data_disk]->read_data(m.physical_lba, view);
-      done = std::max(done,
-                      disks_[m.data_disk]->submit(controller(start, false),
-                                                  m.physical_lba, 1,
-                                                  /*is_write=*/false));
-    }
-  }
-  return done;
-}
-
-sim::Time Raid5Array::read_refs(sim::Time start, Lba lba,
-                                std::uint32_t nblocks,
-                                std::vector<core::BufRef>& out) {
+                           std::vector<core::BufRef>& out) {
   NETSTORE_CHECK_LE(lba + nblocks, logical_blocks_);
   sim::Time done = start;
   for (std::uint32_t i = 0; i < nblocks; ++i) {
@@ -153,25 +122,9 @@ sim::Time Raid5Array::read_refs(sim::Time start, Lba lba,
   return done;
 }
 
-sim::Time Raid5Array::write(sim::Time start, Lba lba, std::uint32_t nblocks,
-                            std::span<const std::uint8_t> data) {
-  NETSTORE_CHECK_GE(data.size(), static_cast<std::size_t>(nblocks) * kBlockSize);
-  return write_impl(start, lba, nblocks, BlockSource(data));
-}
-
-sim::Time Raid5Array::write_frags(sim::Time start, Lba lba, FragSpan frags) {
-  return write_impl(start, lba, static_cast<std::uint32_t>(frags.size()),
-                    BlockSource(frags));
-}
-
-sim::Time Raid5Array::write_refs(sim::Time start, Lba lba,
-                                 std::span<const core::BufRef> refs) {
-  return write_impl(start, lba, static_cast<std::uint32_t>(refs.size()),
-                    BlockSource(refs));
-}
-
-sim::Time Raid5Array::write_impl(sim::Time start, Lba lba,
-                                 std::uint32_t nblocks, BlockSource src) {
+sim::Time Raid5Array::write(sim::Time start, Lba lba,
+                            std::span<const core::BufRef> blocks) {
+  const auto nblocks = static_cast<std::uint32_t>(blocks.size());
   NETSTORE_CHECK_LE(lba + nblocks, logical_blocks_);
   const std::uint64_t data_disks = config_.num_disks - 1;
   const std::uint64_t stripe_logical = config_.stripe_unit_blocks * data_disks;
@@ -194,17 +147,12 @@ sim::Time Raid5Array::write_impl(sim::Time start, Lba lba,
         for (std::uint32_t u = 0; u < data_disks; ++u) {
           const Lba logical =
               stripe_begin + u * config_.stripe_unit_blocks + off;
-          const BlockView view = src.block(logical - lba);
+          const core::BufRef& block = blocks[logical - lba];
           const Mapping m = map(logical);
           if (static_cast<int>(m.data_disk) != failed_disk_) {
-            // Ref-shaped payloads are adopted (frame share); others copy.
-            if (const core::BufRef* r = src.ref(logical - lba)) {
-              disks_[m.data_disk]->write_ref(m.physical_lba, *r);
-            } else {
-              disks_[m.data_disk]->write_data(m.physical_lba, view);
-            }
+            disks_[m.data_disk]->write_ref(m.physical_lba, block);
           }
-          xor_into(parity, view);
+          xor_into(parity, block.view());
         }
         const Mapping m0 = map(stripe_begin + off);
         if (static_cast<int>(m0.parity_disk) != failed_disk_) {
@@ -226,7 +174,7 @@ sim::Time Raid5Array::write_impl(sim::Time start, Lba lba,
 
     // Partial-stripe block: read-modify-write on data + parity spindles.
     const Mapping m = map(cur);
-    const BlockView new_data = src.block(i);
+    const BlockView new_data = blocks[i].view();
     BlockBuf old_data;
     read_block_data(m, old_data);
 
@@ -259,11 +207,7 @@ sim::Time Raid5Array::write_impl(sim::Time start, Lba lba,
                                                     /*is_write=*/true));
     } else if (static_cast<int>(m.parity_disk) == failed_disk_) {
       // Parity spindle is gone: plain write to the data spindle.
-      if (const core::BufRef* r = src.ref(i)) {
-        disks_[m.data_disk]->write_ref(m.physical_lba, *r);
-      } else {
-        disks_[m.data_disk]->write_data(m.physical_lba, new_data);
-      }
+      disks_[m.data_disk]->write_ref(m.physical_lba, blocks[i]);
       done = std::max(done,
                       disks_[m.data_disk]->submit(controller(start, true),
                                                   m.physical_lba, 1,
@@ -274,11 +218,7 @@ sim::Time Raid5Array::write_impl(sim::Time start, Lba lba,
       // new_parity = old_parity ^ old_data ^ new_data
       xor_into(old_parity, old_data);
       xor_into(old_parity, new_data);
-      if (const core::BufRef* r = src.ref(i)) {
-        disks_[m.data_disk]->write_ref(m.physical_lba, *r);
-      } else {
-        disks_[m.data_disk]->write_data(m.physical_lba, new_data);
-      }
+      disks_[m.data_disk]->write_ref(m.physical_lba, blocks[i]);
       disks_[m.parity_disk]->write_data(m.physical_lba, old_parity);
       // Two accesses on each of the two spindles (read then write).
       // RMW is background destage work: both its reads and writes ride

@@ -15,6 +15,7 @@
 
 #include "block/block.h"
 #include "block/disk.h"
+#include "core/buffer_pool.h"
 #include "sim/time.h"
 
 namespace netstore::block {
@@ -40,33 +41,19 @@ class Raid5Array {
   /// Number of logical (data) blocks exposed.
   [[nodiscard]] std::uint64_t block_count() const { return logical_blocks_; }
 
-  /// Reads `nblocks` starting at `lba` into `out`; returns completion time
-  /// of the slowest member-disk request.  Works in degraded mode by
-  /// reconstructing from parity.
+  /// Reads `nblocks` starting at `lba`, appending one frame per block to
+  /// `out`; returns the completion time of the slowest member-disk
+  /// request.  Frames are shared with the member disks' stores; in
+  /// degraded mode a lost block is reconstructed from parity into a
+  /// fresh frame.
   sim::Time read(sim::Time start, Lba lba, std::uint32_t nblocks,
-                 std::span<std::uint8_t> out);
+                 std::vector<core::BufRef>& out);
 
-  /// Zero-copy variant of read(): appends one pooled handle per block to
-  /// `out`, sharing the member disks' stored frames (degraded blocks are
-  /// reconstructed into fresh frames).  Timing identical to read().
-  sim::Time read_refs(sim::Time start, Lba lba, std::uint32_t nblocks,
-                      std::vector<core::BufRef>& out);
-
-  /// Writes `nblocks` starting at `lba`; full-stripe writes skip the
-  /// read-modify-write. Returns completion time.
-  sim::Time write(sim::Time start, Lba lba, std::uint32_t nblocks,
-                  std::span<const std::uint8_t> data);
-
-  /// Scatter-gather variant: frags[i] lands on lba + i.  Identical timing
-  /// and parity behaviour to write() — the array is block-granular, so the
-  /// payload shape is irrelevant to the model.
-  sim::Time write_frags(sim::Time start, Lba lba, FragSpan frags);
-
-  /// Ref-shaped variant: refs[i] lands on lba + i, and each member disk
-  /// adopts (shares) the frame instead of copying its bytes.  Parity
-  /// math reads the frames through views; timing identical to write().
-  sim::Time write_refs(sim::Time start, Lba lba,
-                       std::span<const core::BufRef> refs);
+  /// Writes blocks[i] to lba + i; returns the completion time.  Each
+  /// member disk adopts (shares) its data frames; parity is computed from
+  /// the frames' bytes.  Full-stripe writes skip the read-modify-write.
+  sim::Time write(sim::Time start, Lba lba,
+                  std::span<const core::BufRef> blocks);
 
   /// Marks a member disk failed (its contents become unreadable).
   void fail_disk(std::uint32_t index);
@@ -101,8 +88,6 @@ class Raid5Array {
     std::uint64_t stripe;
   };
 
-  sim::Time write_impl(sim::Time start, Lba lba, std::uint32_t nblocks,
-                       BlockSource src);
   [[nodiscard]] Mapping map(Lba logical) const;
   [[nodiscard]] std::uint32_t data_disk_for(std::uint64_t stripe,
                                             std::uint32_t unit_index) const;

@@ -1,11 +1,9 @@
 #include "block/timed_cache.h"
 
 #include <algorithm>
-#include "core/check.h"
-#include <cstring>
 #include <vector>
 
-#include "core/iovec.h"
+#include "core/check.h"
 #include "obs/trace.h"
 
 namespace netstore::block {
@@ -52,9 +50,7 @@ void TimedCache::insert(sim::Time start, Lba lba, core::BufRef data,
     }
     if (victim == nullptr) {
       victim = lru_.back();
-      array_.write(start, victim->lba, 1,
-                   std::span<const std::uint8_t>{victim->data.data(),
-                                                 kBlockSize});
+      array_.write(start, victim->lba, {&victim->data, 1});
       dirty_count_--;
     }
     lru_.unlink(victim);
@@ -70,49 +66,7 @@ void TimedCache::insert(sim::Time start, Lba lba, core::BufRef data,
 }
 
 sim::Time TimedCache::read(sim::Time start, Lba lba, std::uint32_t nblocks,
-                           std::span<std::uint8_t> out) {
-  sim::Time done = start;
-  for (std::uint32_t i = 0; i < nblocks; ++i) {
-    std::uint8_t* dst = out.data() + static_cast<std::size_t>(i) * kBlockSize;
-    auto it = map_.find(lba + i);
-    if (it != map_.end()) {
-      hits_.add(1);
-      lru_.touch(&it->second);
-      // Byte-shaped serve: with the plane on only metadata reads land
-      // here (payload goes through read_refs), so the staging is not
-      // charged.  netstore-lint: allow(raw-datapath-memcpy)
-      std::memcpy(dst, it->second.data.data(), kBlockSize);
-      continue;
-    }
-    // Coalesce the contiguous miss run into one array read.  The array
-    // hands back shared frames: the cache adopts them (no copy, no
-    // allocation) and only the PDU staging copy into `out` remains.
-    std::uint32_t run = 1;
-    while (i + run < nblocks && !map_.contains(lba + i + run)) run++;
-    misses_.add(run);
-    miss_refs_.clear();
-    done = std::max(done, array_.read_refs(start, lba + i, run, miss_refs_));
-    for (std::uint32_t j = 0; j < run; ++j) {
-      // Same metadata-only staging as the hit path above.
-      // netstore-lint: allow(raw-datapath-memcpy)
-      std::memcpy(out.data() + static_cast<std::size_t>(i + j) * kBlockSize,
-                  miss_refs_[j].data(), kBlockSize);
-      insert(start, lba + i + j, std::move(miss_refs_[j]), /*dirty=*/false);
-    }
-    i += run - 1;
-  }
-  if (tracer_ != nullptr && done > start) {
-    tracer_->charge(obs::Component::kMedia, done - start);
-  }
-  return done;
-}
-
-sim::Time TimedCache::read_refs(sim::Time start, Lba lba,
-                                std::uint32_t nblocks,
-                                std::vector<core::BufRef>& out) {
-  // Mirrors read() exactly — hit/miss counters, LRU motion, coalesced
-  // miss runs, tracer charge — but hands out shared frames instead of
-  // copying bytes into a staging buffer.
+                           std::vector<core::BufRef>& out) {
   sim::Time done = start;
   for (std::uint32_t i = 0; i < nblocks; ++i) {
     auto it = map_.find(lba + i);
@@ -122,11 +76,12 @@ sim::Time TimedCache::read_refs(sim::Time start, Lba lba,
       out.push_back(it->second.data);
       continue;
     }
+    // Coalesce the contiguous miss run into one array read.
     std::uint32_t run = 1;
     while (i + run < nblocks && !map_.contains(lba + i + run)) run++;
     misses_.add(run);
     miss_refs_.clear();
-    done = std::max(done, array_.read_refs(start, lba + i, run, miss_refs_));
+    done = std::max(done, array_.read(start, lba + i, run, miss_refs_));
     for (std::uint32_t j = 0; j < run; ++j) {
       out.push_back(miss_refs_[j]);
       insert(start, lba + i + j, std::move(miss_refs_[j]), /*dirty=*/false);
@@ -139,56 +94,22 @@ sim::Time TimedCache::read_refs(sim::Time start, Lba lba,
   return done;
 }
 
-sim::Time TimedCache::write(sim::Time start, Lba lba, std::uint32_t nblocks,
-                            std::span<const std::uint8_t> data) {
-  return write_impl(start, lba, nblocks, BlockSource(data));
-}
-
-sim::Time TimedCache::write_frags(sim::Time start, Lba lba, FragSpan frags) {
-  return write_impl(start, lba, static_cast<std::uint32_t>(frags.size()),
-                    BlockSource(frags));
-}
-
-sim::Time TimedCache::write_refs(sim::Time start, Lba lba,
-                                 std::span<const core::BufRef> refs) {
-  return write_impl(start, lba, static_cast<std::uint32_t>(refs.size()),
-                    BlockSource(refs));
-}
-
-sim::Time TimedCache::write_impl(sim::Time start, Lba lba,
-                                 std::uint32_t nblocks, BlockSource src) {
-  for (std::uint32_t i = 0; i < nblocks; ++i) {
-    const core::BufRef* r = src.ref(i);
+sim::Time TimedCache::write(sim::Time start, Lba lba,
+                            std::span<const core::BufRef> blocks) {
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
     auto it = map_.find(lba + i);
-    if (it != map_.end()) {
-      lru_.touch(&it->second);
-      Entry& e = it->second;
-      if (r != nullptr) {
-        // Ref-shaped payload: adopt the caller's frame (full-block
-        // overwrite, so the old frame is simply released).
-        e.data = *r;
-      } else {
-        const BlockView block = src.block(i);
-        // Full-block overwrite: a shared frame is replaced, not copied.
-        // Byte-shaped writes are metadata with the plane on (payload
-        // arrives as refs), so the staging is not charged.
-        if (e.data.shared()) e.data = core::BufferPool::instance().alloc();
-        // netstore-lint: allow(raw-datapath-memcpy)
-        std::memcpy(e.data.mutable_data(), block.data(), kBlockSize);
-      }
-      if (!e.dirty) {
-        e.dirty = true;
-        dirty_count_++;
-      }
-    } else if (r != nullptr) {
-      insert(start, lba + i, *r, /*dirty=*/true);
-    } else {
-      const BlockView block = src.block(i);
-      core::BufRef ref = core::BufferPool::instance().alloc();
-      // Metadata-only staging, as above.
-      // netstore-lint: allow(raw-datapath-memcpy)
-      std::memcpy(ref.mutable_data(), block.data(), kBlockSize);
-      insert(start, lba + i, std::move(ref), /*dirty=*/true);
+    if (it == map_.end()) {
+      insert(start, lba + i, blocks[i], /*dirty=*/true);
+      continue;
+    }
+    // Full-block overwrite: adopt the caller's frame; the old one is
+    // simply released.
+    Entry& e = it->second;
+    lru_.touch(&e);
+    e.data = blocks[i];
+    if (!e.dirty) {
+      e.dirty = true;
+      dirty_count_++;
     }
   }
   if (dirty_count_ > dirty_high_water_) {
@@ -208,34 +129,23 @@ sim::Time TimedCache::writeback_down_to(sim::Time start,
             [](const Entry* a, const Entry* b) { return a->lba < b->lba; });
 
   sim::Time done = start;
-  const bool zerocopy = core::zerocopy_enabled();
-  std::vector<BlockView> frags;
   std::vector<core::BufRef> refs;
   std::size_t i = 0;
   while (i < dirty.size() && dirty_count_ > target_dirty) {
-    // Coalesce a contiguous run into one scatter-gather array write — the
-    // cached blocks go straight to the array, no staging copy.  With the
-    // zero-copy plane on, the array adopts the frames outright.
+    // Coalesce a contiguous run into one array write; the array adopts
+    // the cached frames outright.
     std::size_t run = 1;
     while (i + run < dirty.size() &&
            dirty[i + run]->lba == dirty[i]->lba + run) {
       run++;
     }
-    frags.clear();
     refs.clear();
     for (std::size_t j = 0; j < run; ++j) {
-      if (zerocopy) {
-        refs.push_back(dirty[i + j]->data);
-      } else {
-        frags.push_back(dirty[i + j]->data.view());
-      }
+      refs.push_back(dirty[i + j]->data);
       dirty[i + j]->dirty = false;
       dirty_count_--;
     }
-    done = std::max(done,
-                    zerocopy
-                        ? array_.write_refs(start, dirty[i]->lba, refs)
-                        : array_.write_frags(start, dirty[i]->lba, frags));
+    done = std::max(done, array_.write(start, dirty[i]->lba, refs));
     i += run;
   }
   return done;

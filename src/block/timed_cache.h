@@ -32,32 +32,19 @@ class TimedCache {
   TimedCache(Raid5Array& array, std::uint64_t capacity_blocks,
              std::uint64_t dirty_high_water);
 
-  /// Reads `nblocks` at `lba`, starting at `start`; returns completion.
+  /// Reads `nblocks` at `lba`, starting at `start`, appending one shared
+  /// frame per block to `out`; returns completion.  Hits share the
+  /// resident frame; contiguous misses are coalesced into one array read
+  /// whose frames the cache adopts and shares.
   sim::Time read(sim::Time start, Lba lba, std::uint32_t nblocks,
-                 std::span<std::uint8_t> out);
+                 std::vector<core::BufRef>& out);
 
-  /// Zero-copy variant of read(): appends one shared handle per block to
-  /// `out` — cache hits share the resident frame, misses adopt the
-  /// array's frames and share those.  Hit/miss accounting, LRU motion,
-  /// and timing identical to read().
-  sim::Time read_refs(sim::Time start, Lba lba, std::uint32_t nblocks,
-                      std::vector<core::BufRef>& out);
-
-  /// Write-back write: caches the blocks and acknowledges immediately
-  /// (memory-speed).  Crossing the dirty high-water mark kicks background
-  /// write-back whose disk time is accounted but not waited on.
-  sim::Time write(sim::Time start, Lba lba, std::uint32_t nblocks,
-                  std::span<const std::uint8_t> data);
-
-  /// Scatter-gather variant: frags[i] lands on lba + i.  Same semantics
-  /// as write(); lets the target consume reassembled PDU payloads without
-  /// staging them into one contiguous buffer.
-  sim::Time write_frags(sim::Time start, Lba lba, FragSpan frags);
-
-  /// Ref-shaped variant: the cache adopts (shares) the caller's frames
-  /// instead of copying their bytes.  Same semantics as write().
-  sim::Time write_refs(sim::Time start, Lba lba,
-                       std::span<const core::BufRef> refs);
+  /// Write-back write of blocks[i] to lba + i: the cache adopts (shares)
+  /// the frames and acknowledges immediately (memory-speed).  Crossing
+  /// the dirty high-water mark kicks background write-back whose disk
+  /// time is accounted but not waited on.
+  sim::Time write(sim::Time start, Lba lba,
+                  std::span<const core::BufRef> blocks);
 
   /// Makes everything durable: writes back all dirty blocks; returns the
   /// completion time of the last array write.
@@ -98,8 +85,6 @@ class TimedCache {
   };
 
   void insert(sim::Time start, Lba lba, core::BufRef data, bool dirty);
-  sim::Time write_impl(sim::Time start, Lba lba, std::uint32_t nblocks,
-                       BlockSource src);
   sim::Time writeback_down_to(sim::Time start, std::uint64_t target_dirty);
 
   Raid5Array& array_;

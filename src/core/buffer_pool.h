@@ -153,13 +153,13 @@ class BufferPool {
 
   // --- copy telemetry (the zero-copy data plane, DESIGN.md §17) -------
   /// Payload memcpy calls charged through the sanctioned copy helpers
-  /// (core::copy_out / copy_in / charged_copy in core/iovec.h).
+  /// (core::copy_out / copy_in in core/iovec.h).
   [[nodiscard]] std::uint64_t copies() const {
     return copies_.load(std::memory_order_relaxed);
   }
-  /// Bytes moved by those copies.  With zero-copy on, every charged copy
-  /// is a user-buffer boundary crossing, so bytes_copied ==
-  /// bytes_read + bytes_written exactly (check_report.py enforces <=).
+  /// Bytes moved by those copies.  Every charged copy is a user-buffer
+  /// boundary crossing, so bytes_copied == bytes_read + bytes_written
+  /// exactly (check_report.py enforces <=).
   [[nodiscard]] std::uint64_t bytes_copied() const {
     return bytes_copied_.load(std::memory_order_relaxed);
   }
@@ -183,10 +183,8 @@ class BufferPool {
     bytes_written_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  /// Save/restore for the copy counters, so a bench phase that runs with
-  /// NETSTORE_ZEROCOPY=off (whose legacy copies deliberately break the
-  /// bytes_copied <= bytes_read + bytes_written invariant) can leave the
-  /// process-wide telemetry as it found it.
+  /// The four copy counters read together (tests and benches take
+  /// before/after deltas).
   struct CopyStats {
     std::uint64_t copies = 0;
     std::uint64_t bytes_copied = 0;
@@ -195,12 +193,6 @@ class BufferPool {
   };
   [[nodiscard]] CopyStats copy_stats() const {
     return {copies(), bytes_copied(), bytes_read(), bytes_written()};
-  }
-  void set_copy_stats(const CopyStats& s) {
-    copies_.store(s.copies, std::memory_order_relaxed);
-    bytes_copied_.store(s.bytes_copied, std::memory_order_relaxed);
-    bytes_read_.store(s.bytes_read, std::memory_order_relaxed);
-    bytes_written_.store(s.bytes_written, std::memory_order_relaxed);
   }
 
   static constexpr std::size_t kFramesPerSlab = 256;

@@ -1,66 +1,35 @@
 // core::BufSlice / core::IoVec — sub-range views of pooled frames and the
-// bounded scatter-gather vector the zero-copy data plane moves between
-// layers (DESIGN.md §17).
+// bounded scatter-gather vector the data plane moves between layers
+// (DESIGN.md §17).
 //
 // A BufSlice is a refcounted BufRef plus a byte sub-range: holding one
 // keeps the frame alive, and reading through it never copies.  An IoVec
 // is a bounded inline vector of slices — the unit a VFS write crossing
 // hands down (client pages in file order) instead of a staging buffer.
 //
-// This header also owns the *sanctioned copy helpers*.  With the
-// zero-copy plane on, payload bytes cross layers as references; the only
-// payload-sized memcpys left are the two user-buffer boundary crossings,
-// and they are charged here so pool.bytes_copied meters exactly what the
-// data plane still touches per byte:
+// This header also owns the *sanctioned copy helpers*.  Payload bytes
+// cross layers as references; the only payload-sized memcpys are the two
+// user-buffer boundary crossings, and they are charged here so
+// pool.bytes_copied meters exactly what the data plane touches per byte:
 //
 //   copy_out      frame -> user read buffer   (charges bytes_read too)
 //   copy_in       user write buffer -> frame  (charges bytes_written too)
-//   charged_copy  internal payload copy: the legacy staging copies kept
-//                 behind NETSTORE_ZEROCOPY=off, and test-only devices.
-//                 Charges bytes_copied only, so OFF-mode telemetry shows
-//                 the copies the zero-copy plane removed.
 //
-// Invariant: with zero-copy on, every charged copy is a boundary
-// crossing, so pool.bytes_copied == bytes_read + bytes_written exactly
+// Invariant: every charged copy is a boundary crossing, so
+// pool.bytes_copied == bytes_read + bytes_written exactly
 // (tools/check_report.py enforces <= on every validated pool snapshot).
 // Any other memcpy on frame memory is either semantically required and
-// byte-small (ext3 metadata, parity folds — suppressed case by case) or
-// a bug the raw-datapath-memcpy lint rule flags.
-//
-// NETSTORE_ZEROCOPY=off (or =0) is the escape hatch: layer crossings
-// fall back to the PR-5 copying paths, byte-identical in everything the
-// simulation observes (CI byte-compares a fig5 export both ways).
+// byte-small (ext3 metadata, parity folds, sub-block merges — suppressed
+// case by case) or a bug the raw-datapath-memcpy lint rule flags.
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 
 #include "core/buffer_pool.h"
 #include "core/check.h"
 
 namespace netstore::core {
-
-/// Process-wide switch for the zero-copy data plane.  Reads
-/// NETSTORE_ZEROCOPY once, lazily; off iff the value is "off" or "0".
-/// set_zerocopy() overrides it in-process (selfperf and zerocopy_test
-/// measure both modes in one run).
-// netstore: shard_safe -- written once before any worker thread starts;
-// workers only read it.
-inline bool& zerocopy_flag() {
-  // Process-wide diagnostic switch, not simulated state: both modes are
-  // byte-identical in everything the simulation observes.
-  // netstore-lint: allow(fork-unsafe-state)
-  static bool enabled = [] {
-    const char* v = std::getenv("NETSTORE_ZEROCOPY");
-    if (v == nullptr) return true;
-    return !(std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0);
-  }();
-  return enabled;
-}
-
-[[nodiscard]] inline bool zerocopy_enabled() { return zerocopy_flag(); }
-inline void set_zerocopy(bool on) { zerocopy_flag() = on; }
 
 /// One sub-range of a pooled frame.  Holding the slice holds the frame.
 struct BufSlice {
@@ -132,13 +101,6 @@ inline void copy_in(void* dst, const void* src, std::size_t n) {
   BufferPool& pool = BufferPool::instance();
   pool.note_copy(n);
   pool.note_user_write(n);
-}
-
-/// Internal payload copy, metered but not a boundary crossing: the
-/// NETSTORE_ZEROCOPY=off staging paths and test-only block devices.
-inline void charged_copy(void* dst, const void* src, std::size_t n) {
-  std::memcpy(dst, src, n);
-  BufferPool::instance().note_copy(n);
 }
 
 }  // namespace netstore::core

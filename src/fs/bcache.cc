@@ -1,5 +1,7 @@
 #include "fs/bcache.h"
 
+#include <vector>
+
 #include "core/check.h"
 
 namespace netstore::fs {
@@ -36,18 +38,19 @@ Bcache::Entry& Bcache::insert(block::Lba lba, bool read_from_device) {
   maybe_evict();
   Entry& e = map_[lba];
   e.lba = lba;
-  e.buf = core::BufferPool::instance().alloc();
-  e.buf.mutable_block().fill(0);
   // Register before the device read: the read advances the clock, which
   // may fire daemons that re-enter this cache; they must see a stable
   // map/LRU.  The entry is pinned (`loading`) until the data is in.
   lru_.push_front(&e);
   if (read_from_device) {
     e.loading = true;
-    dev_.read(lba, 1,
-              std::span<std::uint8_t>{e.buf.mutable_data(),
-                                      block::kBlockSize});
+    std::vector<core::BufRef> got;
+    dev_.read(lba, 1, got);
+    e.buf = std::move(got.front());  // adopts the device's frame
     e.loading = false;
+  } else {
+    e.buf = core::BufferPool::instance().alloc();
+    e.buf.mutable_block().fill(0);
   }
   return e;
 }
@@ -83,6 +86,7 @@ void Bcache::maybe_evict() {
 block::BlockBuf& Bcache::get(block::Lba lba) {
   auto it = map_.find(lba);
   if (it != map_.end()) {
+    NETSTORE_CHECK(!it->second.loading, "re-entrant get of a loading block");
     hits_.add(1);
     lru_.touch(&it->second);
     return it->second.buf.mutable_block();
@@ -94,6 +98,7 @@ block::BlockBuf& Bcache::get(block::Lba lba) {
 core::BufRef Bcache::get_ref(block::Lba lba) {
   auto it = map_.find(lba);
   if (it != map_.end()) {
+    NETSTORE_CHECK(!it->second.loading, "re-entrant get of a loading block");
     hits_.add(1);
     lru_.touch(&it->second);
     return it->second.buf;
@@ -105,6 +110,7 @@ core::BufRef Bcache::get_ref(block::Lba lba) {
 block::BlockBuf& Bcache::get_new(block::Lba lba) {
   auto it = map_.find(lba);
   if (it != map_.end()) {
+    NETSTORE_CHECK(!it->second.loading, "re-entrant get of a loading block");
     lru_.touch(&it->second);
     Entry& e = it->second;
     // Full overwrite: replace a shared frame instead of copying it.
@@ -137,9 +143,8 @@ void Bcache::checkpoint(block::Lba lba, block::WriteMode mode) {
   auto it = map_.find(lba);
   if (it == map_.end() || !it->second.dirty) return;
   Entry& e = it->second;
-  dev_.write(lba, 1,
-             std::span<const std::uint8_t>{e.buf.data(), block::kBlockSize},
-             mode);
+  // The device shares the frame; the next get() un-shares it.
+  dev_.write(lba, {&e.buf, 1}, mode);
   e.dirty = false;
   dirty_count_--;
 }

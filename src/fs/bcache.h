@@ -90,7 +90,9 @@ class Bcache {
     // Set while the buffer is being filled from the device.  The device
     // read advances the virtual clock, which can fire the journal-commit
     // daemon and re-enter this cache; a loading entry must not be evicted
-    // under the foot of its in-flight insert().
+    // under the foot of its in-flight insert().  Its frame arrives only
+    // when the read returns, so a re-entrant lookup of the same block is
+    // a CHECK failure rather than a read of a missing frame.
     bool loading = false;
   };
 

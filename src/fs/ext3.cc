@@ -94,6 +94,13 @@ void Ext3Fs::mkfs(block::BlockDevice& dev, const MkfsOptions& opts) {
   }
 
   std::vector<std::uint8_t> buf(kBlockSize);
+  // Each metadata block is built in `buf` and handed to the device in a
+  // pool frame of its own, which the device then shares.
+  auto write_buf = [&](Lba lba) {
+    core::BufRef frame = core::BufferPool::instance().alloc();
+    std::copy(buf.begin(), buf.end(), frame.mutable_data());
+    dev.write(lba, {&frame, 1}, block::WriteMode::kAsync);
+  };
 
   // Per-group block bitmaps: mark metadata blocks (and, in group 0, the
   // superblock/GDT/journal; in the last group, blocks beyond the device)
@@ -132,7 +139,7 @@ void Ext3Fs::mkfs(block::BlockDevice& dev, const MkfsOptions& opts) {
       used += static_cast<std::uint32_t>(std::popcount(byte));
     }
     groups[g].free_blocks = kBlocksPerGroup - used;
-    dev.write(groups[g].block_bitmap, 1, buf, block::WriteMode::kAsync);
+    write_buf(groups[g].block_bitmap);
 
     // Inode bitmap: all free, except inode 1 (root) in group 0 and, in a
     // short last group, inodes whose table block lies past the device end
@@ -154,7 +161,7 @@ void Ext3Fs::mkfs(block::BlockDevice& dev, const MkfsOptions& opts) {
       buf[0] |= 1;
       groups[g].free_inodes--;
     }
-    dev.write(groups[g].inode_bitmap, 1, buf, block::WriteMode::kAsync);
+    write_buf(groups[g].inode_bitmap);
   }
 
   // Root inode (ino 1 = group 0, index 0): empty directory.
@@ -163,7 +170,7 @@ void Ext3Fs::mkfs(block::BlockDevice& dev, const MkfsOptions& opts) {
   root.mode = make_mode(FileType::kDirectory, 0755);
   root.nlink = 2;
   root.encode(buf.data());
-  dev.write(groups[0].inode_table, 1, buf, block::WriteMode::kAsync);
+  write_buf(groups[0].inode_table);
 
   // GDT.
   std::fill(buf.begin(), buf.end(), 0);
@@ -171,11 +178,11 @@ void Ext3Fs::mkfs(block::BlockDevice& dev, const MkfsOptions& opts) {
     groups[g].encode(buf.data() +
                      static_cast<std::size_t>(g) * GroupDesc::kEncodedSize);
   }
-  dev.write(1, 1, buf, block::WriteMode::kAsync);
+  write_buf(1);
 
   // Superblock last.
   sb.encode(block::MutBlockView{buf.data(), kBlockSize});
-  dev.write(0, 1, buf, block::WriteMode::kAsync);
+  write_buf(0);
   dev.flush();
 }
 
@@ -210,9 +217,8 @@ void Ext3Fs::mount() {
 
   // Mark mounted-dirty on disk so a crash triggers replay.
   sb_.clean = 0;
-  std::vector<std::uint8_t> buf(kBlockSize);
-  sb_.encode(block::MutBlockView{buf.data(), kBlockSize});
-  dev_.write(0, 1, buf, block::WriteMode::kAsync);
+  const core::BufRef sb_frame = sb_.encode_frame();
+  dev_.write(0, {&sb_frame, 1}, block::WriteMode::kAsync);
 
   journal_ = std::make_unique<Journal>(env_, dev_, *bcache_, sb_,
                                        params_.commit_interval);
@@ -227,9 +233,8 @@ void Ext3Fs::unmount() {
   journal_->sync();
   journal_->stop();
   sb_.clean = 1;
-  std::vector<std::uint8_t> buf(kBlockSize);
-  sb_.encode(block::MutBlockView{buf.data(), kBlockSize});
-  dev_.write(0, 1, buf, block::WriteMode::kSync);
+  const core::BufRef sb_frame = sb_.encode_frame();
+  dev_.write(0, {&sb_frame, 1}, block::WriteMode::kSync);
   dev_.flush();
   bcache_->drop_clean_all();
   readstate_.clear();
@@ -369,7 +374,17 @@ Result<Lba> Ext3Fs::alloc_block(std::uint32_t goal_group) {
     const std::uint32_t g = (goal_group + i) % sb_.group_count;
     if (groups_[g].free_blocks == 0) continue;
     block::BlockBuf& bitmap = bcache_->get(groups_[g].block_bitmap);
-    for (std::uint32_t byte = 0; byte < kBlockSize; ++byte) {
+    // The first clear bit, in byte order and low bit first, is the new
+    // block.  Fully allocated stretches (group 0 opens with the journal)
+    // are skipped eight bytes at a time.
+    std::uint32_t byte = 0;
+    for (; byte < kBlockSize; byte += 8) {
+      std::uint64_t word;
+      // metadata bytes, not payload  netstore-lint: allow(raw-datapath-memcpy)
+      std::memcpy(&word, bitmap.data() + byte, sizeof(word));
+      if (word != ~std::uint64_t{0}) break;
+    }
+    for (; byte < kBlockSize; ++byte) {
       if (bitmap[byte] == 0xFF) continue;
       for (std::uint32_t bit = 0; bit < 8; ++bit) {
         if ((bitmap[byte] & (1u << bit)) == 0) {
@@ -1102,10 +1117,10 @@ Status Ext3Fs::setattr(Ino ino, const SetAttr& sa) {
         if (last && *last != 0) {
           const std::uint64_t index = new_size / kBlockSize;
           if (!pages_->contains(ino, index)) {
-            std::vector<core::BufRef> refs;
-            dev_.read_refs(*last, 1, refs);
-            pages_->insert_clean_ref(ino, index, *last, std::move(refs[0]),
-                                     env_.now());
+            std::vector<core::BufRef> got;
+            dev_.read(*last, 1, got);
+            pages_->insert_clean(ino, index, *last, std::move(got.front()),
+                                 env_.now());
           }
           block::BlockBuf& page = pages_->write_page(ino, index, *last);
           std::memset(page.data() + tail, 0, kBlockSize - tail);
@@ -1120,14 +1135,17 @@ Status Ext3Fs::setattr(Ino ino, const SetAttr& sa) {
   return Status::Ok();
 }
 
-Result<std::uint32_t> Ext3Fs::read(Ino ino, std::uint64_t off,
-                                   std::span<std::uint8_t> out) {
+Result<std::uint32_t> Ext3Fs::read_pages(
+    Ino ino, std::uint64_t off, std::uint64_t want,
+    sim::FuncRef<void(const core::BufRef& page, std::uint32_t page_off,
+                      std::uint32_t len)>
+        sink) {
   RawInode ri = read_inode(ino);
   if (type_of_mode(ri.mode) == FileType::kDirectory) return Err::kIsDir;
   if (off >= ri.size) return 0u;
 
-  const auto n = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(out.size(), ri.size - off));
+  const auto n =
+      static_cast<std::uint32_t>(std::min<std::uint64_t>(want, ri.size - off));
   std::uint32_t done = 0;
   while (done < n) {
     const std::uint64_t pos = off + done;
@@ -1136,16 +1154,16 @@ Result<std::uint32_t> Ext3Fs::read(Ino ino, std::uint64_t off,
     const std::uint32_t len =
         std::min<std::uint32_t>(n - done, kBlockSize - page_off);
 
-    const block::BlockBuf* page = pages_->find(ino, index);
+    const core::BufRef* page = pages_->find(ino, index);
     if (!page) {
       bool dummy = false;
       Result<Lba> lba = bmap(ino, ri, index, /*alloc=*/false, dummy);
       if (!lba) return lba.error();
       if (*lba == 0) {
         // Hole: share the pool's zero page — no device access, no copy.
-        pages_->insert_clean_ref(ino, index, 0,
-                                 core::BufferPool::instance().zero_page(),
-                                 env_.now());
+        pages_->insert_clean(ino, index, 0,
+                             core::BufferPool::instance().zero_page(),
+                             env_.now());
       } else {
         // Demand read.  Within this request, coalesce the contiguous
         // uncached run into one device command (the block layer merges
@@ -1161,22 +1179,20 @@ Result<std::uint32_t> Ext3Fs::read(Ino ino, std::uint64_t off,
           prev = *next;
           run++;
         }
-        // Zero-copy fill: the device hands back shared frames and the
-        // page cache adopts the handles.
+        // The device hands back shared frames and the page cache adopts
+        // the handles.
         std::vector<core::BufRef> refs;
         refs.reserve(run);
-        dev_.read_refs(*lba, run, refs);
+        dev_.read(*lba, run, refs);
         for (std::uint32_t j = 0; j < run; ++j) {
-          pages_->insert_clean_ref(ino, index + j, *lba + j,
-                                   std::move(refs[j]), env_.now());
+          pages_->insert_clean(ino, index + j, *lba + j, std::move(refs[j]),
+                               env_.now());
         }
       }
       page = pages_->find(ino, index);
       NETSTORE_CHECK(page, "page vanished during read");
     }
-    // The sanctioned user-buffer boundary: the one place on the read data
-    // path where payload bytes leave pooled frames.
-    core::copy_out(out.data() + done, page->data() + page_off, len);
+    sink(*page, page_off, len);
     done += len;
 
     do_readahead(ino, ri, index);
@@ -1189,70 +1205,28 @@ Result<std::uint32_t> Ext3Fs::read(Ino ino, std::uint64_t off,
   return n;
 }
 
-Result<std::uint32_t> Ext3Fs::read_refs(Ino ino, std::uint64_t off,
-                                        std::uint32_t want, core::IoVec& out) {
-  // read()'s zero-copy twin: identical cache behaviour (hit/miss counters,
-  // demand-run coalescing, hole zero-page sharing, read-ahead) but the
-  // payload leaves as shared slices of the resident frames instead of a
-  // boundary copy.  The caller copies at its own user boundary (or ships
-  // the slices onward).
-  RawInode ri = read_inode(ino);
-  if (type_of_mode(ri.mode) == FileType::kDirectory) return Err::kIsDir;
-  if (off >= ri.size) return 0u;
+Result<std::uint32_t> Ext3Fs::read(Ino ino, std::uint64_t off,
+                                   std::span<std::uint8_t> out) {
+  std::size_t at = 0;
+  return read_pages(ino, off, out.size(),
+                    [&](const core::BufRef& page, std::uint32_t page_off,
+                        std::uint32_t len) {
+                      // The sanctioned user-buffer boundary: the one place
+                      // on the read data path where payload bytes leave
+                      // pooled frames.
+                      core::copy_out(out.data() + at, page.data() + page_off,
+                                     len);
+                      at += len;
+                    });
+}
 
-  const auto n = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(want, ri.size - off));
-  std::uint32_t done = 0;
-  while (done < n) {
-    const std::uint64_t pos = off + done;
-    const std::uint64_t index = pos / kBlockSize;
-    const auto page_off = static_cast<std::uint32_t>(pos % kBlockSize);
-    const std::uint32_t len =
-        std::min<std::uint32_t>(n - done, kBlockSize - page_off);
-
-    const core::BufRef* page = pages_->find_ref(ino, index);
-    if (!page) {
-      bool dummy = false;
-      Result<Lba> lba = bmap(ino, ri, index, /*alloc=*/false, dummy);
-      if (!lba) return lba.error();
-      if (*lba == 0) {
-        pages_->insert_clean_ref(ino, index, 0,
-                                 core::BufferPool::instance().zero_page(),
-                                 env_.now());
-      } else {
-        const std::uint64_t last_index = (off + n - 1) / kBlockSize;
-        std::uint32_t run = 1;
-        Lba prev = *lba;
-        while (run < 16 && index + run <= last_index &&
-               !pages_->contains(ino, index + run)) {
-          bool d2 = false;
-          Result<Lba> next = bmap(ino, ri, index + run, /*alloc=*/false, d2);
-          if (!next || *next != prev + 1) break;
-          prev = *next;
-          run++;
-        }
-        std::vector<core::BufRef> refs;
-        refs.reserve(run);
-        dev_.read_refs(*lba, run, refs);
-        for (std::uint32_t j = 0; j < run; ++j) {
-          pages_->insert_clean_ref(ino, index + j, *lba + j,
-                                   std::move(refs[j]), env_.now());
-        }
-      }
-      page = pages_->find_ref(ino, index);
-      NETSTORE_CHECK(page, "page vanished during read");
-    }
-    out.push_back(core::BufSlice{*page, page_off, len});
-    done += len;
-
-    do_readahead(ino, ri, index);
-  }
-
-  if (params_.update_atime) {
-    ri.atime = env_.now();
-    write_inode(ino, ri);
-  }
-  return n;
+Result<std::uint32_t> Ext3Fs::read(Ino ino, std::uint64_t off,
+                                   std::uint32_t want, core::IoVec& out) {
+  return read_pages(ino, off, want,
+                    [&](const core::BufRef& page, std::uint32_t page_off,
+                        std::uint32_t len) {
+                      out.push_back(core::BufSlice{page, page_off, len});
+                    });
 }
 
 void Ext3Fs::do_readahead(Ino ino, RawInode& ri, std::uint64_t index) {
@@ -1277,21 +1251,37 @@ void Ext3Fs::do_readahead(Ino ino, RawInode& ri, std::uint64_t index) {
     bool dummy = false;
     Result<Lba> lba = bmap(ino, ri, j, /*alloc=*/false, dummy);
     if (!lba || *lba == 0) continue;
-    if (core::zerocopy_enabled()) {
-      // Ref-shaped read-ahead: the device hands back pooled frames and
-      // the page cache adopts the handles; timing matches prefetch().
-      std::vector<core::BufRef> refs;
-      auto ready = dev_.prefetch_refs(*lba, 1, refs);
-      if (!ready) return;  // device has no async path; skip read-ahead
-      pages_->insert_clean_ref(ino, j, *lba, std::move(refs[0]), *ready);
-    } else {
-      block::BlockBuf buf{};
-      auto ready = dev_.prefetch(
-          *lba, 1, std::span<std::uint8_t>{buf.data(), kBlockSize});
-      if (!ready) return;  // device has no async path; skip read-ahead
-      pages_->insert_clean(ino, j, *lba, buf, *ready);
-    }
+    // The device hands back pooled frames and the page cache adopts the
+    // handles, valid from the prefetch's completion time.
+    std::vector<core::BufRef> refs;
+    auto ready = dev_.prefetch(*lba, 1, refs);
+    if (!ready) return;  // device has no async path; skip read-ahead
+    pages_->insert_clean(ino, j, *lba, std::move(refs.front()), *ready);
   }
+}
+
+Result<Lba> Ext3Fs::prepare_write_block(Ino ino, RawInode& ri,
+                                        std::uint64_t pos, std::uint32_t len,
+                                        bool& inode_dirtied) {
+  const std::uint64_t index = pos / kBlockSize;
+  const bool was_mapped = [&] {
+    bool dummy = false;
+    Result<Lba> r = bmap(ino, ri, index, /*alloc=*/false, dummy);
+    return r && *r != 0;
+  }();
+
+  Result<Lba> lba = bmap(ino, ri, index, /*alloc=*/true, inode_dirtied);
+  if (!lba) return lba;
+
+  // Partial overwrite of existing data needs the old contents.
+  const bool partial = len < kBlockSize;
+  if (partial && was_mapped && !pages_->contains(ino, index) &&
+      pos < ri.size + len) {
+    std::vector<core::BufRef> got;
+    dev_.read(*lba, 1, got);
+    pages_->insert_clean(ino, index, *lba, std::move(got.front()), env_.now());
+  }
+  return lba;
 }
 
 Result<std::uint32_t> Ext3Fs::write(Ino ino, std::uint64_t off,
@@ -1304,30 +1294,12 @@ Result<std::uint32_t> Ext3Fs::write(Ino ino, std::uint64_t off,
   std::uint32_t done = 0;
   while (done < n) {
     const std::uint64_t pos = off + done;
-    const std::uint64_t index = pos / kBlockSize;
     const auto page_off = static_cast<std::uint32_t>(pos % kBlockSize);
     const std::uint32_t len =
         std::min<std::uint32_t>(n - done, kBlockSize - page_off);
-
-    const bool was_mapped = [&] {
-      bool dummy = false;
-      Result<Lba> r = bmap(ino, ri, index, /*alloc=*/false, dummy);
-      return r && *r != 0;
-    }();
-
-    Result<Lba> lba = bmap(ino, ri, index, /*alloc=*/true, inode_dirtied);
+    Result<Lba> lba = prepare_write_block(ino, ri, pos, len, inode_dirtied);
     if (!lba) return lba.error();
-
-    // Partial overwrite of existing data needs the old contents.
-    const bool partial = len < kBlockSize;
-    if (partial && was_mapped && !pages_->contains(ino, index) &&
-        pos < ri.size + len) {
-      std::vector<core::BufRef> refs;
-      dev_.read_refs(*lba, 1, refs);
-      pages_->insert_clean_ref(ino, index, *lba, std::move(refs[0]),
-                               env_.now());
-    }
-    block::BlockBuf& page = pages_->write_page(ino, index, *lba);
+    block::BlockBuf& page = pages_->write_page(ino, pos / kBlockSize, *lba);
     // The sanctioned user-buffer boundary: the one place on the write data
     // path where payload bytes enter pooled frames.
     core::copy_in(page.data() + page_off, in.data() + done, len);
@@ -1341,13 +1313,13 @@ Result<std::uint32_t> Ext3Fs::write(Ino ino, std::uint64_t off,
   return n;
 }
 
-Result<std::uint32_t> Ext3Fs::write_iov(Ino ino, std::uint64_t off,
-                                        const core::IoVec& in) {
-  // write()'s zero-copy twin: the payload arrives as pooled-frame slices
-  // that were already charged at the caller's user boundary.  Slices that
-  // cover a whole aligned block are adopted outright (install_dirty);
-  // sub-block slices merge into the resident page with an uncharged copy
-  // — those bytes never cross a user boundary here.
+Result<std::uint32_t> Ext3Fs::write(Ino ino, std::uint64_t off,
+                                    const core::IoVec& in) {
+  // The payload arrives as pooled-frame slices that were already charged
+  // at the caller's user boundary.  Slices that cover a whole aligned
+  // block are adopted outright (install_dirty); sub-block slices merge
+  // into the resident page with an uncharged copy — those bytes never
+  // cross a user boundary here.
   RawInode ri = read_inode(ino);
   if (type_of_mode(ri.mode) == FileType::kDirectory) return Err::kIsDir;
 
@@ -1362,29 +1334,13 @@ Result<std::uint32_t> Ext3Fs::write_iov(Ino ino, std::uint64_t off,
       const auto page_off = static_cast<std::uint32_t>(pos % kBlockSize);
       const std::uint32_t len = std::min<std::uint32_t>(
           s.len - sdone, kBlockSize - page_off);
-
-      const bool was_mapped = [&] {
-        bool dummy = false;
-        Result<Lba> r = bmap(ino, ri, index, /*alloc=*/false, dummy);
-        return r && *r != 0;
-      }();
-
-      Result<Lba> lba = bmap(ino, ri, index, /*alloc=*/true, inode_dirtied);
+      Result<Lba> lba = prepare_write_block(ino, ri, pos, len, inode_dirtied);
       if (!lba) return lba.error();
-
       if (page_off == 0 && s.off == 0 && s.len == kBlockSize) {
         // Whole aligned frame: the cache adopts the handle; a later
         // mutation of either alias un-shares via copy-on-write.
         pages_->install_dirty(ino, index, *lba, s.buf);
       } else {
-        const bool partial = len < kBlockSize;
-        if (partial && was_mapped && !pages_->contains(ino, index) &&
-            pos < ri.size + len) {
-          std::vector<core::BufRef> refs;
-          dev_.read_refs(*lba, 1, refs);
-          pages_->insert_clean_ref(ino, index, *lba, std::move(refs[0]),
-                                   env_.now());
-        }
         block::BlockBuf& page = pages_->write_page(ino, index, *lba);
         // Sub-block merge between two pooled frames; charged at the user
         // boundary upstream.  netstore-lint: allow(raw-datapath-memcpy)

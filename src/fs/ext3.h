@@ -30,6 +30,7 @@
 #include "fs/page_cache.h"
 #include "fs/types.h"
 #include "sim/env.h"
+#include "sim/task.h"
 
 namespace netstore::fs {
 
@@ -99,21 +100,21 @@ class Ext3Fs {
   Status setattr(Ino ino, const SetAttr& sa);
   Result<std::uint32_t> read(Ino ino, std::uint64_t off,
                              std::span<std::uint8_t> out);
-  /// Zero-copy read: appends shared slices of the resident page frames to
-  /// `out` instead of copying into a caller buffer.  Cache behaviour,
-  /// read-ahead, and timing identical to read().  `want` is the byte
-  /// count; at most `want / kBlockSize + 2` slices are appended, so
-  /// callers must keep requests within IoVec::kMaxSlices blocks.
-  Result<std::uint32_t> read_refs(Ino ino, std::uint64_t off,
-                                  std::uint32_t want, core::IoVec& out);
+  /// read() without the boundary copy: appends shared slices of the
+  /// resident page frames to `out`.  Cache behaviour, read-ahead, and
+  /// timing identical to read().  `want` is the byte count; at most
+  /// `want / kBlockSize + 2` slices are appended, so callers must keep
+  /// requests within IoVec::kMaxSlices blocks.
+  Result<std::uint32_t> read(Ino ino, std::uint64_t off, std::uint32_t want,
+                             core::IoVec& out);
   Result<std::uint32_t> write(Ino ino, std::uint64_t off,
                               std::span<const std::uint8_t> in);
-  /// Zero-copy write: consumes pooled-frame slices.  Whole aligned blocks
-  /// are adopted by the page cache (copy-on-write isolates aliases);
-  /// sub-block slices merge into resident pages.  Allocation, size, and
-  /// timestamp semantics identical to write().
-  Result<std::uint32_t> write_iov(Ino ino, std::uint64_t off,
-                                  const core::IoVec& in);
+  /// write() from pooled-frame slices.  Whole aligned blocks are adopted
+  /// by the page cache (copy-on-write isolates aliases); sub-block slices
+  /// merge into resident pages.  Allocation, size, and timestamp
+  /// semantics identical to write().
+  Result<std::uint32_t> write(Ino ino, std::uint64_t off,
+                              const core::IoVec& in);
   Status fsync(Ino ino);
 
   // --- path-level API ---
@@ -177,6 +178,25 @@ class Ext3Fs {
 
   void touch_ctime(Ino ino, RawInode& ri);
   void do_readahead(Ino ino, RawInode& ri, std::uint64_t index);
+
+  /// The loop behind both read()s: clamps the request to the
+  /// file size, fills missing pages (holes share the zero page; a demand
+  /// miss reads the contiguous uncached run, up to 16 blocks, in one
+  /// device command), drives read-ahead, and hands each page's covered
+  /// byte range to `sink` in file order.  Returns the byte count.
+  Result<std::uint32_t> read_pages(
+      Ino ino, std::uint64_t off, std::uint64_t want,
+      sim::FuncRef<void(const core::BufRef& page, std::uint32_t page_off,
+                        std::uint32_t len)>
+          sink);
+
+  /// Block preparation behind both write()s: maps the file
+  /// block under byte `pos` (allocating it if needed) for a write of
+  /// `len` bytes into it.  A partial overwrite of mapped data that is not
+  /// cached reads the old block into the page cache first.
+  Result<block::Lba> prepare_write_block(Ino ino, RawInode& ri,
+                                         std::uint64_t pos, std::uint32_t len,
+                                         bool& inode_dirtied);
 
   Status remove_common(Ino dir, const std::string& name, bool want_dir);
 

@@ -1,7 +1,6 @@
 #include "fs/journal.h"
 
 #include <algorithm>
-#include <cstring>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -9,8 +8,6 @@
 #include "core/check.h"
 
 namespace netstore::fs {
-
-using block::kBlockSize;
 
 Journal::Journal(sim::Env& env, block::BlockDevice& dev, Bcache& bcache,
                  SuperBlock& sb, sim::Duration interval)
@@ -110,20 +107,14 @@ void Journal::commit(bool wait) {
   if (needed > journal_free_blocks()) checkpoint_all();
   NETSTORE_CHECK_LE(needed, journal_free_blocks(), "journal too small");
 
-  // Gather descriptor(s) + logged block images as scatter-gather
-  // fragments; on the wire this is still a small number of large
-  // sequential writes — the aggregation the paper measures.  Logged
-  // blocks are shared bcache handles (get_ref), not copies: the refs
-  // pin each block's contents as of this commit, so a later mutation
-  // un-shares away from the staged image instead of corrupting it.
+  // Gather descriptor(s) + logged block images as one run of frames; on
+  // the wire this is still a small number of large sequential writes —
+  // the aggregation the paper measures.  Logged blocks are shared bcache
+  // handles (get_ref), not copies: the refs pin each block's contents as
+  // of this commit, so a later mutation un-shares away from the staged
+  // image instead of corrupting it.
   std::vector<core::BufRef> refs;
-  std::vector<block::BlockView> frags;
   refs.reserve(ndesc + count + nrevoke);
-  frags.reserve(ndesc + count + nrevoke);
-  auto stage_record = [&](core::BufRef rec) {
-    frags.push_back(rec.view());
-    refs.push_back(std::move(rec));
-  };
   std::uint32_t tagged = 0;
   while (tagged < count) {
     const std::uint32_t batch =
@@ -131,9 +122,9 @@ void Journal::commit(bool wait) {
     JournalDescriptor desc{.sequence = next_sequence_, .count = batch};
     core::BufRef desc_buf = core::BufferPool::instance().alloc();
     desc.encode(desc_buf.mutable_view(), running_.data() + tagged);
-    stage_record(std::move(desc_buf));
+    refs.push_back(std::move(desc_buf));
     for (std::uint32_t i = 0; i < batch; ++i) {
-      stage_record(bcache_.get_ref(running_[tagged + i]));
+      refs.push_back(bcache_.get_ref(running_[tagged + i]));
     }
     tagged += batch;
   }
@@ -148,18 +139,17 @@ void Journal::commit(bool wait) {
     JournalRevoke rev{.sequence = next_sequence_, .count = batch};
     core::BufRef rev_buf = core::BufferPool::instance().alloc();
     rev.encode(rev_buf.mutable_view(), revoked_pending_.data() + revoked);
-    stage_record(std::move(rev_buf));
+    refs.push_back(std::move(rev_buf));
     revoked += batch;
   }
   revoked_pending_.clear();
 
-  write_journal_frags(frags);
+  write_journal(refs);
 
   // Commit record, as its own write (ext3 orders it after the data).
   core::BufRef commit_buf = core::BufferPool::instance().alloc();
   JournalCommit{.sequence = next_sequence_}.encode(commit_buf.mutable_view());
-  const block::BlockView commit_frag[] = {commit_buf.view()};
-  write_journal_frags(commit_frag);
+  write_journal({&commit_buf, 1});
 
   if (audit_) {
     // Commit-ordering invariants: sequences leave this journal strictly
@@ -188,16 +178,16 @@ void Journal::commit(bool wait) {
   if (wait) dev_.flush();
 }
 
-void Journal::write_journal_frags(block::FragSpan frags) {
-  const auto nblocks = static_cast<std::uint32_t>(frags.size());
+void Journal::write_journal(std::span<const core::BufRef> blocks) {
+  const auto nblocks = static_cast<std::uint32_t>(blocks.size());
   std::uint32_t written = 0;
   while (written < nblocks) {
     const std::uint32_t head =
         (sb_.journal_tail + live_blocks_) % sb_.journal_blocks;
     const std::uint32_t until_wrap = sb_.journal_blocks - head;
     const std::uint32_t chunk = std::min(nblocks - written, until_wrap);
-    dev_.write_gather(sb_.journal_start + head,
-                      frags.subspan(written, chunk), block::WriteMode::kAsync);
+    dev_.write(sb_.journal_start + head, blocks.subspan(written, chunk),
+               block::WriteMode::kAsync);
     live_blocks_ += chunk;
     written += chunk;
   }
@@ -224,17 +214,13 @@ void Journal::checkpoint_all() {
       run++;
     }
     // Shared handles instead of a staging copy: one get_ref per block
-    // (same hit accounting as the old get()), views handed to the device
-    // scatter-gather.
+    // (same hit accounting as get()), handed to the device as one write.
     std::vector<core::BufRef> refs;
-    std::vector<block::BlockView> frags;
     refs.reserve(run);
-    frags.reserve(run);
     for (std::size_t j = 0; j < run; ++j) {
       refs.push_back(bcache_.get_ref(checkpoint_pending_[i + j]));
-      frags.push_back(refs.back().view());
     }
-    dev_.write_gather(checkpoint_pending_[i], frags, block::WriteMode::kAsync);
+    dev_.write(checkpoint_pending_[i], refs, block::WriteMode::kAsync);
     for (std::size_t j = 0; j < run; ++j) {
       bcache_.note_checkpointed(checkpoint_pending_[i + j]);
     }
@@ -251,9 +237,8 @@ void Journal::checkpoint_all() {
 }
 
 void Journal::write_superblock() {
-  std::vector<std::uint8_t> buf(kBlockSize);
-  sb_.encode(block::MutBlockView{buf.data(), kBlockSize});
-  dev_.write(0, 1, buf, block::WriteMode::kAsync);
+  const core::BufRef frame = sb_.encode_frame();
+  dev_.write(0, {&frame, 1}, block::WriteMode::kAsync);
 }
 
 void Journal::sync() {
@@ -263,17 +248,20 @@ void Journal::sync() {
 }
 
 std::uint64_t Journal::replay(block::BlockDevice& dev, SuperBlock& sb) {
-  std::vector<std::uint8_t> blockbuf(kBlockSize);
   std::vector<std::uint64_t> lbas(JournalDescriptor::kMaxTags);
 
+  // Reads one journal block as a shared frame.
+  std::vector<core::BufRef> got;
   auto read_journal_block = [&](std::uint32_t offset) {
-    dev.read(sb.journal_start + (offset % sb.journal_blocks), 1, blockbuf);
+    got.clear();
+    dev.read(sb.journal_start + (offset % sb.journal_blocks), 1, got);
+    return std::move(got.front());
   };
 
   struct Apply {
     block::Lba lba;
     std::uint64_t sequence;
-    std::vector<std::uint8_t> data;
+    core::BufRef data;
   };
 
   // Walk the committed transaction chain once, gathering both block
@@ -294,35 +282,28 @@ std::uint64_t Journal::replay(block::BlockDevice& dev, SuperBlock& sb) {
     bool committed = false;
     bool saw_any = false;
     for (;;) {
-      read_journal_block(scan);
+      const core::BufRef rec = read_journal_block(scan);
       JournalDescriptor desc;
       JournalRevoke rev;
       JournalCommit commit;
-      if (JournalDescriptor::decode(
-              block::BlockView{blockbuf.data(), kBlockSize}, desc,
-              lbas.data()) &&
+      if (JournalDescriptor::decode(rec.view(), desc, lbas.data()) &&
           desc.sequence == expected) {
         saw_any = true;
         const std::uint32_t count = desc.count;
         std::vector<std::uint64_t> tags(lbas.begin(), lbas.begin() + count);
         for (std::uint32_t i = 0; i < count; ++i) {
           scan++;
-          read_journal_block(scan);
-          txn.push_back(Apply{tags[i], expected, blockbuf});
+          txn.push_back(Apply{tags[i], expected, read_journal_block(scan)});
         }
         scan++;
-      } else if (JournalRevoke::decode(
-                     block::BlockView{blockbuf.data(), kBlockSize}, rev,
-                     lbas.data()) &&
+      } else if (JournalRevoke::decode(rec.view(), rev, lbas.data()) &&
                  rev.sequence == expected) {
         saw_any = true;
         for (std::uint32_t i = 0; i < rev.count; ++i) {
           txn_revokes.emplace_back(lbas[i], expected);
         }
         scan++;
-      } else if (saw_any &&
-                 JournalCommit::decode(
-                     block::BlockView{blockbuf.data(), kBlockSize}, commit) &&
+      } else if (saw_any && JournalCommit::decode(rec.view(), commit) &&
                  commit.sequence == expected) {
         committed = true;
         scan++;
@@ -354,7 +335,7 @@ std::uint64_t Journal::replay(block::BlockDevice& dev, SuperBlock& sb) {
     prev_sequence = a.sequence;
     auto it = revoked.find(a.lba);
     if (it != revoked.end() && a.sequence <= it->second) continue;
-    dev.write(a.lba, 1, a.data, block::WriteMode::kAsync);
+    dev.write(a.lba, {&a.data, 1}, block::WriteMode::kAsync);
     wrote = true;
   }
   if (wrote) dev.flush();

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "block/device.h"
@@ -94,10 +95,10 @@ class Journal {
   void checkpoint_all();
 
   /// Appends whole blocks at the journal head, splitting at the wrap
-  /// boundary; advances the live region.  The fragments are views of
-  /// pooled frames (bcache handles and encoded record blocks), handed to
-  /// the device scatter-gather — no staging copy.
-  void write_journal_frags(block::FragSpan frags);
+  /// boundary; advances the live region.  The blocks are pooled frames
+  /// (bcache handles and encoded record blocks) that the device shares —
+  /// no staging copy.
+  void write_journal(std::span<const core::BufRef> blocks);
 
   [[nodiscard]] std::uint32_t journal_free_blocks() const;
   void write_superblock();

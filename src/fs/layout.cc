@@ -48,6 +48,12 @@ void SuperBlock::encode(block::MutBlockView out) const {
   out[52] = clean;
 }
 
+core::BufRef SuperBlock::encode_frame() const {
+  core::BufRef frame = core::BufferPool::instance().alloc();
+  encode(frame.mutable_view());
+  return frame;
+}
+
 SuperBlock SuperBlock::decode(block::BlockView in) {
   SuperBlock sb;
   const std::uint8_t* p = in.data();

@@ -19,6 +19,7 @@
 #include <string>
 
 #include "block/block.h"
+#include "core/buffer_pool.h"
 #include "fs/types.h"
 
 namespace netstore::fs {
@@ -46,6 +47,8 @@ struct SuperBlock {
   std::uint8_t clean = 1;              // 0 after mount, 1 after unmount
 
   void encode(block::MutBlockView out) const;
+  /// encode() into a fresh pool frame, ready to hand to a block device.
+  [[nodiscard]] core::BufRef encode_frame() const;
   static SuperBlock decode(block::BlockView in);
 };
 

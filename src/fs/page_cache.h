@@ -10,8 +10,8 @@
 //
 // Hot-path layout: the LRU links live inside the map node (see
 // core/intrusive_lru.h) — one allocation per page, one hash lookup per
-// touch — and write-back hands resident pages to the device as
-// scatter-gather fragments instead of staging them into a bounce buffer.
+// touch — and write-back hands the resident frames themselves to the
+// device instead of staging them into a bounce buffer.
 #pragma once
 
 #include <cstdint>
@@ -48,39 +48,29 @@ class PageCache {
  public:
   PageCache(sim::Env& env, block::BlockDevice& dev, PageCacheParams params);
 
-  /// Looks up (ino, page index).  On a hit returns the page data, blocking
+  /// Looks up (ino, page index).  On a hit returns the page's pool handle
+  /// (share it to keep the frame past the next cache operation), blocking
   /// until any in-flight read-ahead for it completes.  nullptr on miss.
-  const block::BlockBuf* find(Ino ino, std::uint64_t index);
-
-  /// Zero-copy variant of find(): returns the resident page's pool handle
-  /// (share it to keep the frame past the next cache operation) or
-  /// nullptr on miss.  Hit/miss accounting and read-ahead blocking
-  /// identical to find().
-  const core::BufRef* find_ref(Ino ino, std::uint64_t index);
+  const core::BufRef* find(Ino ino, std::uint64_t index);
 
   /// True if the page is resident or in flight (no blocking).
   [[nodiscard]] bool contains(Ino ino, std::uint64_t index) const;
 
-  /// Inserts a clean page read from `lba`; `ready_at` is when the data is
-  /// valid (read-ahead completion time; use env.now() for demand reads).
+  /// Inserts a clean page read from `lba`, adopting `data` (e.g. a frame
+  /// straight from BlockDevice::read or the pool zero page); `ready_at`
+  /// is when the data is valid (read-ahead completion time; env.now()
+  /// for demand reads).  A dirty page is never clobbered.
   void insert_clean(Ino ino, std::uint64_t index, block::Lba lba,
-                    block::BlockView data, sim::Time ready_at);
-
-  /// Zero-copy variant: adopts a pooled handle (e.g. straight from
-  /// BlockDevice::read_refs or the pool zero page) instead of copying.
-  /// Same semantics as insert_clean otherwise.
-  void insert_clean_ref(Ino ino, std::uint64_t index, block::Lba lba,
-                        core::BufRef data, sim::Time ready_at);
+                    core::BufRef data, sim::Time ready_at);
 
   /// Returns a mutable buffer for the page, marking it dirty.  The page is
   /// created zero-filled if absent.  `lba` is the disk block backing it.
   block::BlockBuf& write_page(Ino ino, std::uint64_t index, block::Lba lba);
 
-  /// Zero-copy full-block dirty install: adopts `data` as the page's new
-  /// contents and marks it dirty — the write_page() twin for payloads
-  /// that already live in pooled frames (an IoVec slice covering the
-  /// whole block).  Same dirty accounting, flusher scheduling, and
-  /// high-water behaviour as write_page().
+  /// Full-block dirty install: adopts `data` as the page's new contents
+  /// and marks it dirty — write_page() for payloads that already live in
+  /// pooled frames (an IoVec slice covering the whole block).  Same dirty
+  /// accounting, flusher scheduling, and high-water behaviour.
   void install_dirty(Ino ino, std::uint64_t index, block::Lba lba,
                      core::BufRef data);
 
@@ -148,7 +138,7 @@ class PageCache {
   Page& emplace(Ino ino, std::uint64_t index, block::Lba lba);
   void evict_if_needed();
   /// Writes dirty pages selected by `pred` (null = all), coalescing
-  /// LBA-contiguous runs into scatter-gather device writes; async.
+  /// LBA-contiguous runs into one device write each; async.
   void writeback(sim::FuncRef<bool(const Key&, const Page&)> pred);
   void schedule_flusher();
 

@@ -61,7 +61,7 @@ void Initiator::logout() {
 }
 
 sim::Time Initiator::issue_read(block::Lba lba, std::uint32_t nblocks,
-                                std::span<std::uint8_t> out) {
+                                std::vector<core::BufRef>& out) {
   NETSTORE_CHECK_EQ(state_, SessionState::kLoggedIn, "session not logged in");
   exchanges_.add(1);
   sim::Time t = env_.now();
@@ -74,7 +74,7 @@ sim::Time Initiator::issue_read(block::Lba lba, std::uint32_t nblocks,
 
   // Target executes.
   scsi::CommandResult result;
-  const sim::Time served = target_.serve(cdb, at_target, out, {}, result);
+  const sim::Time served = target_.serve_read(cdb, at_target, out, result);
   if (!result.ok()) {
     // Sense travels back in the response PDU.
     const sim::Time resp = link_.send_at(Direction::kServerToClient,
@@ -107,56 +107,14 @@ sim::Time Initiator::issue_read(block::Lba lba, std::uint32_t nblocks,
   return last;
 }
 
-sim::Time Initiator::issue_read_refs(block::Lba lba, std::uint32_t nblocks,
-                                     std::vector<core::BufRef>& out) {
-  // Mirrors issue_read() exactly — command PDU, target service, Data-In
-  // segmentation, tracer charge — with the payload returned as shared
-  // target-cache frames instead of bytes copied into a caller buffer.
-  NETSTORE_CHECK_EQ(state_, SessionState::kLoggedIn, "session not logged in");
-  exchanges_.add(1);
-  sim::Time t = env_.now();
-  if (cost_hook_) t += cost_hook_(t, /*is_write=*/false, nblocks);
-
-  const scsi::Cdb cdb = scsi::Cdb::read10(lba, nblocks);
-  sim::Time at_target = link_.send_at(Direction::kClientToServer,
-                                      pdu_size(0), t);
-
-  scsi::CommandResult result;
-  const sim::Time served = target_.serve_read_refs(cdb, at_target, out,
-                                                   result);
-  if (!result.ok()) {
-    const sim::Time resp = link_.send_at(Direction::kServerToClient,
-                                         pdu_size(32), served);
-    env_.advance_to(resp);
-    throw std::runtime_error("iSCSI READ failed: " +
-                             scsi::to_string(cdb.op));
-  }
-
-  std::uint64_t remaining =
-      static_cast<std::uint64_t>(nblocks) * kBlockSize;
-  sim::Time last = served;
-  while (remaining > 0) {
-    const std::uint32_t seg = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        remaining, params_.max_recv_data_segment_length));
-    last = std::max(
-        last, link_.send_at(Direction::kServerToClient, pdu_size(seg), served));
-    remaining -= seg;
-  }
-  if (auto* tr = env_.tracer()) {
-    tr->charge(obs::Component::kNetwork, (at_target - t) + (last - served));
-  }
-  return last;
-}
-
-sim::Time Initiator::issue_write(block::Lba lba, std::uint32_t nblocks,
-                                 std::span<const std::uint8_t> data,
-                                 block::FragSpan frags,
-                                 std::span<const core::BufRef> refs) {
+sim::Time Initiator::issue_write(block::Lba lba,
+                                 std::span<const core::BufRef> blocks) {
   NETSTORE_CHECK_EQ(state_, SessionState::kLoggedIn, "session not logged in");
   // Tagged-queue write: completion is tracked in `outstanding_`, not
   // waited on here, so its time must not bill the active span.  Sync
   // writers pay the wait in write(), which lands in the protocol residual.
   obs::SuspendGuard trace_guard(env_.tracer());
+  const auto nblocks = static_cast<std::uint32_t>(blocks.size());
   exchanges_.add(1);
   write_commands_.add(1);
   write_bytes_.add(static_cast<std::uint64_t>(nblocks) * kBlockSize);
@@ -189,11 +147,7 @@ sim::Time Initiator::issue_write(block::Lba lba, std::uint32_t nblocks,
 
   scsi::CommandResult result;
   const scsi::Cdb cdb = scsi::Cdb::write10(lba, nblocks);
-  const sim::Time served =
-      !refs.empty() ? target_.serve_write_refs(cdb, last, refs, result)
-      : !frags.empty()
-          ? target_.serve_write(cdb, last, frags, result)
-          : target_.serve(cdb, last, {}, data.subspan(0, total), result);
+  const sim::Time served = target_.serve_write(cdb, last, blocks, result);
   if (!result.ok()) {
     throw std::runtime_error("iSCSI WRITE failed: " +
                              scsi::to_string(cdb.op));
@@ -212,28 +166,12 @@ void Initiator::reserve_queue_slot() {
 }
 
 void Initiator::read(block::Lba lba, std::uint32_t nblocks,
-                     std::span<std::uint8_t> out) {
+                     std::vector<core::BufRef>& out) {
   std::uint32_t done = 0;
   const std::uint32_t burst_blocks = params_.max_burst_length / kBlockSize;
   while (done < nblocks) {
     const std::uint32_t n = std::min(nblocks - done, burst_blocks);
-    const sim::Time complete = issue_read(
-        lba + done, n,
-        out.subspan(static_cast<std::size_t>(done) * kBlockSize,
-                    static_cast<std::size_t>(n) * kBlockSize));
-    env_.advance_to(complete);
-    done += n;
-  }
-}
-
-void Initiator::read_refs(block::Lba lba, std::uint32_t nblocks,
-                          std::vector<core::BufRef>& out) {
-  // Same burst loop as read(); the payload comes back as shared frames.
-  std::uint32_t done = 0;
-  const std::uint32_t burst_blocks = params_.max_burst_length / kBlockSize;
-  while (done < nblocks) {
-    const std::uint32_t n = std::min(nblocks - done, burst_blocks);
-    const sim::Time complete = issue_read_refs(lba + done, n, out);
+    const sim::Time complete = issue_read(lba + done, n, out);
     env_.advance_to(complete);
     done += n;
   }
@@ -241,7 +179,7 @@ void Initiator::read_refs(block::Lba lba, std::uint32_t nblocks,
 
 std::optional<sim::Time> Initiator::prefetch(block::Lba lba,
                                              std::uint32_t nblocks,
-                                             std::span<std::uint8_t> out) {
+                                             std::vector<core::BufRef>& out) {
   NETSTORE_CHECK_LE(static_cast<std::uint64_t>(nblocks) * kBlockSize,
                     params_.max_burst_length);
   // Read-ahead is speculative: nobody blocks on it yet.
@@ -249,70 +187,15 @@ std::optional<sim::Time> Initiator::prefetch(block::Lba lba,
   return issue_read(lba, nblocks, out);
 }
 
-std::optional<sim::Time> Initiator::prefetch_refs(
-    block::Lba lba, std::uint32_t nblocks, std::vector<core::BufRef>& out) {
-  NETSTORE_CHECK_LE(static_cast<std::uint64_t>(nblocks) * kBlockSize,
-                    params_.max_burst_length);
-  // Read-ahead is speculative: nobody blocks on it yet.
-  obs::SuspendGuard trace_guard(env_.tracer());
-  return issue_read_refs(lba, nblocks, out);
-}
-
-void Initiator::write(block::Lba lba, std::uint32_t nblocks,
-                      std::span<const std::uint8_t> data,
+void Initiator::write(block::Lba lba, std::span<const core::BufRef> blocks,
                       block::WriteMode mode) {
-  std::uint32_t done = 0;
-  const std::uint32_t burst_blocks = params_.max_burst_length / kBlockSize;
+  const std::size_t burst_blocks = params_.max_burst_length / kBlockSize;
   sim::Time last = env_.now();
-  while (done < nblocks) {
-    const std::uint32_t n = std::min(nblocks - done, burst_blocks);
-    reserve_queue_slot();
-    const sim::Time complete = issue_write(
-        lba + done, n,
-        data.subspan(static_cast<std::size_t>(done) * kBlockSize,
-                     static_cast<std::size_t>(n) * kBlockSize),
-        {}, {});
-    outstanding_.push(complete);
-    last = std::max(last, complete);
-    done += n;
-  }
-  if (mode == block::WriteMode::kSync) env_.advance_to(last);
-}
-
-void Initiator::write_gather(block::Lba lba, block::FragSpan frags,
-                             block::WriteMode mode) {
-  // Same bursting and tagged-queue behaviour as write(); the page-cache
-  // fragments flow through to the target without a staging copy.
-  const auto nblocks = static_cast<std::uint32_t>(frags.size());
-  std::uint32_t done = 0;
-  const std::uint32_t burst_blocks = params_.max_burst_length / kBlockSize;
-  sim::Time last = env_.now();
-  while (done < nblocks) {
-    const std::uint32_t n = std::min(nblocks - done, burst_blocks);
+  for (std::size_t done = 0; done < blocks.size();) {
+    const std::size_t n = std::min(blocks.size() - done, burst_blocks);
     reserve_queue_slot();
     const sim::Time complete =
-        issue_write(lba + done, n, {}, frags.subspan(done, n), {});
-    outstanding_.push(complete);
-    last = std::max(last, complete);
-    done += n;
-  }
-  if (mode == block::WriteMode::kSync) env_.advance_to(last);
-}
-
-void Initiator::write_gather_refs(block::Lba lba,
-                                  std::span<const core::BufRef> refs,
-                                  block::WriteMode mode) {
-  // Same bursting and tagged-queue behaviour as write_gather(); the
-  // target's cache adopts the page frames instead of copying them.
-  const auto nblocks = static_cast<std::uint32_t>(refs.size());
-  std::uint32_t done = 0;
-  const std::uint32_t burst_blocks = params_.max_burst_length / kBlockSize;
-  sim::Time last = env_.now();
-  while (done < nblocks) {
-    const std::uint32_t n = std::min(nblocks - done, burst_blocks);
-    reserve_queue_slot();
-    const sim::Time complete =
-        issue_write(lba + done, n, {}, {}, refs.subspan(done, n));
+        issue_write(lba + done, blocks.subspan(done, n));
     outstanding_.push(complete);
     last = std::max(last, complete);
     done += n;

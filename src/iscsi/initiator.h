@@ -44,30 +44,16 @@ class Initiator final : public block::BlockDevice {
   [[nodiscard]] std::uint64_t block_count() const override {
     return target_.volume_blocks();
   }
+  /// READ: the Data-In payload arrives as shared target-cache frames.
   void read(block::Lba lba, std::uint32_t nblocks,
-            std::span<std::uint8_t> out) override;
-  /// Zero-copy READ: the Data-In payload arrives as shared target-cache
-  /// frames; identical bursting, PDU timing, and exchange counts to
-  /// read().
-  void read_refs(block::Lba lba, std::uint32_t nblocks,
-                 std::vector<core::BufRef>& out) override;
-  void write(block::Lba lba, std::uint32_t nblocks,
-             std::span<const std::uint8_t> data,
+            std::vector<core::BufRef>& out) override;
+  /// WRITE: the target's cache adopts the frames.
+  void write(block::Lba lba, std::span<const core::BufRef> blocks,
              block::WriteMode mode) override;
-  void write_gather(block::Lba lba, block::FragSpan frags,
-                    block::WriteMode mode) override;
-  /// Zero-copy scatter-gather WRITE: the target's cache adopts the
-  /// frames; identical bursting, tagged-queue, and PDU timing to
-  /// write_gather().
-  void write_gather_refs(block::Lba lba, std::span<const core::BufRef> refs,
-                         block::WriteMode mode) override;
   void flush() override;
+  /// Read-ahead: a READ whose completion nobody waits on yet.
   std::optional<sim::Time> prefetch(block::Lba lba, std::uint32_t nblocks,
-                                    std::span<std::uint8_t> out) override;
-  /// Zero-copy read-ahead: ref-shaped prefetch with prefetch() timing.
-  std::optional<sim::Time> prefetch_refs(
-      block::Lba lba, std::uint32_t nblocks,
-      std::vector<core::BufRef>& out) override;
+                                    std::vector<core::BufRef>& out) override;
 
   /// Completed + in-flight SCSI command exchanges (the paper's "messages").
   [[nodiscard]] std::uint64_t exchanges() const { return exchanges_.value(); }
@@ -102,24 +88,15 @@ class Initiator final : public block::BlockDevice {
                                                  Target& target) const;
 
  private:
-  /// Sends one READ command sequence starting now; returns the time the
-  /// final Data-In/response arrives at the client.
+  /// Sends one READ command sequence starting now, appending one frame
+  /// per block to `out`; returns the time the final Data-In/response
+  /// arrives at the client.
   sim::Time issue_read(block::Lba lba, std::uint32_t nblocks,
-                       std::span<std::uint8_t> out);
-
-  /// issue_read()'s zero-copy twin: appends one shared frame per block to
-  /// `out`.  PDU sequence and timing are byte-for-byte identical.
-  sim::Time issue_read_refs(block::Lba lba, std::uint32_t nblocks,
-                            std::vector<core::BufRef>& out);
+                       std::vector<core::BufRef>& out);
 
   /// Sends one WRITE command sequence starting now; returns response
-  /// arrival time.  Does not block.  The payload is contiguous (`data`,
-  /// when `frags` and `refs` are empty), scatter-gather views (`frags`),
-  /// or pooled handles (`refs` — the target adopts the frames).
-  sim::Time issue_write(block::Lba lba, std::uint32_t nblocks,
-                        std::span<const std::uint8_t> data,
-                        block::FragSpan frags,
-                        std::span<const core::BufRef> refs);
+  /// arrival time.  Does not block.
+  sim::Time issue_write(block::Lba lba, std::span<const core::BufRef> blocks);
 
   /// Pops completions that are already in the past; if the queue is still
   /// full, blocks (advances the clock) until a slot frees up.

@@ -2,97 +2,38 @@
 
 namespace netstore::iscsi {
 
-sim::Time Target::serve(const scsi::Cdb& cdb, sim::Time start,
-                        std::span<std::uint8_t> out,
-                        std::span<const std::uint8_t> in,
+sim::Time Target::admit(const scsi::Cdb& cdb, sim::Time start,
                         scsi::CommandResult& result) {
   commands_.add(1);
   result = scsi::CommandResult{};
-
-  const bool is_write = cdb.op == scsi::OpCode::kWrite10;
   sim::Time t = start;
-  if (cost_hook_) t += cost_hook_(start, is_write, cdb.nblocks);
-
-  switch (cdb.op) {
-    case scsi::OpCode::kTestUnitReady:
-    case scsi::OpCode::kInquiry:
-    case scsi::OpCode::kReadCapacity10:
-    case scsi::OpCode::kReportLuns:
-      return t;
-
-    case scsi::OpCode::kRead10:
-      if (cdb.lba + cdb.nblocks > volume_blocks_) {
-        result.status = scsi::Status::kCheckCondition;
-        result.sense = scsi::SenseKey::kIllegalRequest;
-        return t;
-      }
-      return cache_.read(t, cdb.lba, cdb.nblocks, out);
-
-    case scsi::OpCode::kWrite10:
-      if (cdb.lba + cdb.nblocks > volume_blocks_) {
-        result.status = scsi::Status::kCheckCondition;
-        result.sense = scsi::SenseKey::kIllegalRequest;
-        return t;
-      }
-      return cache_.write(t, cdb.lba, cdb.nblocks, in);
-
-    case scsi::OpCode::kSynchronizeCache10:
-      return cache_.sync(t);
+  if (cost_hook_) {
+    t += cost_hook_(start, cdb.op == scsi::OpCode::kWrite10, cdb.nblocks);
   }
-  result.status = scsi::Status::kCheckCondition;
-  result.sense = scsi::SenseKey::kIllegalRequest;
+  if (cdb.lba + cdb.nblocks > volume_blocks_) {
+    result.status = scsi::Status::kCheckCondition;
+    result.sense = scsi::SenseKey::kIllegalRequest;
+  }
   return t;
 }
 
+sim::Time Target::serve_read(const scsi::Cdb& cdb, sim::Time start,
+                             std::vector<core::BufRef>& out,
+                             scsi::CommandResult& result) {
+  NETSTORE_DCHECK(cdb.op == scsi::OpCode::kRead10);
+  const sim::Time t = admit(cdb, start, result);
+  if (!result.ok()) return t;
+  return cache_.read(t, cdb.lba, cdb.nblocks, out);
+}
+
 sim::Time Target::serve_write(const scsi::Cdb& cdb, sim::Time start,
-                              block::FragSpan frags,
+                              std::span<const core::BufRef> blocks,
                               scsi::CommandResult& result) {
-  commands_.add(1);
-  result = scsi::CommandResult{};
-
-  sim::Time t = start;
-  if (cost_hook_) t += cost_hook_(start, /*is_write=*/true, cdb.nblocks);
-
-  if (cdb.lba + cdb.nblocks > volume_blocks_) {
-    result.status = scsi::Status::kCheckCondition;
-    result.sense = scsi::SenseKey::kIllegalRequest;
-    return t;
-  }
-  return cache_.write_frags(t, cdb.lba, frags);
-}
-
-sim::Time Target::serve_read_refs(const scsi::Cdb& cdb, sim::Time start,
-                                  std::vector<core::BufRef>& out,
-                                  scsi::CommandResult& result) {
-  commands_.add(1);
-  result = scsi::CommandResult{};
-
-  sim::Time t = start;
-  if (cost_hook_) t += cost_hook_(start, /*is_write=*/false, cdb.nblocks);
-
-  if (cdb.lba + cdb.nblocks > volume_blocks_) {
-    result.status = scsi::Status::kCheckCondition;
-    result.sense = scsi::SenseKey::kIllegalRequest;
-    return t;
-  }
-  return cache_.read_refs(t, cdb.lba, cdb.nblocks, out);
-}
-
-sim::Time Target::serve_write_refs(const scsi::Cdb& cdb, sim::Time start,
-                                   std::span<const core::BufRef> refs,
-                                   scsi::CommandResult& result) {
-  commands_.add(1);
-  result = scsi::CommandResult{};
-
-  sim::Time t = start;
-  if (cost_hook_) t += cost_hook_(start, /*is_write=*/true, cdb.nblocks);
-
-  if (cdb.lba + cdb.nblocks > volume_blocks_) {
-    result.status = scsi::Status::kCheckCondition;
-    result.sense = scsi::SenseKey::kIllegalRequest;
-    return t;
-  }
-  return cache_.write_refs(t, cdb.lba, refs);
+  NETSTORE_DCHECK(cdb.op == scsi::OpCode::kWrite10);
+  NETSTORE_DCHECK_EQ(blocks.size(), static_cast<std::size_t>(cdb.nblocks));
+  const sim::Time t = admit(cdb, start, result);
+  if (!result.ok()) return t;
+  return cache_.write(t, cdb.lba, blocks);
 }
 
 }  // namespace netstore::iscsi

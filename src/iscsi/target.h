@@ -32,32 +32,17 @@ class Target {
   Target(block::TimedCache& cache, std::uint64_t volume_blocks)
       : cache_(cache), volume_blocks_(volume_blocks) {}
 
-  /// Executes `cdb` beginning at `start`.  For reads, fills `out`; for
-  /// writes, consumes `in`.  Returns the completion time at the target.
-  sim::Time serve(const scsi::Cdb& cdb, sim::Time start,
-                  std::span<std::uint8_t> out,
-                  std::span<const std::uint8_t> in,
-                  scsi::CommandResult& result);
+  /// READ(10) beginning at `start`: appends one shared cache frame per
+  /// block to `out`.  Returns the completion time at the target.
+  sim::Time serve_read(const scsi::Cdb& cdb, sim::Time start,
+                       std::vector<core::BufRef>& out,
+                       scsi::CommandResult& result);
 
-  /// WRITE(10) with a scatter-gather payload (cdb.op must be kWrite10;
-  /// frags.size() == cdb.nblocks).  Identical cost model to serve() — the
-  /// payload shape changes nothing the simulation observes.
+  /// WRITE(10) beginning at `start` (blocks.size() == cdb.nblocks): the
+  /// cache adopts the frames.  Returns the completion time at the target.
   sim::Time serve_write(const scsi::Cdb& cdb, sim::Time start,
-                        block::FragSpan frags, scsi::CommandResult& result);
-
-  /// READ(10) returning refcounted cache frames (cdb.op must be kRead10):
-  /// the Data-In payload is shared handles, not copied bytes.  Identical
-  /// cost model to serve().
-  sim::Time serve_read_refs(const scsi::Cdb& cdb, sim::Time start,
-                            std::vector<core::BufRef>& out,
-                            scsi::CommandResult& result);
-
-  /// WRITE(10) with a ref-shaped payload (cdb.op must be kWrite10;
-  /// refs.size() == cdb.nblocks): the cache adopts the frames.  Identical
-  /// cost model to serve().
-  sim::Time serve_write_refs(const scsi::Cdb& cdb, sim::Time start,
-                             std::span<const core::BufRef> refs,
-                             scsi::CommandResult& result);
+                        std::span<const core::BufRef> blocks,
+                        scsi::CommandResult& result);
 
   void set_cost_hook(TargetCostHook hook) { cost_hook_ = std::move(hook); }
 
@@ -101,6 +86,13 @@ class Target {
   }
 
  private:
+  /// Command prologue shared by both entry points: counts the command,
+  /// resets `result`, charges the cost hook, and rejects an LBA range
+  /// past the volume with CHECK CONDITION.  Returns the time execution
+  /// starts (or the rejection is sent).
+  sim::Time admit(const scsi::Cdb& cdb, sim::Time start,
+                  scsi::CommandResult& result);
+
   block::TimedCache& cache_;
   std::uint64_t volume_blocks_;
   // netstore: not_cloned -- closure over the source Testbed; the fork

@@ -255,12 +255,10 @@ class NfsClient {
 
   // -- data-path helpers --
   Page* find_page(Fh fh, std::uint64_t index);
-  void insert_page(Fh fh, std::uint64_t index, const std::uint8_t* data,
+  /// Installs `data` as the page (adopts the handle: a shared server
+  /// frame or the pool zero page), replacing any resident copy.
+  void insert_page(Fh fh, std::uint64_t index, core::BufRef data,
                    sim::Time ready_at);
-  /// Zero-copy twin of insert_page: adopts a pooled handle (a shared
-  /// server frame or the pool zero page) instead of copying bytes.
-  void insert_page_ref(Fh fh, std::uint64_t index, core::BufRef data,
-                       sim::Time ready_at);
   /// Installs a READ reply's slices as client pages starting at `first`;
   /// whole-frame slices are adopted, the EOF tail is staged into a fresh
   /// frame, and pages past the reply (beyond EOF) share the zero page

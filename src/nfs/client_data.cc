@@ -22,32 +22,8 @@ NfsClient::Page* NfsClient::find_page(Fh fh, std::uint64_t index) {
   return &it->second;
 }
 
-void NfsClient::insert_page(Fh fh, std::uint64_t index,
-                            const std::uint8_t* data, sim::Time ready_at) {
-  evict_pages_if_needed();
-  const PageKey key{fh, index};
-  auto it = pages_.find(key);
-  if (it == pages_.end()) {
-    page_lru_.push_front(key);
-    Page& p = pages_[key];
-    p.data = core::BufferPool::instance().alloc();
-    p.lru_pos = page_lru_.begin();
-    // Legacy fill (NETSTORE_ZEROCOPY=off); the zero-copy plane adopts
-    // server frames via insert_page_ref().
-    core::charged_copy(p.data.mutable_data(), data, kBlockSize);
-    p.ready_at = ready_at;
-  } else {
-    page_lru_.splice(page_lru_.begin(), page_lru_, it->second.lru_pos);
-    Page& p = it->second;
-    // Full overwrite: replace a shared frame instead of copying it.
-    if (p.data.shared()) p.data = core::BufferPool::instance().alloc();
-    core::charged_copy(p.data.mutable_data(), data, kBlockSize);
-    p.ready_at = ready_at;
-  }
-}
-
-void NfsClient::insert_page_ref(Fh fh, std::uint64_t index, core::BufRef data,
-                                sim::Time ready_at) {
+void NfsClient::insert_page(Fh fh, std::uint64_t index, core::BufRef data,
+                            sim::Time ready_at) {
   evict_pages_if_needed();
   const PageKey key{fh, index};
   auto it = pages_.find(key);
@@ -72,22 +48,22 @@ void NfsClient::install_slices(Fh fh, std::uint64_t first, std::uint32_t count,
     if (s.off == 0 && s.len == kBlockSize) {
       // Whole server frame: the client cache shares it across the
       // (simulated) wire; copy-on-write isolates later mutation.
-      insert_page_ref(fh, p, s.buf, ready_at);
+      insert_page(fh, p, s.buf, ready_at);
     } else {
       // EOF tail: sub-block slice staged into a zero-filled frame so the
-      // page's tail reads as zeros, matching the legacy fill.
+      // page's tail reads as zeros.
       core::BufRef frame = core::BufferPool::instance().alloc();
       frame.mutable_block().fill(0);
       // sub-block EOF tail, not a user boundary
       // netstore-lint: allow(raw-datapath-memcpy)
       std::memcpy(frame.mutable_data() + s.off, s.data(), s.len);
-      insert_page_ref(fh, p, std::move(frame), ready_at);
+      insert_page(fh, p, std::move(frame), ready_at);
     }
     p++;
   }
   // Pages requested past EOF come back empty; they read as zeros.
   for (; p < first + count; ++p) {
-    insert_page_ref(fh, p, core::BufferPool::instance().zero_page(), ready_at);
+    insert_page(fh, p, core::BufferPool::instance().zero_page(), ready_at);
   }
 }
 
@@ -327,34 +303,19 @@ fs::Status NfsClient::fetch_range(Fh fh, std::uint64_t off,
   const std::uint64_t end_off = off + count;
   const std::uint64_t pages = (end_off - first * kBlockSize + kBlockSize - 1) /
                               kBlockSize;
+  // The reply payload is shared slices of the server's page-cache frames;
+  // the client adopts them instead of staging a wire buffer.
   fs::Status out = fs::Status::Ok();
-  if (core::zerocopy_enabled()) {
-    // The reply payload is shared slices of the server's page-cache
-    // frames; the client adopts them instead of staging a wire buffer.
-    // RPC accounting (proc, wire sizes, timing) matches the copy path.
-    core::IoVec iov;
-    call(Proc::kRead, WireSizes::kFh + 16, count + 8, [&] {
-      fs::Result<std::uint32_t> n = server_.read_refs(
-          to_real(fh), first * kBlockSize,
-          static_cast<std::uint32_t>(pages * kBlockSize), iov);
-      if (!n) out = n.error();
-    });
-    if (!out) return out;
-    install_slices(fh, first, static_cast<std::uint32_t>(pages), iov,
-                   env_.now());
-    return out;
-  }
-  std::vector<std::uint8_t> buf(pages * kBlockSize);
-  call(Proc::kRead, WireSizes::kFh + 16,
-       count + 8, [&] {
-         fs::Result<std::uint32_t> n =
-             server_.read(to_real(fh), first * kBlockSize, buf);
-         if (!n) out = n.error();
-       });
+  core::IoVec iov;
+  call(Proc::kRead, WireSizes::kFh + 16, count + 8, [&] {
+    fs::Result<std::uint32_t> n =
+        server_.read(to_real(fh), first * kBlockSize,
+                     static_cast<std::uint32_t>(pages * kBlockSize), iov);
+    if (!n) out = n.error();
+  });
   if (!out) return out;
-  for (std::uint64_t p = 0; p < pages; ++p) {
-    insert_page(fh, first + p, buf.data() + p * kBlockSize, env_.now());
-  }
+  install_slices(fh, first, static_cast<std::uint32_t>(pages), iov,
+                 env_.now());
   return out;
 }
 
@@ -389,27 +350,13 @@ void NfsClient::do_readahead(Fh fh, FileState& st, std::uint64_t index,
     const auto count = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(unit, limit - j + 1));
     const std::uint64_t at = j;
-    if (core::zerocopy_enabled()) {
-      core::IoVec iov;
-      const sim::Time ready = call_async(
-          Proc::kRead, WireSizes::kFh + 16, count * kBlockSize + 8, [&] {
-            (void)server_.read_refs(to_real(fh), at * kBlockSize,
-                                    count * kBlockSize, iov);
-          });
-      install_slices(fh, j, count, iov, ready);
-    } else {
-      std::vector<std::uint8_t> buf(static_cast<std::size_t>(count) *
-                                    kBlockSize);
-      const sim::Time ready = call_async(
-          Proc::kRead, WireSizes::kFh + 16, count * kBlockSize + 8, [&] {
-            (void)server_.read(to_real(fh), at * kBlockSize, buf);
-          });
-      for (std::uint32_t k = 0; k < count; ++k) {
-        insert_page(fh, j + k,
-                    buf.data() + static_cast<std::size_t>(k) * kBlockSize,
-                    ready);
-      }
-    }
+    core::IoVec iov;
+    const sim::Time ready = call_async(
+        Proc::kRead, WireSizes::kFh + 16, count * kBlockSize + 8, [&] {
+          (void)server_.read(to_real(fh), at * kBlockSize, count * kBlockSize,
+                             iov);
+        });
+    install_slices(fh, j, count, iov, ready);
     j += count;
   }
 }
@@ -451,9 +398,8 @@ fs::Result<std::uint32_t> NfsClient::read(Fh fh, std::uint64_t off,
       page = find_page(fh, index);
       NETSTORE_CHECK(page, "page vanished after fetch_range");
     }
-    // The client's user-buffer boundary — with the zero-copy plane on,
-    // the only payload copy on the whole NFS read path (the old path
-    // copied server page -> wire buffer -> client page -> user).
+    // The client's user-buffer boundary: the only payload copy on the
+    // whole NFS read path.
     core::copy_out(out.data() + done, page->data.data() + page_off, len);
     done += len;
     do_readahead(fh, st, index, eof_page,
@@ -519,10 +465,9 @@ fs::Result<std::uint32_t> NfsClient::write(Fh fh, std::uint64_t off,
       }
     }
     // Update cached pages covered by this chunk.  The copy_in below is
-    // the client's user-buffer boundary: with the zero-copy plane on,
-    // the WRITE RPC then ships slices of these same pages, so no further
-    // payload copy happens anywhere down the stack.
-    const bool zerocopy = core::zerocopy_enabled();
+    // the client's user-buffer boundary: the WRITE RPC then ships slices
+    // of these same pages, so no further payload copy happens anywhere
+    // down the stack.
     core::IoVec iov;
     std::uint64_t p = index;
     std::uint32_t copied = 0;
@@ -534,33 +479,25 @@ fs::Result<std::uint32_t> NfsClient::write(Fh fh, std::uint64_t off,
       Page* page = find_page(fh, p);
       if (!page) {
         // Fresh page: share the pool zero page; the copy_in un-shares it.
-        insert_page_ref(fh, p, core::BufferPool::instance().zero_page(),
+        insert_page(fh, p, core::BufferPool::instance().zero_page(),
                         env_.now());
         page = find_page(fh, p);
       }
       core::copy_in(page->data.mutable_data() + in_page_off,
                     in.data() + done + copied, len);
-      if (zerocopy) {
-        iov.push_back(core::BufSlice{page->data, in_page_off, len});
-      }
+      iov.push_back(core::BufSlice{page->data, in_page_off, len});
       copied += len;
       p++;
     }
 
-    // The WRITE RPC itself.  Zero-copy: the payload is shared slices of
-    // the client pages just updated; the server adopts whole blocks.
-    // Legacy: stage the user bytes into a wire buffer.
-    std::vector<std::uint8_t> payload;
-    if (!zerocopy) {
-      payload.assign(in.begin() + done, in.begin() + done + chunk);
-    }
+    // The WRITE RPC itself: the payload is shared slices of the client
+    // pages just updated; the server adopts whole blocks.
     if (config_.version == Version::kV2) {
       // v2: every write is synchronous and stable.
       fs::Status out = fs::Status::Ok();
       call(Proc::kWrite, WireSizes::kFh + 16 + chunk, WireSizes::kAttrs, [&] {
         fs::Result<std::uint32_t> r =
-            zerocopy ? server_.write_iov(real, pos, iov, /*stable=*/true)
-                     : server_.write(real, pos, payload, /*stable=*/true);
+            server_.write(real, pos, iov, /*stable=*/true);
         if (!r) out = r.error();
       });
       if (!out) return out.error();
@@ -569,11 +506,7 @@ fs::Result<std::uint32_t> NfsClient::write(Fh fh, std::uint64_t off,
       const std::uint64_t wpos = pos;
       const sim::Time completion = call_async(
           Proc::kWrite, WireSizes::kFh + 16 + chunk, WireSizes::kAttrs, [&] {
-            if (zerocopy) {
-              (void)server_.write_iov(real, wpos, iov, /*stable=*/false);
-            } else {
-              (void)server_.write(real, wpos, payload, /*stable=*/false);
-            }
+            (void)server_.write(real, wpos, iov, /*stable=*/false);
           });
       write_pool_.push(completion);
       st.needs_commit = true;
@@ -609,7 +542,7 @@ fs::Result<std::uint32_t> NfsClient::write_local(
     Page* page = find_page(fh, index);
     if (!page) {
       // Fresh page: share the pool zero page; the copy_in un-shares it.
-      insert_page_ref(fh, index, core::BufferPool::instance().zero_page(),
+      insert_page(fh, index, core::BufferPool::instance().zero_page(),
                       env_.now());
       page = find_page(fh, index);
     }

@@ -12,10 +12,10 @@
 // file) first materializes it by flushing the queue prefix that creates
 // it.
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "core/check.h"
+#include "core/iovec.h"
 #include "nfs/client.h"
 
 namespace netstore::nfs {
@@ -264,20 +264,21 @@ void NfsClient::ship_local_data(Fh provisional, Fh real) {
     const std::uint32_t len = static_cast<std::uint32_t>(std::min<std::uint64_t>(
         run * kBlockSize, size > off ? size - off : 0));
     if (len > 0) {
-      std::vector<std::uint8_t> buf(run * kBlockSize);
-      for (std::size_t j = 0; j < run; ++j) {
-        // Provisional pages staged into the deferred-create RPC: the
-        // rekey to real handles happens server-side, so the frames
-        // cannot be adopted.  netstore-lint: allow(raw-datapath-memcpy)
-        std::memcpy(buf.data() + j * kBlockSize,
-                    file_pages[i + j].second->data.data(), kBlockSize);
+      // The WRITE ships slices of the provisional pages themselves; their
+      // bytes were charged once, at the user write that buffered them.  A
+      // run is at most one transfer limit (8 pages at v4), within
+      // IoVec::kMaxSlices.
+      core::IoVec iov;
+      for (std::uint32_t at = 0; at < len; at += kBlockSize) {
+        const Page& page = *file_pages[i + at / kBlockSize].second;
+        iov.push_back(
+            core::BufSlice{page.data, 0, std::min(kBlockSize, len - at)});
       }
-      buf.resize(len);
       reserve_write_slot();
       const std::uint64_t woff = off;
       const sim::Time completion = call_async(
           Proc::kWrite, WireSizes::kFh + 16 + len, WireSizes::kAttrs, [&] {
-            (void)server_.write(real, woff, buf, /*stable=*/false);
+            (void)server_.write(real, woff, iov, /*stable=*/false);
           });
       write_pool_.push(completion);
       files_[real].needs_commit = true;
@@ -285,12 +286,13 @@ void NfsClient::ship_local_data(Fh provisional, Fh real) {
     i += run;
   }
 
-  // Re-key the pages so later reads hit the real handle.
+  // Re-key the pages so later reads hit the real handle: each page's
+  // frame is shared under its new key, not copied.
   std::vector<std::pair<std::uint64_t, Page*>> moved = file_pages;
   for (auto& [index, page] : moved) {
-    // Hold a ref: insert_page may evict the source page mid-copy.
-    const core::BufRef data = page->data;
-    insert_page(real, index, data.data(), env_.now());
+    // The by-value handle is taken before insert_page can evict the
+    // source page.
+    insert_page(real, index, page->data, env_.now());
   }
   drop_pages(provisional);
 }

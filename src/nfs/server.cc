@@ -94,30 +94,15 @@ fs::Result<std::vector<fs::DirEntry>> NfsServer::readdir(Fh dir) {
 fs::Result<std::string> NfsServer::readlink(Fh fh) { return fs_.readlink(fh); }
 
 fs::Result<std::uint32_t> NfsServer::read(Fh fh, std::uint64_t off,
-                                          std::span<std::uint8_t> out) {
-  return fs_.read(fh, off, out);
-}
-
-fs::Result<std::uint32_t> NfsServer::read_refs(Fh fh, std::uint64_t off,
-                                               std::uint32_t want,
-                                               core::IoVec& out) {
-  return fs_.read_refs(fh, off, want, out);
+                                          std::uint32_t want,
+                                          core::IoVec& out) {
+  return fs_.read(fh, off, want, out);
 }
 
 fs::Result<std::uint32_t> NfsServer::write(Fh fh, std::uint64_t off,
-                                           std::span<const std::uint8_t> in,
+                                           const core::IoVec& in,
                                            bool stable) {
   fs::Result<std::uint32_t> n = fs_.write(fh, off, in);
-  if (n && (stable || config_.sync_data)) {
-    fs_.fsync(fh);
-  }
-  return n;
-}
-
-fs::Result<std::uint32_t> NfsServer::write_iov(Fh fh, std::uint64_t off,
-                                               const core::IoVec& in,
-                                               bool stable) {
-  fs::Result<std::uint32_t> n = fs_.write_iov(fh, off, in);
   if (n && (stable || config_.sync_data)) {
     fs_.fsync(fh);
   }

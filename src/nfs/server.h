@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -72,23 +71,16 @@ class NfsServer {
                     const std::string& dname);
   fs::Result<std::vector<fs::DirEntry>> readdir(Fh dir);
   fs::Result<std::string> readlink(Fh fh);
-  fs::Result<std::uint32_t> read(Fh fh, std::uint64_t off,
-                                 std::span<std::uint8_t> out);
-  /// Zero-copy READ: the reply payload is shared slices of the server's
-  /// page-cache frames; the client adopts them instead of copying a
-  /// wire buffer.  Same FS behaviour and timing as read().
-  fs::Result<std::uint32_t> read_refs(Fh fh, std::uint64_t off,
-                                      std::uint32_t want, core::IoVec& out);
-  /// `stable` forces data + metadata durable before returning (v2, or
-  /// v3 FILE_SYNC).
+  /// READ: the reply payload is shared slices of the server's page-cache
+  /// frames, which the client adopts instead of copying a wire buffer.
+  fs::Result<std::uint32_t> read(Fh fh, std::uint64_t off, std::uint32_t want,
+                                 core::IoVec& out);
+  /// WRITE: the payload arrives as pooled-frame slices (the client's
+  /// cached pages); whole blocks are adopted by the server's page cache.
+  /// `stable` forces data + metadata durable before returning (v2, or v3
+  /// FILE_SYNC).
   fs::Result<std::uint32_t> write(Fh fh, std::uint64_t off,
-                                  std::span<const std::uint8_t> in,
-                                  bool stable);
-  /// Zero-copy WRITE: the payload arrives as pooled-frame slices (the
-  /// client's cached pages); whole blocks are adopted by the server's
-  /// page cache.  Same durability semantics as write().
-  fs::Result<std::uint32_t> write_iov(Fh fh, std::uint64_t off,
-                                      const core::IoVec& in, bool stable);
+                                  const core::IoVec& in, bool stable);
   fs::Status commit(Fh fh);
 
   [[nodiscard]] std::uint64_t requests() const { return requests_.value(); }

@@ -47,9 +47,6 @@ struct Cdb {
   static Cdb write10(block::Lba lba, std::uint32_t nblocks) {
     return Cdb{OpCode::kWrite10, lba, nblocks};
   }
-  static Cdb synchronize_cache() {
-    return Cdb{OpCode::kSynchronizeCache10, 0, 0};
-  }
 
   /// Encoded CDB length in bytes (10-byte CDBs for the block commands).
   [[nodiscard]] std::uint32_t encoded_size() const {

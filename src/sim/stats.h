@@ -44,16 +44,6 @@ class Sampler {
     sorted_valid_ = false;
   }
 
-  /// Appends every sample of `other`, preserving its recording order, so
-  /// merging a and then b yields the sequence recording a's samples and
-  /// then b's would have.  One bulk insert, one sort-cache invalidation —
-  /// the next percentile()/summary() re-sorts once, not per merged sample.
-  void merge(const Sampler& other) {
-    samples_.insert(samples_.end(), other.samples_.begin(),
-                    other.samples_.end());
-    sorted_valid_ = false;
-  }
-
   void reset() {
     samples_.clear();
     sorted_.clear();
@@ -92,11 +82,6 @@ class Histogram {
 
   void record(double v);
   void reset();
-
-  /// Adds `other`'s bucket counts into this histogram.  Both histograms
-  /// must have identical bounds (NETSTORE_CHECK) — merging is only
-  /// meaningful between copies of the same metric.
-  void merge(const Histogram& other);
 
   [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
   [[nodiscard]] std::uint64_t bucket(std::size_t i) const { return counts_[i]; }

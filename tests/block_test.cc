@@ -2,9 +2,9 @@
 // correctness (including degraded mode and rebuild), caches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
-#include "block/cached_device.h"
 #include "block/disk.h"
 #include "block/local_device.h"
 #include "block/mem_device.h"
@@ -21,6 +21,27 @@ std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t seed) {
     v[i] = static_cast<std::uint8_t>(seed + i * 13);
   }
   return v;
+}
+
+// Bytes <-> frames: the block API moves one pool frame per block, so the
+// tests stage their byte patterns through these two helpers.
+std::vector<core::BufRef> frames(const std::vector<std::uint8_t>& data) {
+  std::vector<core::BufRef> out;
+  for (std::size_t off = 0; off < data.size(); off += kBlockSize) {
+    core::BufRef f = core::BufferPool::instance().alloc();
+    std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(off), kBlockSize,
+                f.mutable_block().begin());
+    out.push_back(std::move(f));
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> bytes(const std::vector<core::BufRef>& blocks) {
+  std::vector<std::uint8_t> out;
+  for (const core::BufRef& b : blocks) {
+    out.insert(out.end(), b.block().begin(), b.block().end());
+  }
+  return out;
 }
 
 TEST(DiskTest, SequentialStreamsWithoutPositioning) {
@@ -82,46 +103,46 @@ TEST_F(Raid5Test, CapacityIsDataDisks) {
 
 TEST_F(Raid5Test, WriteReadRoundTrip) {
   const auto data = pattern(kBlockSize * 3, 7);
-  raid_->write(0, 100, 3, data);
-  std::vector<std::uint8_t> out(kBlockSize * 3);
+  raid_->write(0, 100, frames(data));
+  std::vector<core::BufRef> out;
   raid_->read(0, 100, 3, out);
-  EXPECT_EQ(data, out);
+  EXPECT_EQ(data, bytes(out));
 }
 
 TEST_F(Raid5Test, FullStripeWriteRoundTrip) {
   const std::uint32_t stripe = cfg_.stripe_unit_blocks * (cfg_.num_disks - 1);
   const auto data = pattern(kBlockSize * stripe, 9);
-  raid_->write(0, 0, stripe, data);
-  std::vector<std::uint8_t> out(data.size());
+  raid_->write(0, 0, frames(data));
+  std::vector<core::BufRef> out;
   raid_->read(0, 0, stripe, out);
-  EXPECT_EQ(data, out);
+  EXPECT_EQ(data, bytes(out));
 }
 
 TEST_F(Raid5Test, DegradedReadReconstructsFromParity) {
   const auto data = pattern(kBlockSize * 64, 3);
-  raid_->write(0, 0, 64, data);
+  raid_->write(0, 0, frames(data));
   raid_->fail_disk(1);
   ASSERT_TRUE(raid_->degraded());
-  std::vector<std::uint8_t> out(data.size());
+  std::vector<core::BufRef> out;
   raid_->read(0, 0, 64, out);
-  EXPECT_EQ(data, out);
+  EXPECT_EQ(data, bytes(out));
 }
 
 TEST_F(Raid5Test, DegradedWriteThenRebuild) {
   const auto before = pattern(kBlockSize * 64, 3);
-  raid_->write(0, 0, 64, before);
+  raid_->write(0, 0, frames(before));
   raid_->fail_disk(2);
   const auto after = pattern(kBlockSize * 64, 99);
-  raid_->write(0, 0, 64, after);
-  std::vector<std::uint8_t> out(after.size());
+  raid_->write(0, 0, frames(after));
+  std::vector<core::BufRef> out;
   raid_->read(0, 0, 64, out);
-  EXPECT_EQ(after, out);
+  EXPECT_EQ(after, bytes(out));
 
   raid_->rebuild_disk(2, 128);
   ASSERT_FALSE(raid_->degraded());
-  std::fill(out.begin(), out.end(), 0);
+  out.clear();
   raid_->read(0, 0, 64, out);
-  EXPECT_EQ(after, out);
+  EXPECT_EQ(after, bytes(out));
 }
 
 TEST_F(Raid5Test, RandomizedParityInvariant) {
@@ -133,15 +154,15 @@ TEST_F(Raid5Test, RandomizedParityInvariant) {
     const auto lba = rng.uniform(250);
     const auto n = static_cast<std::uint32_t>(1 + rng.uniform(6));
     auto data = pattern(kBlockSize * n, static_cast<std::uint8_t>(rng.next()));
-    raid_->write(0, lba, n, data);
+    raid_->write(0, lba, frames(data));
     std::copy(data.begin(), data.end(),
               image.begin() + static_cast<std::size_t>(lba) * kBlockSize);
   }
   const auto victim = static_cast<std::uint32_t>(rng.uniform(5));
   raid_->fail_disk(victim);
-  std::vector<std::uint8_t> out(image.size());
+  std::vector<core::BufRef> out;
   raid_->read(0, 0, 256, out);
-  EXPECT_EQ(image, out);
+  EXPECT_EQ(image, bytes(out));
 }
 
 TEST(TimedCacheTest, WritesAckAtMemorySpeed) {
@@ -150,7 +171,7 @@ TEST(TimedCacheTest, WritesAckAtMemorySpeed) {
   Raid5Array raid(cfg);
   TimedCache cache(raid, 1024, 512);
   const auto data = pattern(kBlockSize, 1);
-  const sim::Time done = cache.write(sim::milliseconds(1), 10, 1, data);
+  const sim::Time done = cache.write(sim::milliseconds(1), 10, frames(data));
   EXPECT_EQ(done, sim::milliseconds(1));  // acknowledged from cache
   EXPECT_EQ(cache.dirty_blocks(), 1u);
 }
@@ -161,11 +182,11 @@ TEST(TimedCacheTest, ReadHitsAfterWrite) {
   Raid5Array raid(cfg);
   TimedCache cache(raid, 1024, 512);
   const auto data = pattern(kBlockSize, 2);
-  cache.write(0, 5, 1, data);
-  std::vector<std::uint8_t> out(kBlockSize);
+  cache.write(0, 5, frames(data));
+  std::vector<core::BufRef> out;
   const sim::Time done = cache.read(sim::seconds(1), 5, 1, out);
   EXPECT_EQ(done, sim::seconds(1));  // hit: no disk time
-  EXPECT_EQ(std::vector<std::uint8_t>(data.begin(), data.end()), out);
+  EXPECT_EQ(data, bytes(out));
 }
 
 TEST(TimedCacheTest, SyncMakesDurableAndCrashLosesDirty) {
@@ -175,53 +196,16 @@ TEST(TimedCacheTest, SyncMakesDurableAndCrashLosesDirty) {
   TimedCache cache(raid, 1024, 512);
   const auto a = pattern(kBlockSize, 3);
   const auto b = pattern(kBlockSize, 4);
-  cache.write(0, 7, 1, a);
+  cache.write(0, 7, frames(a));
   cache.sync(0);
-  cache.write(0, 8, 1, b);
+  cache.write(0, 8, frames(b));
   cache.crash();  // block 8 lost, block 7 durable
-  std::vector<std::uint8_t> out(kBlockSize);
+  std::vector<core::BufRef> out;
   cache.read(0, 7, 1, out);
-  EXPECT_EQ(std::vector<std::uint8_t>(a.begin(), a.end()), out);
+  EXPECT_EQ(a, bytes(out));
+  out.clear();
   cache.read(0, 8, 1, out);
-  EXPECT_EQ(out[0], 0);
-}
-
-TEST(CachedBlockDeviceTest, ReadThroughAndHit) {
-  MemBlockDevice inner(1024);
-  const auto data = pattern(kBlockSize, 5);
-  inner.write(9, 1, data, WriteMode::kAsync);
-  CachedBlockDevice cache(inner, 128, 64);
-  std::vector<std::uint8_t> out(kBlockSize);
-  cache.read(9, 1, out);
-  EXPECT_EQ(cache.stats().misses.value(), 1u);
-  cache.read(9, 1, out);
-  EXPECT_EQ(cache.stats().hits.value(), 1u);
-  EXPECT_EQ(std::vector<std::uint8_t>(data.begin(), data.end()), out);
-}
-
-TEST(CachedBlockDeviceTest, WriteBackOnFlush) {
-  MemBlockDevice inner(1024);
-  CachedBlockDevice cache(inner, 128, 64);
-  const auto data = pattern(kBlockSize, 6);
-  cache.write(3, 1, data, WriteMode::kAsync);
-  EXPECT_EQ(inner.writes(), 0u);
-  cache.flush();
-  EXPECT_EQ(inner.writes(), 1u);
-  std::vector<std::uint8_t> out(kBlockSize);
-  inner.read(3, 1, out);
-  EXPECT_EQ(std::vector<std::uint8_t>(data.begin(), data.end()), out);
-}
-
-TEST(CachedBlockDeviceTest, EvictionWritesDirtyBack) {
-  MemBlockDevice inner(1024);
-  CachedBlockDevice cache(inner, 4, 100);  // tiny cache, high dirty limit
-  const auto data = pattern(kBlockSize, 7);
-  for (Lba l = 0; l < 8; ++l) cache.write(l, 1, data, WriteMode::kAsync);
-  // Capacity 4 => at least 4 blocks were evicted (written back).
-  EXPECT_GE(inner.writes(), 4u);
-  std::vector<std::uint8_t> out(kBlockSize);
-  cache.read(0, 1, out);  // evicted earlier; reads back the written data
-  EXPECT_EQ(std::vector<std::uint8_t>(data.begin(), data.end()), out);
+  EXPECT_EQ(bytes(out), std::vector<std::uint8_t>(kBlockSize, 0));
 }
 
 TEST(LocalDeviceTest, SyncWriteAcksFromNvram) {
@@ -231,11 +215,11 @@ TEST(LocalDeviceTest, SyncWriteAcksFromNvram) {
   Raid5Array raid(cfg);
   LocalBlockDevice dev(env, raid);
   const auto data = pattern(kBlockSize, 8);
-  dev.write(11, 1, data, WriteMode::kSync);
+  dev.write(11, frames(data), WriteMode::kSync);
   EXPECT_LT(env.now(), sim::milliseconds(1));  // NVRAM ack, not spindle time
-  std::vector<std::uint8_t> out(kBlockSize);
+  std::vector<core::BufRef> out;
   dev.read(11, 1, out);
-  EXPECT_EQ(std::vector<std::uint8_t>(data.begin(), data.end()), out);
+  EXPECT_EQ(data, bytes(out));
 }
 
 }  // namespace

@@ -101,95 +101,6 @@ TEST(MetricsRegistry, HistogramSnapshotsBucketsWithOverflow) {
   EXPECT_EQ(v.buckets[2].second, 1u);
 }
 
-// --- Sampler / Histogram merge ------------------------------------------
-
-// Merging samplers in order must reproduce exactly the sample sequence
-// and digest of one sampler recording the same values in the same order.
-TEST(SamplerMerge, EqualsSequentialRecordingInShardOrder) {
-  sim::Sampler sequential;
-  sim::Sampler shard0, shard1;
-  for (const double v : {5.0, 1.0, 9.0}) {
-    sequential.record(v);
-    shard0.record(v);
-  }
-  for (const double v : {2.0, 7.0, 7.0, 3.0}) {
-    sequential.record(v);
-    shard1.record(v);
-  }
-
-  sim::Sampler merged;
-  merged.merge(shard0);
-  merged.merge(shard1);
-
-  EXPECT_EQ(merged.count(), sequential.count());
-  const sim::Sampler::Summary a = merged.summary();
-  const sim::Sampler::Summary b = sequential.summary();
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_EQ(a.mean, b.mean);  // bit-exact: identical summation order
-  EXPECT_EQ(a.min, b.min);
-  EXPECT_EQ(a.max, b.max);
-  EXPECT_EQ(a.p50, b.p50);
-  EXPECT_EQ(a.p95, b.p95);
-  EXPECT_EQ(a.p999, b.p999);
-}
-
-TEST(SamplerMerge, EmptyMergesAreNoOpsInBothDirections) {
-  sim::Sampler empty;
-  sim::Sampler some;
-  some.record(4.0);
-  some.record(8.0);
-
-  some.merge(empty);
-  EXPECT_EQ(some.count(), 2u);
-  EXPECT_EQ(some.mean(), 6.0);
-
-  sim::Sampler target;
-  target.merge(some);
-  EXPECT_EQ(target.count(), 2u);
-  EXPECT_EQ(target.percentile(100), 8.0);
-}
-
-// merge() must invalidate the cached sorted order: a percentile computed
-// before the merge may not leak into one computed after.
-TEST(SamplerMerge, InvalidatesTheSortCache) {
-  sim::Sampler s;
-  s.record(10.0);
-  s.record(20.0);
-  EXPECT_EQ(s.percentile(100), 20.0);  // builds the sorted cache
-
-  sim::Sampler other;
-  other.record(40.0);
-  s.merge(other);
-  EXPECT_EQ(s.percentile(100), 40.0);
-  EXPECT_EQ(s.percentile(0), 10.0);
-  EXPECT_EQ(s.count(), 3u);
-}
-
-TEST(HistogramMerge, AddsBucketAndOverflowCountsAndTotals) {
-  sim::Histogram a({10.0, 100.0});
-  sim::Histogram b({10.0, 100.0});
-  a.record(5);     // bucket 0
-  a.record(50);    // bucket 1
-  b.record(7);     // bucket 0
-  b.record(5000);  // overflow
-
-  a.merge(b);
-  EXPECT_EQ(a.total(), 4u);
-  EXPECT_EQ(a.bucket(0), 2u);
-  EXPECT_EQ(a.bucket(1), 1u);
-  EXPECT_EQ(a.bucket(2), 1u);  // overflow bucket
-  // The source histogram is untouched.
-  EXPECT_EQ(b.total(), 2u);
-}
-
-TEST(HistogramMergeDeathTest, MismatchedBoundsAreFatal) {
-  sim::Histogram a({10.0, 100.0});
-  sim::Histogram coarser({10.0});
-  sim::Histogram shifted({10.0, 200.0});
-  EXPECT_DEATH(a.merge(coarser), "CHECK failed");
-  EXPECT_DEATH(a.merge(shifted), "CHECK failed");
-}
-
 // --- Tracer -----------------------------------------------------------
 
 TEST(Tracer, ResidualAbsorbsUnattributedTime) {

@@ -8,6 +8,7 @@
 
 #include "block/block.h"
 #include "block/mem_device.h"
+#include "core/buffer_pool.h"
 #include "fs/page_cache.h"
 #include "sim/env.h"
 
@@ -21,9 +22,9 @@ using block::Lba;
 constexpr Ino kInoA = 10;
 constexpr Ino kInoB = 11;
 
-BlockBuf make_block(std::uint8_t fill) {
-  BlockBuf b;
-  b.fill(fill);
+core::BufRef make_block(std::uint8_t fill) {
+  core::BufRef b = core::BufferPool::instance().alloc();
+  b.mutable_block().fill(fill);
   return b;
 }
 
@@ -42,7 +43,7 @@ class PageCacheTest : public ::testing::Test {
 
 TEST_F(PageCacheTest, EvictionFollowsLruOrderAmongCleanPages) {
   PageCache cache(env_, dev_, small_params());
-  const BlockBuf blk = make_block(0x5a);
+  const core::BufRef blk = make_block(0x5a);
   for (std::uint64_t i = 0; i < 8; ++i) {
     cache.insert_clean(kInoA, i, /*lba=*/100 + i, blk, env_.now());
   }
@@ -65,7 +66,7 @@ TEST_F(PageCacheTest, EvictionFollowsLruOrderAmongCleanPages) {
 
 TEST_F(PageCacheTest, EvictionSkipsDirtyPagesWhileCleanOnesRemain) {
   PageCache cache(env_, dev_, small_params());
-  const BlockBuf blk = make_block(0x11);
+  const core::BufRef blk = make_block(0x11);
   // Coldest two pages are dirty; they must survive eviction while clean
   // pages exist.
   cache.write_page(kInoA, 0, 100);
@@ -127,7 +128,7 @@ TEST_F(PageCacheTest, WritebackCoalescesRunsAcrossDiscontiguousLbas) {
 
 TEST_F(PageCacheTest, DropInodeDiscardsInFlightReadahead) {
   PageCache cache(env_, dev_, small_params());
-  const BlockBuf blk = make_block(0x77);
+  const core::BufRef blk = make_block(0x77);
   // A read-ahead insert whose data is only valid in the future.
   const sim::Time ready = env_.now() + sim::milliseconds(5);
   cache.insert_clean(kInoA, 3, 103, blk, ready);
@@ -168,13 +169,13 @@ TEST_F(PageCacheTest, DropInodeFromIndexKeepsEarlierPagesAndDirtyCount) {
 
 TEST_F(PageCacheTest, FindBlocksUntilReadaheadCompletes) {
   PageCache cache(env_, dev_, small_params());
-  const BlockBuf blk = make_block(0x42);
+  const core::BufRef blk = make_block(0x42);
   const sim::Time ready = env_.now() + sim::milliseconds(3);
   cache.insert_clean(kInoA, 0, 100, blk, ready);
-  const BlockBuf* got = cache.find(kInoA, 0);
+  const core::BufRef* got = cache.find(kInoA, 0);
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(env_.now(), ready);
-  EXPECT_EQ((*got)[0], 0x42);
+  EXPECT_EQ(got->data()[0], 0x42);
 }
 
 TEST_F(PageCacheTest, AgedFlusherWritesOldDirtyPages) {
@@ -196,11 +197,11 @@ TEST_F(PageCacheTest, InsertCleanNeverClobbersDirtyData) {
   PageCache cache(env_, dev_, small_params());
   BlockBuf& page = cache.write_page(kInoA, 0, 100);
   page[0] = 0xee;
-  const BlockBuf stale = make_block(0x00);
+  const core::BufRef stale = make_block(0x00);
   cache.insert_clean(kInoA, 0, 100, stale, env_.now());
-  const BlockBuf* got = cache.find(kInoA, 0);
+  const core::BufRef* got = cache.find(kInoA, 0);
   ASSERT_NE(got, nullptr);
-  EXPECT_EQ((*got)[0], 0xee);
+  EXPECT_EQ(got->data()[0], 0xee);
   EXPECT_EQ(cache.dirty_pages(), 1u);
 }
 

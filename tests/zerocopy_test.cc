@@ -18,6 +18,7 @@
 //     user-buffer boundary — and nothing below it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -43,27 +44,6 @@ using core::Protocol;
 using core::StatsSnapshot;
 using core::Testbed;
 using core::WorkloadConfig;
-
-// Restores the process-wide zero-copy switch and the pool copy counters,
-// so a test phase that runs the copying twin (whose staging deliberately
-// breaks the bytes_copied <= bytes_read + bytes_written invariant)
-// leaves no trace for later tests.
-class ZerocopyGuard {
- public:
-  ZerocopyGuard()
-      : prev_(core::zerocopy_enabled()),
-        saved_(BufferPool::instance().copy_stats()) {}
-  ~ZerocopyGuard() {
-    core::set_zerocopy(prev_);
-    BufferPool::instance().set_copy_stats(saved_);
-  }
-  ZerocopyGuard(const ZerocopyGuard&) = delete;
-  ZerocopyGuard& operator=(const ZerocopyGuard&) = delete;
-
- private:
-  bool prev_;
-  BufferPool::CopyStats saved_;
-};
 
 std::uint64_t fnv1a(std::uint64_t h, const std::uint8_t* data,
                     std::size_t n) {
@@ -203,12 +183,10 @@ std::string fleet_digest(Fleet& fleet) {
   return os.str();
 }
 
-// Run-to-run identity of the fleet drive with the plane on: frames
-// shared across layers must not perturb determinism.  The name predates
-// the removal of the sharded drive; only the single-world case remains.
+// Run-to-run identity of the fleet drive: frames shared across layers
+// must not perturb determinism.  The name predates the removal of the
+// sharded drive; only the single-world case remains.
 TEST(ZerocopyFleet, RunToRunIdenticalAcrossShardCounts) {
-  ZerocopyGuard guard;
-  core::set_zerocopy(true);
   WorkloadConfig w;
   w.clients = 64;
   w.ops = 300;
@@ -255,8 +233,6 @@ TEST(ZerocopyCow, MutatingOneAliasNeverTouchesTheOther) {
 // bytes on the next read — and a slice view taken before the overwrite
 // must keep showing the old bytes.
 TEST(ZerocopyCow, OverwriteAfterSharedReadYieldsNewBytes) {
-  ZerocopyGuard guard;
-  core::set_zerocopy(true);
   Testbed bed(Protocol::kNfsV3);
   constexpr std::uint32_t kBytes = 16 * 1024;
 
@@ -313,8 +289,6 @@ class ZerocopyFork : public ::testing::TestWithParam<Protocol> {};
 // Forking a checkpoint while views are outstanding equals building the
 // same world from scratch; and writes inside the fork stay inside it.
 TEST_P(ZerocopyFork, ForkWithOutstandingViewsEqualsFromScratch) {
-  ZerocopyGuard guard;
-  core::set_zerocopy(true);
   constexpr std::uint32_t kBytes = 32 * 1024;
 
   auto proto = warm_viewful_world(GetParam());
@@ -363,11 +337,9 @@ INSTANTIATE_TEST_SUITE_P(AllStacks, ZerocopyFork,
                                                                  : "NfsV3";
                          });
 
-// Charging: with the plane on, a warm cached read is exactly one charged
-// copy — the user-buffer crossing — and zero below-boundary bytes.
+// Charging: a warm cached read is exactly one charged copy — the
+// user-buffer crossing — and zero below-boundary bytes.
 TEST(ZerocopyCharging, WarmReadChargesExactlyTheBoundary) {
-  ZerocopyGuard guard;
-  core::set_zerocopy(true);
   Testbed bed(Protocol::kNfsV3);
   constexpr std::uint32_t kBytes = 8 * 1024;
 
@@ -391,6 +363,55 @@ TEST(ZerocopyCharging, WarmReadChargesExactlyTheBoundary) {
   // Two pages crossed the boundary: one charged copy per page, nothing
   // below.
   EXPECT_EQ(after.copies - before.copies, kBytes / block::kBlockSize);
+}
+
+// NFSv4 directory delegation buffers a new file's data on the client and
+// ships it after the deferred create reaches the server.  The ship sends
+// slices of the buffered pages and re-keys them under the real handle by
+// sharing, so the user write is the only charged copy end to end.
+TEST(ZerocopyCharging, DelegatedShipChargesOnlyTheUserWrite) {
+  Testbed bed(Protocol::kNfsV4Delegation);
+  constexpr std::uint32_t kBytes = 5 * block::kBlockSize + 100;  // 20,580
+
+  auto& pool = BufferPool::instance();
+  const BufferPool::CopyStats before = pool.copy_stats();
+  auto fd = bed.vfs().creat("/deleg", 0644);
+  ASSERT_TRUE(fd.ok());
+  std::vector<std::uint8_t> data(kBytes);
+  for (std::uint32_t i = 0; i < kBytes; ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 7);
+  }
+  ASSERT_TRUE(bed.vfs().write(*fd, 0, data).ok());
+  ASSERT_TRUE(bed.vfs().close(*fd).ok());
+  bed.settle();  // the delegation flush ships the create and the data
+  const BufferPool::CopyStats after = pool.copy_stats();
+
+  EXPECT_EQ(after.bytes_written - before.bytes_written, kBytes);
+  EXPECT_EQ(after.bytes_copied - before.bytes_copied, kBytes);
+  EXPECT_EQ(after.bytes_read, before.bytes_read);
+  // One copy_in per page the write touched (six pages), nothing below.
+  EXPECT_EQ(after.copies - before.copies, 6u);
+
+  // The shipped file reads back intact, from the client cache and from
+  // the server after the client drops its caches.
+  auto rfd = bed.vfs().open("/deleg");
+  ASSERT_TRUE(rfd.ok());
+  std::vector<std::uint8_t> rd(kBytes);
+  auto got = bed.vfs().read(*rfd, 0, rd);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, kBytes);
+  EXPECT_EQ(rd, data);
+  ASSERT_TRUE(bed.vfs().close(*rfd).ok());
+
+  bed.nfs_client().invalidate_caches();
+  rfd = bed.vfs().open("/deleg");
+  ASSERT_TRUE(rfd.ok());
+  std::fill(rd.begin(), rd.end(), 0);
+  got = bed.vfs().read(*rfd, 0, rd);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, kBytes);
+  EXPECT_EQ(rd, data);
+  ASSERT_TRUE(bed.vfs().close(*rfd).ok());
 }
 
 }  // namespace

@@ -16,8 +16,8 @@ Checks, per file:
   * any "pool" snapshot (BufferPool telemetry, NETSTORE_POOL_STATS=1):
     all eight pool.* counters present, alloc_fallbacks consistent with
     slab capacity (every fallback consumes one fresh slab frame), and
-    bytes_copied <= bytes_read + bytes_written (with the zero-copy
-    plane on, every charged copy is a user-boundary crossing)
+    bytes_copied <= bytes_read + bytes_written (every charged copy is
+    a user-boundary crossing)
   * any snapshot whose label starts with "fleet": the fleet.* metric
     keys (ops counter, response/queue-delay/service samplers, per-client
     fairness sampler) present with consistent counts
@@ -142,10 +142,10 @@ def check_pool_snapshot(path, metrics):
         return fail(
             path, "pool snapshot: slabs exist but no alloc_fallbacks recorded"
         )
-    # Zero-copy data plane (DESIGN.md section 17): with the plane on (the
-    # only mode that exports validated pool snapshots), every charged
-    # copy is a user-buffer boundary crossing, so the copied bytes can
-    # never exceed the bytes that crossed the read/write boundaries.
+    # Data plane (DESIGN.md section 17): payload crosses layers as shared
+    # pool frames and the only charged copies are user-buffer boundary
+    # crossings (core::copy_in / copy_out), so the copied bytes can never
+    # exceed the bytes that crossed the read/write boundaries.
     copied = metrics["pool.bytes_copied"]["value"]
     boundary = (
         metrics["pool.bytes_read"]["value"]
@@ -156,7 +156,7 @@ def check_pool_snapshot(path, metrics):
             path,
             f"pool snapshot: {copied} bytes_copied exceed "
             f"{boundary} bytes_read + bytes_written — a below-boundary "
-            f"copy slipped past the zero-copy plane",
+            f"copy slipped past the data plane",
         )
     return True
 

@@ -33,14 +33,13 @@
 //   raw-datapath-memcpy    std::memcpy whose arguments touch BufRef /
 //                          pool-frame memory (.data(), .mutable_data(),
 //                          .mutable_block()) outside the pool and the
-//                          sanctioned helpers in core/iovec.h: the
-//                          zero-copy plane moves payload as shared
-//                          slices, and unmetered copies silently erode
-//                          it.  Use core::copy_out/copy_in at user
-//                          boundaries, core::charged_copy for legacy
-//                          staging, or suppress where a byte-small
-//                          sub-payload copy is semantically required
-//                          (ext3 indirect entries, parity folds).
+//                          sanctioned helpers in core/iovec.h: the data
+//                          plane moves payload as shared frames, and
+//                          unmetered copies silently erode it.  Use
+//                          core::copy_out/copy_in at user boundaries, or
+//                          suppress where a byte-small sub-payload copy
+//                          is semantically required (ext3 indirect
+//                          entries, parity folds).
 //   lock-order-cycle       two functions (possibly in different TUs)
 //                          acquire the same pair of locks in opposite
 //                          orders — the classic ABBA deadlock
@@ -205,10 +204,9 @@ void scan_tokens(const SourceFile& f, std::vector<Finding>& out) {
       if (frame_arg) {
         out.push_back({f.path, t.line, t.col, "raw-datapath-memcpy",
                        "raw memcpy on BufRef/pool-frame memory bypasses the "
-                       "zero-copy plane's metering; use core::copy_out/"
-                       "copy_in at user boundaries or core::charged_copy "
-                       "for staging, or suppress where a sub-payload copy "
-                       "is semantically required"});
+                       "data plane's copy metering; use core::copy_out/"
+                       "copy_in at user boundaries, or suppress where a "
+                       "sub-payload copy is semantically required"});
       }
     }
 

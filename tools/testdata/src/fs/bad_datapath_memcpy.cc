@@ -1,11 +1,11 @@
-// Fixture: raw payload copies that bypass the zero-copy plane's metering.
+// Fixture: raw payload copies that bypass the data plane's copy metering.
 //
 //   bad line 1: memcpy out of a pooled frame (.data()) into a caller
 //   buffer without core::copy_out — an unmetered boundary copy
 //   (rule: raw-datapath-memcpy).
 //
 //   bad line 2: memcpy into frame memory via .mutable_data() without
-//   core::copy_in/charged_copy (rule: raw-datapath-memcpy).
+//   core::copy_in (rule: raw-datapath-memcpy).
 #include <cstdint>
 #include <cstring>
 

@@ -11,7 +11,6 @@ struct BufRef {
 };
 void copy_out(void* dst, const void* src, std::size_t n);
 void copy_in(void* dst, const void* src, std::size_t n);
-void charged_copy(void* dst, const void* src, std::size_t n);
 }  // namespace netstore::corex
 
 namespace netstore::fsx {
