@@ -95,6 +95,13 @@ block::BlockBuf& Bcache::get(block::Lba lba) {
   return insert(lba, /*read_from_device=*/true).buf.mutable_block();
 }
 
+block::BlockBuf& Bcache::refetch(block::Lba lba) {
+  auto it = map_.find(lba);
+  if (it == map_.end()) return get(lba);
+  NETSTORE_CHECK(!it->second.loading, "re-entrant get of a loading block");
+  return it->second.buf.mutable_block();
+}
+
 core::BufRef Bcache::get_ref(block::Lba lba) {
   auto it = map_.find(lba);
   if (it != map_.end()) {

@@ -27,10 +27,22 @@ class Bcache {
   Bcache(block::BlockDevice& dev, std::uint64_t capacity_blocks);
 
   /// Returns the buffer for `lba`, reading it from the device on a miss
-  /// (blocking).  The reference is valid until the next Bcache call.
-  /// Mutable access: a block still shared with a fork is un-shared here,
-  /// lazily, so fork cost is O(blocks touched afterwards).
+  /// (blocking).  Mutable access: a block still shared with a fork or
+  /// with the device is un-shared here, lazily, so fork cost is
+  /// O(blocks touched afterwards).  The reference is valid until the
+  /// next Bcache call, and that includes calls made for the caller: a
+  /// journal commit or checkpoint (any dirty_metadata(), any miss that
+  /// advances the clock) hands this frame to the device, and a write
+  /// through a reference held across it lands in the device's copy.
+  /// Write after such a call through refetch().
   block::BlockBuf& get(block::Lba lba);
+
+  /// Mutable access again to a block the caller fetched with get() in
+  /// the same operation, after a call that may have handed its frame to
+  /// the device: un-shares it, counts nothing and leaves recency alone
+  /// (the get() did both).  A block evicted in between is read back, and
+  /// counted, as by get().
+  block::BlockBuf& refetch(block::Lba lba);
 
   /// Shared read-only handle to the block — the zero-copy read used by
   /// journal staging.  Counter and recency behaviour is identical to

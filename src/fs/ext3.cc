@@ -1,6 +1,7 @@
 #include "fs/ext3.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include "core/buffer_pool.h"
 #include "core/check.h"
@@ -374,17 +375,7 @@ Result<Lba> Ext3Fs::alloc_block(std::uint32_t goal_group) {
     const std::uint32_t g = (goal_group + i) % sb_.group_count;
     if (groups_[g].free_blocks == 0) continue;
     block::BlockBuf& bitmap = bcache_->get(groups_[g].block_bitmap);
-    // The first clear bit, in byte order and low bit first, is the new
-    // block.  Fully allocated stretches (group 0 opens with the journal)
-    // are skipped eight bytes at a time.
-    std::uint32_t byte = 0;
-    for (; byte < kBlockSize; byte += 8) {
-      std::uint64_t word;
-      // metadata bytes, not payload  netstore-lint: allow(raw-datapath-memcpy)
-      std::memcpy(&word, bitmap.data() + byte, sizeof(word));
-      if (word != ~std::uint64_t{0}) break;
-    }
-    for (; byte < kBlockSize; ++byte) {
+    for (std::uint32_t byte = 0; byte < kBlockSize; ++byte) {
       if (bitmap[byte] == 0xFF) continue;
       for (std::uint32_t bit = 0; bit < 8; ++bit) {
         if ((bitmap[byte] & (1u << bit)) == 0) {
@@ -453,17 +444,18 @@ Result<Lba> Ext3Fs::bmap(Ino ino, RawInode& ri, std::uint64_t index,
       (void)ib;  // zero-filled
       journal_->dirty_metadata(slot);
     }
-    block::BlockBuf& ib = bcache_->get(slot);
     std::uint32_t entry;
     // metadata bytes, not payload  netstore-lint: allow(raw-datapath-memcpy)
-    std::memcpy(&entry, ib.data() + slot_index * 4, 4);
+    std::memcpy(&entry, bcache_->get(slot).data() + slot_index * 4, 4);
     if (entry == 0) {
       if (!alloc) return static_cast<Lba>(0);
       Result<Lba> r = alloc_data_block();
       if (!r) return r;
       entry = static_cast<std::uint32_t>(*r);
+      // The allocation may have committed `slot`: write the entry through
+      // a fresh reference, not into the frame the journal now holds.
       // metadata bytes, not payload  netstore-lint: allow(raw-datapath-memcpy)
-      std::memcpy(ib.data() + slot_index * 4, &entry, 4);
+      std::memcpy(bcache_->refetch(slot).data() + slot_index * 4, &entry, 4);
       journal_->dirty_metadata(slot);
     }
     return static_cast<Lba>(entry);
@@ -551,19 +543,20 @@ void Ext3Fs::free_blocks_from(Ino ino, RawInode& ri,
   }
   if (ri.dindirect != 0) {
     const std::uint64_t dstart = kDirectBlocks + kPtrsPerBlock;
-    block::BlockBuf& l1 = bcache_->get(ri.dindirect);
+    // Walk a copy of the first-level table: free_block() can commit the
+    // journal, which hands the cached table's frame to the device, so no
+    // reference into it may be held across the loop.
+    std::array<std::uint32_t, kPtrsPerBlock> l1;
+    // metadata bytes, not payload  netstore-lint: allow(raw-datapath-memcpy)
+    std::memcpy(l1.data(), bcache_->get(ri.dindirect).data(), kBlockSize);
     bool l1_dirty = false;
     for (std::uint64_t i = 0; i < kPtrsPerBlock; ++i) {
-      std::uint32_t l2_lba;
-      // metadata bytes, not payload  netstore-lint: allow(raw-datapath-memcpy)
-      std::memcpy(&l2_lba, l1.data() + i * 4, 4);
+      const std::uint32_t l2_lba = l1[i];
       if (l2_lba == 0) continue;
       const std::uint64_t cover_start = dstart + i * kPtrsPerBlock;
       if (from_index <= cover_start) {
         free_block(l2_lba);
-        std::uint32_t zero = 0;
-        // metadata bytes, not payload  netstore-lint: allow(raw-datapath-memcpy)
-        std::memcpy(l1.data() + i * 4, &zero, 4);
+        l1[i] = 0;
         l1_dirty = true;
       } else if (from_index < cover_start + kPtrsPerBlock) {
         block::BlockBuf& l2 = bcache_->get(l2_lba);
@@ -572,7 +565,11 @@ void Ext3Fs::free_blocks_from(Ino ino, RawInode& ri,
         journal_->dirty_metadata(l2_lba);
       }
     }
-    if (l1_dirty) journal_->dirty_metadata(ri.dindirect);
+    if (l1_dirty) {
+      // metadata bytes, not payload  netstore-lint: allow(raw-datapath-memcpy)
+      std::memcpy(bcache_->refetch(ri.dindirect).data(), l1.data(), kBlockSize);
+      journal_->dirty_metadata(ri.dindirect);
+    }
     if (from_index <= dstart) {
       free_block(ri.dindirect);
       ri.dindirect = 0;

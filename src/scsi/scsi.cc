@@ -4,20 +4,10 @@ namespace netstore::scsi {
 
 std::string to_string(OpCode op) {
   switch (op) {
-    case OpCode::kTestUnitReady:
-      return "TEST_UNIT_READY";
-    case OpCode::kInquiry:
-      return "INQUIRY";
-    case OpCode::kReadCapacity10:
-      return "READ_CAPACITY(10)";
     case OpCode::kRead10:
       return "READ(10)";
     case OpCode::kWrite10:
       return "WRITE(10)";
-    case OpCode::kSynchronizeCache10:
-      return "SYNCHRONIZE_CACHE(10)";
-    case OpCode::kReportLuns:
-      return "REPORT_LUNS";
   }
   return "UNKNOWN";
 }

@@ -1,8 +1,10 @@
 // SCSI block-command subset.
 //
 // iSCSI transports SCSI CDBs; this header defines the commands the
-// simulated initiator generates and the target executes.  The subset is
-// what a Linux 2.4 sd driver actually issues against a disk LUN.
+// simulated initiator generates and the target executes: the two data
+// commands a Linux 2.4 sd driver issues against a disk LUN in steady
+// state.  Discovery and cache control (INQUIRY, READ CAPACITY,
+// SYNCHRONIZE CACHE) are not modelled.
 #pragma once
 
 #include <cstdint>
@@ -13,13 +15,8 @@
 namespace netstore::scsi {
 
 enum class OpCode : std::uint8_t {
-  kTestUnitReady = 0x00,
-  kInquiry = 0x12,
-  kReadCapacity10 = 0x25,
   kRead10 = 0x28,
   kWrite10 = 0x2A,
-  kSynchronizeCache10 = 0x35,
-  kReportLuns = 0xA0,
 };
 
 enum class Status : std::uint8_t {
@@ -37,7 +34,7 @@ enum class SenseKey : std::uint8_t {
 
 /// A command descriptor block, reduced to the fields the simulation uses.
 struct Cdb {
-  OpCode op = OpCode::kTestUnitReady;
+  OpCode op = OpCode::kRead10;
   block::Lba lba = 0;
   std::uint32_t nblocks = 0;
 
@@ -46,19 +43,6 @@ struct Cdb {
   }
   static Cdb write10(block::Lba lba, std::uint32_t nblocks) {
     return Cdb{OpCode::kWrite10, lba, nblocks};
-  }
-
-  /// Encoded CDB length in bytes (10-byte CDBs for the block commands).
-  [[nodiscard]] std::uint32_t encoded_size() const {
-    switch (op) {
-      case OpCode::kTestUnitReady:
-      case OpCode::kInquiry:
-        return 6;
-      case OpCode::kReportLuns:
-        return 12;
-      default:
-        return 10;
-    }
   }
 };
 

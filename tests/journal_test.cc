@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "block/mem_device.h"
 #include "fs/ext3.h"
+#include "sim/rng.h"
 
 namespace netstore::fs {
 namespace {
@@ -140,6 +145,95 @@ TEST_F(JournalTest, CleanUnmountNeedsNoReplay) {
   EXPECT_EQ(sb.clean, 1);
   remount_fresh();
   EXPECT_TRUE(fs_->resolve("/d").ok());
+}
+
+// A MemBlockDevice that keeps every frame the file system writes, with a
+// copy of its bytes at hand-over.  Commits and checkpoints share the
+// bcache's frame with the device instead of copying it, so a frame whose
+// bytes later differ from the copy was written through a reference held
+// across the share: the journal or the home block then holds bytes that
+// were never written to it.
+class FrameKeepingDevice final : public block::BlockDevice {
+ public:
+  explicit FrameKeepingDevice(std::uint64_t blocks) : mem_(blocks) {}
+
+  [[nodiscard]] std::uint64_t block_count() const override {
+    return mem_.block_count();
+  }
+  void read(block::Lba lba, std::uint32_t nblocks,
+            std::vector<core::BufRef>& out) override {
+    mem_.read(lba, nblocks, out);
+  }
+  void write(block::Lba lba, std::span<const core::BufRef> blocks,
+             block::WriteMode mode) override {
+    for (const core::BufRef& b : blocks) kept_.push_back({b, b.block()});
+    mem_.write(lba, blocks, mode);
+  }
+  void flush() override { mem_.flush(); }
+
+  /// Frames whose bytes changed after the device took them.
+  [[nodiscard]] std::size_t changed() const {
+    std::size_t n = 0;
+    for (const auto& [frame, bytes] : kept_) n += frame.block() != bytes;
+    return n;
+  }
+
+ private:
+  block::MemBlockDevice mem_;
+  std::vector<std::pair<core::BufRef, block::BlockBuf>> kept_;
+};
+
+// Random churn on one file whose blocks sit in the direct, indirect and
+// double-indirect ranges, cut back to random points in between, with
+// empty creates and clock advances mixed in.  A journal of a few blocks
+// commits (and checkpoints) every few metadata updates, so commits land
+// inside the allocations that extend an indirect block and inside the
+// frees that clear a double-indirect entry.
+TEST(SharedMetadataFrames, StayAsWrittenOnTheDevice) {
+  const std::uint64_t dstart = kDirectBlocks + kPtrsPerBlock;
+  const std::uint64_t l2_end = dstart + kPtrsPerBlock;
+  // Block indices on either side of each mapping boundary.
+  const std::vector<std::uint64_t> at = {
+      0,          kDirectBlocks - 1, kDirectBlocks, kDirectBlocks + 1,
+      20,         dstart - 1,        dstart,        dstart + 1,
+      dstart + 5, l2_end - 1,        l2_end,        l2_end + 1};
+  const std::vector<std::uint8_t> payload(block::kBlockSize, 0x5a);
+  for (std::uint32_t journal = 6; journal <= 16; ++journal) {
+    SCOPED_TRACE("journal_blocks " + std::to_string(journal));
+    sim::Env env;
+    sim::Rng rng(journal);
+    FrameKeepingDevice dev(2 * kBlocksPerGroup);
+    Ext3Fs::mkfs(dev, MkfsOptions{.inodes_per_group = 256,
+                                  .journal_blocks = journal});
+    Ext3Fs fs(env, dev, Ext3Params{});
+    fs.mount();
+    auto f = fs.create(kRootIno, "f", 0644);
+    ASSERT_TRUE(f.ok());
+    int spare = 0;
+    for (int step = 0; step < 400; ++step) {
+      const std::uint64_t pos = at[rng.uniform(at.size())] * block::kBlockSize;
+      switch (rng.uniform(4)) {
+        case 0:
+          ASSERT_TRUE(fs.write(*f, pos, payload).ok());
+          break;
+        case 1: {
+          SetAttr cut;
+          cut.size = static_cast<std::int64_t>(pos);
+          ASSERT_TRUE(fs.setattr(*f, cut).ok());
+          break;
+        }
+        case 2:
+          ASSERT_TRUE(
+              fs.create(kRootIno, "e" + std::to_string(spare++), 0644).ok());
+          break;
+        default:
+          env.advance(sim::milliseconds(
+              static_cast<std::int64_t>(rng.uniform(3000))));
+      }
+    }
+    fs.unmount();
+    EXPECT_EQ(dev.changed(), 0u);
+  }
 }
 
 }  // namespace
