@@ -2,6 +2,8 @@
 // relationships the paper establishes must hold in the simulation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/testbed.h"
@@ -225,6 +227,51 @@ TEST(TestbedInvariants, IscsiMetaUpdatesShrugOffLatency) {
   // NFS, while asynchronous iSCSI stays near its LAN time.
   EXPECT_LT(wan, lan + 0.3);
 }
+
+class QuiesceTest : public ::testing::TestWithParam<Protocol> {};
+
+// quiesce() runs every deferred daemon and waits out in-flight writes, so
+// it leaves no event pending; a second call then has nothing to wait for
+// and must not move the clock.
+TEST_P(QuiesceTest, QuiesceLeavesNoPendingWork) {
+  Testbed bed(GetParam());
+  vfs::Vfs& v = bed.vfs();
+  ASSERT_TRUE(v.mkdir("/q", 0755).ok());
+  const std::vector<std::uint8_t> data(64 * 1024, 0x3d);
+  for (int i = 0; i < 8; ++i) {
+    auto fd = v.creat("/q/f" + std::to_string(i), 0644);
+    ASSERT_TRUE(fd.ok());
+    ASSERT_TRUE(v.write(*fd, 0, data).ok());
+    ASSERT_TRUE(v.close(*fd).ok());
+  }
+  ASSERT_TRUE(v.rename("/q/f0", "/q/moved").ok());
+  ASSERT_TRUE(v.unlink("/q/f1").ok());
+  ASSERT_GT(bed.env().pending_events(), 0u);  // deferred work is queued
+
+  bed.quiesce();
+  EXPECT_EQ(bed.env().pending_events(), 0u);
+  const sim::Time settled = bed.env().now();
+  bed.quiesce();
+  EXPECT_EQ(bed.env().now(), settled);
+  EXPECT_EQ(bed.env().pending_events(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllProtocols, QuiesceTest,
+    ::testing::Values(Protocol::kNfsV2, Protocol::kNfsV3, Protocol::kNfsV4,
+                      Protocol::kNfsV4Consistent, Protocol::kNfsV4Delegation,
+                      Protocol::kIscsi),
+    [](const ::testing::TestParamInfo<Protocol>& info) {
+      switch (info.param) {
+        case Protocol::kNfsV2: return std::string("NfsV2");
+        case Protocol::kNfsV3: return std::string("NfsV3");
+        case Protocol::kNfsV4: return std::string("NfsV4");
+        case Protocol::kNfsV4Consistent: return std::string("NfsV4Consistent");
+        case Protocol::kNfsV4Delegation: return std::string("NfsV4Delegation");
+        case Protocol::kIscsi: return std::string("Iscsi");
+      }
+      return std::string("Unknown");
+    });
 
 }  // namespace
 }  // namespace netstore
