@@ -4,57 +4,24 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/buffer_pool.h"
-#include "core/checkpoint.h"
 #include "core/testbed.h"
 #include "obs/report.h"
 
 namespace netstore::bench {
 
-/// Per-protocol pool of warmed testbed prototypes (DESIGN.md §13).
-///
-/// Sweep benches acquire one world per measurement point.  The first
-/// acquire() for a (protocol, config) builds a Testbed, quiesces it and
-/// captures a core::Checkpoint; every later acquire() forks the stored
-/// image in O(state) instead of replaying construction (mkfs, mount,
-/// login).  Setting NETSTORE_NO_FORK=1 bypasses the checkpoint: every
-/// acquire() then builds and quiesces from scratch.  Both paths hand
-/// back a world with the identical history — construct, then quiesce —
-/// so a bench's report is byte-identical either way (CI diffs the two).
-class WarmPool {
- public:
-  WarmPool()
-      : no_fork_([] {
-          const char* v = std::getenv("NETSTORE_NO_FORK");
-          return v != nullptr && v[0] != '\0' && v[0] != '0';
-        }()) {}
-
-  /// Default-config testbeds only: the pool caches one image per
-  /// protocol, so per-point config (e.g. injected RTT) must be applied to
-  /// the returned world, not baked into the prototype.
-  [[nodiscard]] std::unique_ptr<core::Testbed> acquire(core::Protocol p) {
-    if (no_fork_) return build(p);
-    auto& slot = checkpoints_[p];
-    if (!slot) slot = std::make_unique<core::Checkpoint>(*build(p));
-    return slot->fork();
-  }
-
- private:
-  static std::unique_ptr<core::Testbed> build(core::Protocol p) {
-    auto bed = std::make_unique<core::Testbed>(p);
-    bed->quiesce();
-    return bed;
-  }
-
-  bool no_fork_;
-  std::map<core::Protocol, std::unique_ptr<core::Checkpoint>> checkpoints_;
-};
+/// A freshly built default-config world for one sweep point: construct,
+/// then quiesce (DESIGN.md §13).  Per-point config (e.g. injected RTT) is
+/// applied to the returned world.
+inline std::unique_ptr<core::Testbed> quiesced_world(core::Protocol p) {
+  auto bed = std::make_unique<core::Testbed>(p);
+  bed->quiesce();
+  return bed;
+}
 
 inline const std::vector<core::Protocol>& paper_protocols() {
   static const std::vector<core::Protocol> kProtocols = {
@@ -124,9 +91,9 @@ inline obs::MetricsRegistry::Snapshot pool_snapshot() {
 
 /// Writes the report to any requested sinks; returns the process exit code.
 /// With NETSTORE_POOL_STATS set, a "pool" snapshot (BufferPool telemetry)
-/// is appended first.  Off by default: pool counters legitimately differ
-/// between forked and from-scratch runs of the same workload, and the
-/// byte-identity CI gates compare those outputs.
+/// is appended first.  Off by default: pool counters are process-wide and
+/// depend on what else the process ran, and the golden digests of the
+/// QUICK exports (tests/golden/bench_quick.sha256) pin those outputs.
 inline int finish(const Options& opts, obs::Report& report) {
   const char* ps = std::getenv("NETSTORE_POOL_STATS");
   if (ps != nullptr && ps[0] != '\0' && ps[0] != '0') {

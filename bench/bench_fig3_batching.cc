@@ -27,16 +27,13 @@ int main(int argc, char** argv) {
   const std::vector<std::uint32_t> batches = {1, 2, 4, 8, 16, 32, 64, 128,
                                               256, 512, 1024};
 
-  // All 88 (op, batch) cells fork from one warmed iSCSI prototype
-  // (NETSTORE_NO_FORK=1 to rebuild from scratch per cell).
-  bench::WarmPool pool;
   std::printf("%-8s", "batch");
   for (const auto& op : ops) std::printf(" %8s", op.c_str());
   std::printf("\n");
   for (std::uint32_t n : batches) {
     std::printf("%-8u", n);
     for (const auto& op : ops) {
-      auto bed = pool.acquire(core::Protocol::kIscsi);
+      auto bed = bench::quiesced_world(core::Protocol::kIscsi);
       workloads::Microbench mb(*bed);
       const double per_op = mb.batch_op(op, n);
       std::printf(" %8.3f", per_op);

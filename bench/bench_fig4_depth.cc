@@ -22,9 +22,6 @@ int main(int argc, char** argv) {
   const std::vector<std::string> ops = {"mkdir", "chdir", "readdir"};
   const std::vector<int> depths = {0, 2, 4, 6, 8, 10, 12, 14, 16};
 
-  // Every (op, depth, cache) cell forks from a per-protocol warmed
-  // prototype (NETSTORE_NO_FORK=1 to rebuild from scratch per cell).
-  bench::WarmPool pool;
   for (const std::string& op : ops) {
     std::printf("\n[%s]\n", op.c_str());
     std::printf("%-6s | %8s %8s %8s %8s | %8s %8s %8s %8s\n", "depth",
@@ -39,12 +36,12 @@ int main(int argc, char** argv) {
                                         core::Protocol::kNfsV4,
                                         core::Protocol::kIscsi};
       for (int p = 0; p < 3; ++p) {
-        auto bed = pool.acquire(protos[p]);
+        auto bed = bench::quiesced_world(protos[p]);
         workloads::Microbench mb(*bed);
         cold[p] = mb.cold_op(op, d);
       }
       for (int p = 0; p < 3; ++p) {
-        auto bed = pool.acquire(protos[p]);
+        auto bed = bench::quiesced_world(protos[p]);
         workloads::Microbench mb(*bed);
         warm[p] = mb.warm_op(op, d, sim::seconds(1));
       }

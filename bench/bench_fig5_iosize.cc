@@ -31,9 +31,6 @@ int main(int argc, char** argv) {
                         {"warm reads", false, true},
                         {"cold writes", true, false}};
 
-  // 30 sweep points per protocol fork from one warmed prototype instead
-  // of replaying testbed construction (NETSTORE_NO_FORK=1 to disable).
-  bench::WarmPool pool;
   for (const Mode& m : modes) {
     std::printf("\n[%s]\n", m.name);
     std::printf("%-8s | %8s %8s %8s %8s\n", "bytes", "v2", "v3", "v4",
@@ -44,7 +41,7 @@ int main(int argc, char** argv) {
       std::vector<obs::Cell> row = {m.name,
                                     static_cast<std::uint64_t>(size)};
       for (core::Protocol p : bench::paper_protocols()) {
-        auto bed = pool.acquire(p);
+        auto bed = bench::quiesced_world(p);
         workloads::Microbench mb(*bed);
         const std::uint64_t msgs = mb.io_op(m.write, size, m.warm);
         std::printf(" %8llu", static_cast<unsigned long long>(msgs));

@@ -19,10 +19,6 @@ int main(int argc, char** argv) {
 
   const std::vector<int> rtts_ms = {10, 30, 50, 70, 90};
 
-  // Each (rtt, pattern, protocol) point forks from a per-protocol warmed
-  // prototype; the injected RTT is applied to the fork, never baked into
-  // the prototype (NETSTORE_NO_FORK=1 to rebuild from scratch per point).
-  bench::WarmPool pool;
   std::printf("[reads]  completion time (s) for 128 MB\n");
   std::printf("%-8s | %12s %12s | %12s %12s | %6s\n", "RTT(ms)", "NFS seq",
               "NFS rand", "iSCSI seq", "iSCSI rand", "retx");
@@ -35,7 +31,7 @@ int main(int argc, char** argv) {
     for (bool random : {false, true}) {
       for (core::Protocol p :
            {core::Protocol::kNfsV3, core::Protocol::kIscsi}) {
-        auto bed = pool.acquire(p);
+        auto bed = bench::quiesced_world(p);
         bed->set_injected_rtt(sim::milliseconds(rtt));
         workloads::LargeIoConfig cfg;
         cfg.random = random;
@@ -62,7 +58,7 @@ int main(int argc, char** argv) {
     for (bool random : {false, true}) {
       for (core::Protocol p :
            {core::Protocol::kNfsV3, core::Protocol::kIscsi}) {
-        auto bed = pool.acquire(p);
+        auto bed = bench::quiesced_world(p);
         bed->set_injected_rtt(sim::milliseconds(rtt));
         workloads::LargeIoConfig cfg;
         cfg.random = random;

@@ -1,8 +1,8 @@
 // Fleet contention study: client counts 1 .. 10^6 against one server.
 //
 // Extends bench_fig7_sharing's trace-level sharing analysis into a live
-// protocol experiment (paper §6): a warm world per protocol is forked per
-// sweep point (bench::WarmPool) and driven by N flyweight clients under
+// protocol experiment (paper §6): each sweep point builds and quiesces a
+// world (bench::quiesced_world) and drives it with N flyweight clients under
 // an open-loop heavy-tailed arrival process (core::Fleet).  The operation
 // budget is fixed per point, so a million-client point measures the first
 // `ops` arrivals of a huge fleet, not a million times more work.
@@ -16,7 +16,7 @@
 //     server.
 //
 // Determinism: fixed --seed + fixed client count => byte-identical
-// report output, forked or NETSTORE_NO_FORK=1 from-scratch (CI cmps).
+// report output.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -96,7 +96,6 @@ int main(int argc, char** argv) {
     counts.push_back(n);
   }
 
-  bench::WarmPool pool;
   for (core::Protocol p : {core::Protocol::kNfsV3, core::Protocol::kIscsi}) {
     std::printf("\n[%s]\n", core::to_string(p));
     std::printf("%-9s | %9s %9s %9s %11s %8s %9s %7s\n", "clients", "p50us",
@@ -108,7 +107,7 @@ int main(int argc, char** argv) {
       w.clients = n;
       w.seed = opts.seed;
       w.ops = opts.ops;
-      core::Fleet fleet(pool.acquire(p), w);
+      core::Fleet fleet(bench::quiesced_world(p), w);
       fleet.run();
 
       const obs::MetricsRegistry::Snapshot snap =

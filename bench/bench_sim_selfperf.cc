@@ -8,21 +8,6 @@
 //   syscalls/sec  warm-cache reads driven through a full Testbed VFS stack
 //                 (protocol, caches, RAID — the end-to-end per-op cost).
 //
-//   sweep speedup  a Figure-5-shaped parameter sweep (3 modes x 10 I/O
-//                 sizes x 4 protocols) run twice: every point built from
-//                 scratch (construct + warmup replay + measured op), then
-//                 every point forked from one warmed per-protocol
-//                 checkpoint (the warm-prototype path the sweep benches
-//                 use).  The forked total includes building the
-//                 prototypes, so the ratio is the end-to-end win.  Each
-//                 point's message count is asserted identical across the
-//                 two paths (the checkpoint determinism contract).
-//
-//   fork cost     per protocol: the wall cost of forking one warmed
-//                 checkpoint, against a measured estimate of what a
-//                 deep-copying clone would add (heap alloc + 4 KB copy of
-//                 every page the image shares).  The ratio is the win
-//                 from the copy-on-write BufferPool (DESIGN.md §14).
 //   allocs/syscall  BufferPool fallback allocations per warm read: the
 //                 steady-state data path must run off the frame free
 //                 list, so this is ~0 once caches are warm.
@@ -34,8 +19,7 @@
 //                 (DESIGN.md §17).
 //
 //   bench_sim_selfperf [--events N] [--syscalls N] [--json PATH]
-//                      [--min-events-per-sec X] [--min-sweep-speedup X]
-//                      [--min-fork-speedup X]
+//                      [--min-events-per-sec X]
 //                      [--max-allocs-per-syscall X]
 //                      [--max-copied-bytes-per-syscall X]
 //
@@ -46,21 +30,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/buffer_pool.h"
-#include "core/checkpoint.h"
 #include "core/testbed.h"
 #include "obs/report.h"
 #include "sim/env.h"
 #include "sim/rng.h"
 #include "sim/task.h"
-#include "workloads/microbench.h"
 
 namespace {
 
@@ -220,149 +199,10 @@ std::vector<CopyPoint> copy_scaling(std::uint64_t ops) {
   return points;
 }
 
-// --- sweep speedup (warm-state checkpoint/fork, DESIGN.md §13) -----------
-
-// The warm state a sweep's points share: file-system aging plus a seeded
-// 256 KB file (the shape of Microbench::setup), ending quiesced.  This is
-// what every from-scratch point replays and every forked point inherits.
-void warm_state(netstore::core::Testbed& bed) {
-  auto& v = bed.vfs();
-  for (int i = 0; i < 320; ++i) {
-    if (!v.creat("/age" + std::to_string(i), 0644).ok()) std::abort();
-  }
-  std::vector<std::uint8_t> blk(64 * 1024, 0x11);
-  auto fd = v.creat("/seed", 0644);
-  if (!fd.ok()) std::abort();
-  for (std::uint64_t k = 0; k < 4; ++k) {
-    if (!v.write(*fd, k * blk.size(), blk).ok()) std::abort();
-  }
-  if (!v.fsync(*fd).ok()) std::abort();
-  if (!v.close(*fd).ok()) std::abort();
-  bed.quiesce();
-}
-
-struct SweepResult {
-  double scratch_ms = 0.0;  // every point: construct + warmup + op
-  double forked_ms = 0.0;   // prototypes + checkpoints, then fork + op
-  int points = 0;
-};
-
-// One Figure-5-shaped sweep over `protocols`: 3 modes x 10 sizes each.
-// Runs the from-scratch and the forked path over identical points and
-// CHECKs that each point measures the same message count on both.
-SweepResult sweep_speedup(
-    const std::vector<netstore::core::Protocol>& protocols) {
-  using netstore::core::Protocol;
-  using netstore::core::Testbed;
-  struct Mode {
-    bool write;
-    bool warm;
-  };
-  const Mode modes[] = {{false, false}, {false, true}, {true, false}};
-  const std::uint32_t sizes[] = {128,  256,  512,   1024,  2048,
-                                 4096, 8192, 16384, 32768, 65536};
-
-  SweepResult res;
-  std::vector<std::uint64_t> scratch_msgs;
-  const auto t0 = Clock::now();
-  for (Protocol p : protocols) {
-    for (const Mode& m : modes) {
-      for (std::uint32_t size : sizes) {
-        Testbed bed(p);
-        warm_state(bed);
-        netstore::workloads::Microbench mb(bed);
-        scratch_msgs.push_back(mb.io_op(m.write, size, m.warm));
-        ++res.points;
-      }
-    }
-  }
-  res.scratch_ms = seconds_since(t0) * 1e3;
-
-  std::size_t i = 0;
-  const auto t1 = Clock::now();
-  for (Protocol p : protocols) {
-    Testbed proto(p);
-    warm_state(proto);
-    netstore::core::Checkpoint cp(proto);
-    for (const Mode& m : modes) {
-      for (std::uint32_t size : sizes) {
-        auto bed = cp.fork();
-        netstore::workloads::Microbench mb(*bed);
-        const std::uint64_t msgs = mb.io_op(m.write, size, m.warm);
-        if (msgs != scratch_msgs[i]) {
-          std::fprintf(stderr,
-                       "FAIL: sweep point %zu diverged: forked %llu msgs "
-                       "vs scratch %llu\n",
-                       i, static_cast<unsigned long long>(msgs),
-                       static_cast<unsigned long long>(scratch_msgs[i]));
-          std::abort();
-        }
-        ++i;
-      }
-    }
-  }
-  res.forked_ms = seconds_since(t1) * 1e3;
-  return res;
-}
-
-// --- fork cost (copy-on-write BufferPool, DESIGN.md §14) -----------------
-
-struct ForkCost {
-  netstore::core::Protocol proto;
-  std::uint64_t image_pages = 0;  // pooled pages the checkpoint shares
-  double fork_us = 0.0;           // mean wall cost of one fork
-  double page_copy_us = 0.0;      // measured alloc+copy cost of the pages
-  // What a deep-copying clone would cost relative to the CoW fork: the
-  // fork does all the metadata work either way, plus (before this pool)
-  // one heap allocation and 4 KB copy per resident page.
-  [[nodiscard]] double speedup() const {
-    return fork_us > 0 ? (fork_us + page_copy_us) / fork_us : 0.0;
-  }
-};
-
-ForkCost fork_cost(netstore::core::Protocol p) {
-  using netstore::core::Testbed;
-  ForkCost res;
-  res.proto = p;
-  Testbed proto(p);
-  warm_state(proto);
-
-  // Checkpoint construction clones every cache layer; with the pool,
-  // each resident page's refcount goes 1 -> 2, so the shared_pages delta
-  // counts exactly the pages a deep-copying clone would have copied.
-  auto& pool = netstore::core::BufferPool::instance();
-  const std::uint64_t shared_before = pool.shared_pages();
-  netstore::core::Checkpoint cp(proto);
-  res.image_pages = pool.shared_pages() - shared_before;
-
-  constexpr int kForks = 64;
-  const auto t0 = Clock::now();
-  for (int i = 0; i < kForks; ++i) {
-    auto bed = cp.fork();
-  }
-  res.fork_us = seconds_since(t0) * 1e6 / kForks;
-
-  // Measure (not assert) the removed work: one heap allocation plus one
-  // 4 KB copy per image page, what the per-layer clones used to do.
-  netstore::block::BlockBuf src;
-  src.fill(0x3c);
-  std::vector<std::unique_ptr<netstore::block::BlockBuf>> copies;
-  copies.reserve(res.image_pages);
-  const auto t1 = Clock::now();
-  for (std::uint64_t i = 0; i < res.image_pages; ++i) {
-    // Deliberately the raw allocation the pool replaced — it IS the
-    // baseline being measured.  netstore-lint: allow(raw-blockbuf-alloc)
-    copies.push_back(std::make_unique<netstore::block::BlockBuf>(src));
-  }
-  res.page_copy_us = seconds_since(t1) * 1e6;
-  return res;
-}
-
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--events N] [--syscalls N] [--json PATH] "
-               "[--min-events-per-sec X] [--min-sweep-speedup X] "
-               "[--min-fork-speedup X] "
+               "[--min-events-per-sec X] "
                "[--max-allocs-per-syscall X] "
                "[--max-copied-bytes-per-syscall X]\n",
                argv0);
@@ -381,8 +221,6 @@ int main(int argc, char** argv) {
   int chains = 4;
   std::string json_path;
   double min_events_per_sec = 0.0;
-  double min_sweep_speedup = 0.0;
-  double min_fork_speedup = 0.0;
   double max_allocs_per_syscall = -1.0;
   double max_copied_bytes_per_syscall = -1.0;
 
@@ -400,10 +238,6 @@ int main(int argc, char** argv) {
       json_path = argv[++i];
     } else if (arg == "--min-events-per-sec" && has_value) {
       min_events_per_sec = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--min-sweep-speedup" && has_value) {
-      min_sweep_speedup = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--min-fork-speedup" && has_value) {
-      min_fork_speedup = std::strtod(argv[++i], nullptr);
     } else if (arg == "--max-allocs-per-syscall" && has_value) {
       max_allocs_per_syscall = std::strtod(argv[++i], nullptr);
     } else if (arg == "--max-copied-bytes-per-syscall" && has_value) {
@@ -431,19 +265,6 @@ int main(int argc, char** argv) {
 
   const std::vector<CopyPoint> copy_points = copy_scaling(n_syscalls / 10);
 
-  const SweepResult sweep = sweep_speedup(
-      {netstore::core::Protocol::kNfsV2, netstore::core::Protocol::kNfsV3,
-       netstore::core::Protocol::kNfsV4, netstore::core::Protocol::kIscsi});
-  const double sweep_x =
-      sweep.forked_ms > 0 ? sweep.scratch_ms / sweep.forked_ms : 0.0;
-
-  std::vector<ForkCost> forks;
-  for (netstore::core::Protocol p :
-       {netstore::core::Protocol::kNfsV2, netstore::core::Protocol::kNfsV3,
-        netstore::core::Protocol::kNfsV4, netstore::core::Protocol::kIscsi}) {
-    forks.push_back(fork_cost(p));
-  }
-
   std::printf("%-24s %16s\n", "metric", "per second");
   std::printf("%-24s %16.0f\n", "events", events);
   std::printf("%-24s %16.0f\n", "syscalls (iSCSI warm)", sys_iscsi.ops_per_sec);
@@ -463,20 +284,6 @@ int main(int argc, char** argv) {
                 pt.ops_per_sec, pt.copied_per_syscall,
                 pt.below_boundary_per_syscall);
   }
-  std::printf("sweep (%d points): scratch %.0f ms, forked %.0f ms, "
-              "speedup %.2fx\n",
-              sweep.points, sweep.scratch_ms, sweep.forked_ms, sweep_x);
-  double min_fork_x = 0.0;
-  for (const ForkCost& fc : forks) {
-    if (min_fork_x == 0.0 || fc.speedup() < min_fork_x) {
-      min_fork_x = fc.speedup();
-    }
-    std::printf("fork %-6s: %5llu pages, fork %.1f us, page copies "
-                "+%.1f us, speedup %.2fx\n",
-                netstore::core::to_string(fc.proto),
-                static_cast<unsigned long long>(fc.image_pages), fc.fork_us,
-                fc.page_copy_us, fc.speedup());
-  }
   if (!json_path.empty()) {
     netstore::obs::Report report("bench_sim_selfperf",
                                  "simulator hot-path wall-clock throughput");
@@ -487,18 +294,6 @@ int main(int argc, char** argv) {
     auto& s = report.table("task_storage", {"counter", "value"});
     s.row({"inline_constructions", inline_delta});
     s.row({"heap_constructions", heap_delta});
-    auto& sw = report.table("checkpoint_sweep", {"metric", "value"});
-    sw.row({"points", static_cast<std::uint64_t>(sweep.points)});
-    sw.row({"scratch_ms", sweep.scratch_ms});
-    sw.row({"forked_ms", sweep.forked_ms});
-    sw.row({"sweep_speedup_x", sweep_x});
-    auto& fk = report.table(
-        "fork_cost",
-        {"protocol", "image_pages", "fork_us", "page_copy_us", "speedup_x"});
-    for (const ForkCost& fc : forks) {
-      fk.row({netstore::core::to_string(fc.proto), fc.image_pages, fc.fork_us,
-              fc.page_copy_us, fc.speedup()});
-    }
     auto& ap = report.table("pool_path", {"metric", "value"});
     ap.row({"allocs_per_syscall_iscsi", sys_iscsi.allocs_per_syscall});
     ap.row({"allocs_per_syscall_nfsv3", sys_nfsv3.allocs_per_syscall});
@@ -524,16 +319,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "FAIL: events/sec %.0f below floor %.0f\n", events,
                  min_events_per_sec);
-    return 1;
-  }
-  if (min_sweep_speedup > 0 && sweep_x < min_sweep_speedup) {
-    std::fprintf(stderr, "FAIL: sweep speedup %.2fx below floor %.2fx\n",
-                 sweep_x, min_sweep_speedup);
-    return 1;
-  }
-  if (min_fork_speedup > 0 && min_fork_x < min_fork_speedup) {
-    std::fprintf(stderr, "FAIL: fork speedup %.2fx below floor %.2fx\n",
-                 min_fork_x, min_fork_speedup);
     return 1;
   }
   if (max_allocs_per_syscall >= 0) {

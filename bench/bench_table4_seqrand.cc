@@ -38,15 +38,12 @@ int main(int argc, char** argv) {
   std::printf("-------------------+--------------------+-------------------"
               "-----+---------------------\n");
 
-  // The four workload rows fork their worlds from one warmed prototype
-  // per protocol (NETSTORE_NO_FORK=1 to rebuild from scratch per row).
-  bench::WarmPool pool;
   for (const Row& row : rows) {
     workloads::LargeIoConfig cfg;
     cfg.random = row.random;
 
-    auto nfs_bed = pool.acquire(core::Protocol::kNfsV3);
-    auto iscsi_bed = pool.acquire(core::Protocol::kIscsi);
+    auto nfs_bed = bench::quiesced_world(core::Protocol::kNfsV3);
+    auto iscsi_bed = bench::quiesced_world(core::Protocol::kIscsi);
     core::Testbed& nfs = *nfs_bed;
     core::Testbed& iscsi = *iscsi_bed;
     const workloads::LargeIoResult rn =

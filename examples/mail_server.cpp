@@ -8,10 +8,11 @@
 // latency when many mail clients hit the same spool server?  That part
 // uses the fleet API — one warm world, N flyweight clients contending.
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/checkpoint.h"
 #include "core/fleet.h"
 #include "core/testbed.h"
 #include "sim/rng.h"
@@ -82,10 +83,6 @@ Bill run_mail_day(core::Protocol protocol, std::uint32_t deliveries) {
 // fleet's shared hot set stands in for the mailboxes everyone polls; the
 // private files are each client's own queue entries.
 void run_mail_fleet(core::Protocol protocol) {
-  core::Testbed prototype(protocol);
-  prototype.quiesce();
-  core::Checkpoint warm(prototype);
-
   for (std::uint64_t n : {1ull, 64ull, 1024ull}) {
     core::WorkloadConfig w;
     w.clients = n;
@@ -93,16 +90,18 @@ void run_mail_fleet(core::Protocol protocol) {
     w.sharing_ratio = 0.4;          // mailbox polls dominate a spool
     w.shared_objects = 20;          // the 20 mailboxes
     w.shared_write_fraction = 0.2;  // deliveries touch shared mailboxes
-    auto fleet = warm.fleet(w);
-    fleet->run();
+    auto world = std::make_unique<core::Testbed>(protocol);
+    world->quiesce();
+    core::Fleet fleet(std::move(world), w);
+    fleet.run();
 
-    const auto m = fleet->world().metrics().snapshot();
+    const auto m = fleet.world().metrics().snapshot();
     const auto& resp = m.at("fleet.response_us").summary;
     std::printf("%-44s | %7llu | %10.0f | %10.0f | %8llu\n",
                 core::to_string(protocol), static_cast<unsigned long long>(n),
                 resp.p50, resp.p99,
                 static_cast<unsigned long long>(
-                    fleet->forced_revalidations()));
+                    fleet.forced_revalidations()));
   }
 }
 

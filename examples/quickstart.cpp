@@ -5,10 +5,11 @@
 //
 //   c++ -std=c++20 quickstart.cpp -lnetstore... (or: ninja && ./examples/quickstart)
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/checkpoint.h"
 #include "core/fleet.h"
 #include "core/testbed.h"
 
@@ -65,26 +66,25 @@ void fleet_demo(core::Protocol protocol) {
   std::printf("\n--- %s, 256 clients on one server ---\n",
               core::to_string(protocol));
 
-  // Warm one world, checkpoint it, and drive a fork of it with a fleet
-  // of flyweight clients under an open-loop heavy-tailed arrival process.
-  core::Testbed prototype(protocol);
-  prototype.quiesce();
-  core::Checkpoint warm(prototype);
+  // Build and quiesce one world, then drive it with a fleet of flyweight
+  // clients under an open-loop heavy-tailed arrival process.
+  auto world = std::make_unique<core::Testbed>(protocol);
+  world->quiesce();
 
   core::WorkloadConfig w;
   w.clients = 256;
   w.ops = 1500;
-  auto fleet = warm.fleet(w);
-  fleet->run();
+  core::Fleet fleet(std::move(world), w);
+  fleet.run();
 
-  const obs::MetricsRegistry::Snapshot m = fleet->world().metrics().snapshot();
+  const obs::MetricsRegistry::Snapshot m = fleet.world().metrics().snapshot();
   const auto& resp = m.at("fleet.response_us").summary;
   std::printf("response: p50 %.0f us, p99 %.0f us (queue p99 %.0f us)\n",
               resp.p50, resp.p99,
               m.at("fleet.queue_delay_us").summary.p99);
   std::printf("sharing-forced revalidations: %llu  (fairness %.3f)\n",
-              static_cast<unsigned long long>(fleet->forced_revalidations()),
-              fleet->jain_fairness_index());
+              static_cast<unsigned long long>(fleet.forced_revalidations()),
+              fleet.jain_fairness_index());
 }
 
 }  // namespace

@@ -30,9 +30,9 @@ core::BufRef Disk::read_ref(Lba lba) const {
 void Disk::write_data(Lba lba, BlockView data) {
   NETSTORE_CHECK_LT(lba, config_.block_count);
   auto& slot = store_[lba];
-  // Un-share before mutating: a frame still referenced by a clone (or a
-  // cache layer above) is frozen, copy-on-write.  The full block is
-  // overwritten, so a fresh frame needs no copy of the old contents.
+  // Un-share before mutating: a frame still referenced by a cache layer
+  // above is frozen, copy-on-write.  The full block is overwritten, so a
+  // fresh frame needs no copy of the old contents.
   if (!slot || slot.shared()) slot = core::BufferPool::instance().alloc();
   // Parity block or rebuilt block computed in a scratch buffer; data
   // blocks adopt via write_ref() instead.
@@ -44,17 +44,6 @@ void Disk::write_ref(Lba lba, const core::BufRef& data) {
   NETSTORE_CHECK_LT(lba, config_.block_count);
   NETSTORE_CHECK(static_cast<bool>(data));
   store_[lba] = data;
-}
-
-std::unique_ptr<Disk> Disk::clone() const {
-  auto copy = std::make_unique<Disk>(config_);
-  copy->store_ = store_;  // shares every block buffer (copy-on-write)
-  copy->read_busy_until_ = read_busy_until_;
-  copy->write_busy_until_ = write_busy_until_;
-  copy->next_sequential_read_ = next_sequential_read_;
-  copy->next_sequential_write_ = next_sequential_write_;
-  copy->requests_ = requests_;
-  return copy;
 }
 
 sim::Duration Disk::seek_time(Lba from, Lba to) const {

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 
 #include "block/block.h"
@@ -84,22 +83,14 @@ class Disk {
     return requests_.value();
   }
 
-  /// Copy for checkpoint/fork: O(blocks) pointer copies, zero byte
-  /// copies — stored blocks are shared copy-on-write with the clone.
-  /// Also copies the service-model state (busy times, sequential-
-  /// detection cursors).
-  [[nodiscard]] std::unique_ptr<Disk> clone() const;
-
  private:
   [[nodiscard]] sim::Duration seek_time(Lba from, Lba to) const;
 
   DiskConfig config_;
-  // Copy-on-write block store of pooled frames.  clone() copies the map
-  // but *shares* the frames; write_data() un-shares a frame (shared())
-  // before mutating it.  Writes always replace the full block, so a
-  // shared frame is immutable for as long as it stays shared.  Refcount
-  // ops are atomic, and fork()/world-handoff points synchronize, so
-  // clones may run on different threads.
+  // Copy-on-write block store of pooled frames, shared with the cache
+  // layers above; write_data() un-shares a frame (shared()) before
+  // mutating it.  Writes always replace the full block, so a shared frame
+  // is immutable for as long as it stays shared.
   std::unordered_map<Lba, core::BufRef> store_;
   sim::Time read_busy_until_ = 0;
   sim::Time write_busy_until_ = 0;

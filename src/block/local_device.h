@@ -61,15 +61,6 @@ class LocalBlockDevice final : public BlockDevice {
   /// Test hook: waits until the spindles are idle (full destage).
   void drain_to_media() { env_.advance_to(last_write_done_); }
 
-  /// Checkpoint/fork support: copies the controller state (NVRAM latency,
-  /// destage cursor) from `src`.  The env/array references are fixed at
-  /// construction, so the forking Testbed builds this device against the
-  /// cloned world and then carries the cursors over.
-  void clone_state_from(const LocalBlockDevice& src) {
-    nvram_ack_ = src.nvram_ack_;
-    last_write_done_ = src.last_write_done_;
-  }
-
  private:
   void finish_write(sim::Time done, WriteMode mode) {
     last_write_done_ = std::max(last_write_done_, done);

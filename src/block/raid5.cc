@@ -28,17 +28,6 @@ Raid5Array::Raid5Array(Raid5Config config) : config_(config) {
   logical_blocks_ = usable_per_disk * data_disks;
 }
 
-std::unique_ptr<Raid5Array> Raid5Array::clone() const {
-  auto copy = std::make_unique<Raid5Array>(config_);
-  copy->disks_.clear();
-  for (const auto& d : disks_) copy->disks_.push_back(d->clone());
-  copy->ctrl_read_busy_ = ctrl_read_busy_;
-  copy->ctrl_write_busy_ = ctrl_write_busy_;
-  copy->failed_disk_ = failed_disk_;
-  copy->audit_ = audit_;
-  return copy;
-}
-
 sim::Time Raid5Array::controller(sim::Time start, bool is_write) {
   sim::Time& busy = is_write ? ctrl_write_busy_ : ctrl_read_busy_;
   const sim::Time begin = std::max(start, busy);

@@ -76,10 +76,6 @@ class Raid5Array {
   /// returns true in degraded mode, where parity is provisional.
   [[nodiscard]] bool verify_parity(Lba max_logical_lba) const;
 
-  /// Deep copy for checkpoint/fork: clones every member disk (contents and
-  /// mechanical state) plus the controller channels and degraded-mode flag.
-  [[nodiscard]] std::unique_ptr<Raid5Array> clone() const;
-
  private:
   struct Mapping {
     std::uint32_t data_disk;
@@ -100,7 +96,6 @@ class Raid5Array {
   [[nodiscard]] bool stripe_parity_clean(std::uint64_t stripe) const;
 
   Raid5Config config_;
-  // netstore: not_cloned -- recomputed from config_ in the constructor
   std::uint64_t logical_blocks_;
   std::vector<std::unique_ptr<Disk>> disks_;
   sim::Time ctrl_read_busy_ = 0;

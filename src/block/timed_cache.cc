@@ -16,27 +16,6 @@ TimedCache::TimedCache(Raid5Array& array, std::uint64_t capacity_blocks,
   NETSTORE_CHECK_GT(capacity_, 0u);
 }
 
-std::unique_ptr<TimedCache> TimedCache::clone(Raid5Array& array) const {
-  auto copy = std::make_unique<TimedCache>(array, capacity_, dirty_high_water_);
-  copy->map_.reserve(map_.size());
-  // Hash-map iteration order only affects the clone's internal layout
-  // (lookups are by key); the recency order that drives evictions is
-  // rebuilt exactly below.  netstore-lint: allow(unordered-iter)
-  for (const auto& kv : map_) {
-    Entry& e = copy->map_[kv.first];
-    e.lba = kv.second.lba;
-    e.data = kv.second.data;  // shares the frame (copy-on-write)
-    e.dirty = kv.second.dirty;
-  }
-  core::clone_lru_order(lru_, copy->lru_, [&copy](const Entry& src) {
-    return &copy->map_.find(src.lba)->second;
-  });
-  copy->dirty_count_ = dirty_count_;
-  copy->hits_ = hits_;
-  copy->misses_ = misses_;
-  return copy;
-}
-
 void TimedCache::insert(sim::Time start, Lba lba, core::BufRef data,
                         bool dirty) {
   while (map_.size() >= capacity_) {

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -69,18 +68,12 @@ class TimedCache {
   /// media component, hit time (memory-speed, 0 in this model) to cache.
   void set_tracer(obs::Tracer* t) { tracer_ = t; }
 
-  /// Deep copy for checkpoint/fork, rehomed onto `array` (the clone of the
-  /// source's backing array).  Cached blocks, dirty bits, counters, and the
-  /// exact LRU recency order all carry over; the tracer pointer does not —
-  /// the forking Testbed injects its own.
-  [[nodiscard]] std::unique_ptr<TimedCache> clone(Raid5Array& array) const;
-
  private:
   struct Entry {
     Entry* lru_prev = nullptr;  // intrusive LRU links (core::LruList)
     Entry* lru_next = nullptr;
     Lba lba = 0;
-    core::BufRef data;  // pooled frame, shared with clones and the array
+    core::BufRef data;  // pooled frame, shared with the array
     bool dirty = false;
   };
 
@@ -96,10 +89,8 @@ class TimedCache {
   std::uint64_t dirty_count_ = 0;
   sim::Counter hits_;
   sim::Counter misses_;
-  // netstore: not_cloned -- the forking Testbed installs its own tracer
   obs::Tracer* tracer_ = nullptr;
-  // netstore: not_cloned -- read() scratch, refilled before every use
-  std::vector<core::BufRef> miss_refs_;
+  std::vector<core::BufRef> miss_refs_;  // read() scratch, refilled per use
 };
 
 }  // namespace netstore::block

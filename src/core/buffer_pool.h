@@ -6,9 +6,9 @@
 // handles instead of owning unique_ptr<BlockBuf> allocations.  That buys
 // two things at once:
 //
-//   * clone() is O(handles): a fork copies refcounted handles, never
-//     page bytes.  A page is un-shared lazily, on first write after the
-//     fork, so fork cost is O(metadata + pages dirtied afterwards).
+//   * a page crosses layers by reference: handing a frame from the disk
+//     store to a cache copies a refcounted handle, never page bytes.  A
+//     shared page is un-shared lazily, on its first write.
 //   * the steady state is allocation-free: frames released by cache
 //     eviction or world destruction return to a free list and are
 //     recycled, so warmed benches stop hitting the heap entirely.
@@ -30,10 +30,11 @@
 //     mutable_data() on it un-shares; the zero page itself is immutable.
 //
 // The pool is process-global: frames are storage, not simulated state.
-// Worlds forked onto other threads share it, so the free list is
-// mutex-protected and refcounts are atomic.  Nothing simulated depends
-// on frame identity, only on frame contents, which each world owns
-// (copy-on-write) — pooling changes time and memory, never behaviour.
+// Worlds on bench_runner's worker threads share it (and its zero page),
+// so the free list is mutex-protected and refcounts are atomic.  Nothing
+// simulated depends on frame identity, only on frame contents, which
+// each world owns (copy-on-write) — pooling changes time and memory,
+// never behaviour.
 #pragma once
 
 #include <atomic>
@@ -102,7 +103,7 @@ class BufRef {
 class BufferPool {
  public:
   /// The process-wide pool.  Frames are storage shared by every world;
-  /// see the header comment for why this does not break fork isolation.
+  /// see the header comment for why this does not break world isolation.
   // netstore: shard_safe -- frame storage, not simulated state: handles
   // own frames exclusively or share them copy-on-write, so worlds never
   // write the same frame; the free list is the one contended structure
@@ -110,7 +111,7 @@ class BufferPool {
   static BufferPool& instance() {
     // Leaked deliberately: BufRefs may outlive static destruction order.
     // The pool is page storage outside the simulated world; worlds own
-    // frame contents via copy-on-write, so forks stay isolated.
+    // frame contents via copy-on-write, so worlds stay isolated.
     // netstore-lint: allow(fork-unsafe-state)
     static BufferPool* pool = new BufferPool();
     return *pool;

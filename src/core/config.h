@@ -50,7 +50,7 @@ struct CpuCosts {
 
 /// System half of the testbed configuration: everything that describes
 /// the machines — protocol, device, cache and network knobs.  Fixed when
-/// the stack is built (and therefore baked into warm checkpoints).
+/// the stack is built.
 struct SystemConfig {
   net::LinkConfig link;
   rpc::RpcConfig rpc;
@@ -111,7 +111,7 @@ struct ArrivalConfig {
 
 /// Workload half of the testbed configuration: who drives the system and
 /// how hard.  Supplied per run (a fleet sweep varies it point to point
-/// against one warm SystemConfig image).
+/// over worlds built from one SystemConfig).
 struct WorkloadConfig {
   std::uint64_t clients = 1;
   std::uint64_t seed = 42;

@@ -2,10 +2,10 @@
 //
 // The paper's §6 question — how do NFS and iSCSI scale when many clients
 // share one server? — needs client counts no per-client-Testbed design
-// can reach: a forked Testbed is an isolated world (its own server, its
-// own caches), so N forks produce N non-interacting experiments with no
-// contention at all.  A Fleet instead keeps ONE world (typically forked
-// from a warm core::Checkpoint) and drives it with N *flyweight* logical
+// can reach: a Testbed is an isolated world (its own server, its own
+// caches), so N Testbeds produce N non-interacting experiments with no
+// contention at all.  A Fleet instead keeps ONE world (typically freshly
+// built and quiesced) and drives it with N *flyweight* logical
 // clients: each is a small struct (its own deterministic Rng stream,
 // latency accumulators, and — NFS only — per-object attribute-validation
 // times over the shared hot set).  All operations multiplex through the
@@ -51,7 +51,7 @@ namespace netstore::core {
 
 class Fleet {
  public:
-  /// Takes ownership of a built (typically checkpoint-forked) world and
+  /// Takes ownership of a built (typically quiesced) world and
   /// prepares `workload.clients` flyweight clients for it.  Registers the
   /// fleet.* metrics in the world's registry.
   Fleet(std::unique_ptr<Testbed> world, WorkloadConfig workload);

@@ -84,18 +84,4 @@ class LruList {
   std::size_t size_ = 0;
 };
 
-/// Checkpoint/fork helper: after deep-copying a cache's map, rebuild the
-/// clone's recency order to mirror the source exactly.  `lookup` maps a
-/// source node to its already-copied destination node (typically a hash
-/// lookup by key).  Walking coldest→warmest and pushing each at the front
-/// reproduces the source order, so future evictions pick identical
-/// victims in both worlds.
-template <typename Node, typename Lookup>
-void clone_lru_order(const LruList<Node>& src, LruList<Node>& dst,
-                     Lookup&& lookup) {
-  for (Node* n = src.back(); n != nullptr; n = LruList<Node>::warmer(n)) {
-    dst.push_front(lookup(*n));
-  }
-}
-
 }  // namespace netstore::core

@@ -115,54 +115,6 @@ void Testbed::quiesce() {
   } while (env_.pending_events() > 0);
 }
 
-Testbed::Testbed(const Testbed& src, ForkTag)
-    : protocol_(src.protocol_),
-      config_(src.config_),
-      server_cpu_(src.server_cpu_),
-      client_cpu_(src.client_cpu_) {
-  // The quiescence contract: events hold callables that capture pointers
-  // into the source world and cannot be rewired, so none may be pending.
-  // The per-component clones CHECK the rest (no scheduled journal commit
-  // or flusher tick, no in-flight asynchronous writes, no open spans).
-  NETSTORE_CHECK_EQ(src.env_.pending_events(), std::size_t{0},
-                    "fork() requires a quiesced testbed — call quiesce()");
-  env_.clone_from(src.env_);
-  env_.set_audit(config_.system.invariant_audits);
-  env_.set_metrics(&metrics_);
-  env_.set_tracer(&tracer_);
-  tracer_.clone_from(src.tracer_);
-
-  link_ = src.link_->clone(env_);
-  raid_ = src.raid_->clone();
-
-  if (protocol_ == Protocol::kIscsi) {
-    target_cache_ = src.target_cache_->clone(*raid_);
-    target_cache_->set_tracer(&tracer_);
-    target_ = src.target_->clone(*target_cache_);
-    initiator_ = src.initiator_->clone(env_, *link_, *target_);
-    install_iscsi_cost_hooks();
-    client_fs_ = src.client_fs_->clone(env_, *initiator_);
-    wire_local_vfs();
-  } else {
-    server_disk_ = std::make_unique<block::LocalBlockDevice>(env_, *raid_);
-    server_disk_->clone_state_from(*src.server_disk_);
-    server_fs_ = src.server_fs_->clone(env_, *server_disk_);
-    nfs_server_ = src.nfs_server_->clone(env_, *server_fs_);
-    install_nfs_cost_hooks();
-    rpc_ = src.rpc_->clone(env_, *link_);
-    nfs_client_ = src.nfs_client_->clone(env_, *rpc_, *nfs_server_);
-    wire_nfs_vfs();
-  }
-  // Rebuilding the registry against the cloned components re-adopts every
-  // counter at its carried-over value, so a forked snapshot equals the
-  // source's.
-  register_metrics();
-}
-
-std::unique_ptr<Testbed> Testbed::fork() const {
-  return std::unique_ptr<Testbed>(new Testbed(*this, ForkTag{}));
-}
-
 fs::Ext3Params Testbed::client_fs_params(const TestbedConfig& c) {
   fs::Ext3Params p;
   p.bcache_capacity_blocks = c.system.client_metadata_blocks;
@@ -175,7 +127,14 @@ fs::Ext3Params Testbed::client_fs_params(const TestbedConfig& c) {
   return p;
 }
 
-void Testbed::install_iscsi_cost_hooks() {
+void Testbed::build_iscsi() {
+  target_cache_ = std::make_unique<block::TimedCache>(
+      *raid_, config_.system.target_cache_blocks, config_.system.target_cache_blocks / 2);
+  target_cache_->set_tracer(&tracer_);
+  target_ = std::make_unique<iscsi::Target>(*target_cache_,
+                                            config_.system.volume_blocks);
+  initiator_ =
+      std::make_unique<iscsi::Initiator>(env_, *link_, *target_, config_.system.iscsi);
   target_->set_cost_hook(
       [this](sim::Time at, bool is_write, std::uint32_t nblocks) {
         const sim::Duration d =
@@ -193,9 +152,16 @@ void Testbed::install_iscsi_cost_hooks() {
     tracer_.charge(obs::Component::kCpu, d);
     return d;
   });
-}
+  initiator_->login();
 
-void Testbed::wire_local_vfs() {
+  fs::MkfsOptions mkfs;
+  mkfs.journal_blocks = config_.system.journal_blocks;
+  fs::Ext3Fs::mkfs(*initiator_, mkfs);
+
+  client_fs_ =
+      std::make_unique<fs::Ext3Fs>(env_, *initiator_, client_fs_params(config_));
+  client_fs_->mount();
+
   auto local = std::make_unique<vfs::LocalVfs>(env_, *client_fs_);
   instr_ = std::make_unique<ClientInstr>(
       tracer_, [this](sim::Time at, vfs::Syscall, std::uint32_t bytes) {
@@ -208,28 +174,6 @@ void Testbed::wire_local_vfs() {
       });
   local->set_instrumentation(instr_.get());
   vfs_ = std::move(local);
-}
-
-void Testbed::build_iscsi() {
-  target_cache_ = std::make_unique<block::TimedCache>(
-      *raid_, config_.system.target_cache_blocks, config_.system.target_cache_blocks / 2);
-  target_cache_->set_tracer(&tracer_);
-  target_ = std::make_unique<iscsi::Target>(*target_cache_,
-                                            config_.system.volume_blocks);
-  initiator_ =
-      std::make_unique<iscsi::Initiator>(env_, *link_, *target_, config_.system.iscsi);
-  install_iscsi_cost_hooks();
-  initiator_->login();
-
-  fs::MkfsOptions mkfs;
-  mkfs.journal_blocks = config_.system.journal_blocks;
-  fs::Ext3Fs::mkfs(*initiator_, mkfs);
-
-  client_fs_ =
-      std::make_unique<fs::Ext3Fs>(env_, *initiator_, client_fs_params(config_));
-  client_fs_->mount();
-
-  wire_local_vfs();
 }
 
 nfs::ClientConfig Testbed::nfs_client_config() const {
@@ -247,12 +191,10 @@ nfs::ClientConfig Testbed::nfs_client_config() const {
     case Protocol::kNfsV4Consistent:
       c.version = nfs::Version::kV4;
       c.consistent_metadata_cache = true;
-      c.v4_read_delegation = true;
       break;
     case Protocol::kNfsV4Delegation:
       c.version = nfs::Version::kV4;
       c.consistent_metadata_cache = true;
-      c.v4_read_delegation = true;
       c.directory_delegation = true;
       break;
     default:
@@ -261,45 +203,6 @@ nfs::ClientConfig Testbed::nfs_client_config() const {
   c.page_cache_capacity = config_.system.client_cache_pages;
   c.write_pool_slots = config_.system.nfs_write_pool_slots;
   return c;
-}
-
-void Testbed::install_nfs_cost_hooks() {
-  nfs_server_->set_cost_hook(
-      [this](sim::Time at, nfs::Proc proc, std::uint32_t bytes) {
-        std::uint32_t layers = config_.system.cpu.nfs_layers;
-        // Meta-data requests that miss the server cache traverse the
-        // VFS/FS/block layers repeatedly (paper §5.4).
-        const bool is_meta = proc != nfs::Proc::kRead &&
-                             proc != nfs::Proc::kWrite &&
-                             proc != nfs::Proc::kCommit;
-        if (is_meta) layers += config_.system.cpu.nfs_meta_miss_layers / 2;
-        sim::Duration d = config_.system.cpu.server_layer * layers;
-        if (!is_meta) {
-          const sim::Duration per_page =
-              proc == nfs::Proc::kWrite ? config_.system.cpu.server_per_page_write
-                                        : config_.system.cpu.server_per_page_read;
-          d += per_page *
-               ((bytes + block::kBlockSize - 1) / block::kBlockSize);
-        }
-        server_cpu_.charge(at, d);
-        tracer_.charge(obs::Component::kCpu, d);
-        return d;
-      });
-}
-
-void Testbed::wire_nfs_vfs() {
-  auto v = std::make_unique<vfs::NfsVfs>(env_, *nfs_client_);
-  instr_ = std::make_unique<ClientInstr>(
-      tracer_, [this](sim::Time at, vfs::Syscall, std::uint32_t bytes) {
-        const sim::Duration d =
-            config_.system.cpu.client_nfs_syscall +
-            config_.system.cpu.client_per_page *
-                ((bytes + block::kBlockSize - 1) / block::kBlockSize) / 2;
-        client_cpu_.charge(at, d);
-        return d;
-      });
-  v->set_instrumentation(instr_.get());
-  vfs_ = std::move(v);
 }
 
 void Testbed::build_nfs() {
@@ -321,14 +224,45 @@ void Testbed::build_nfs() {
   nfs::ServerConfig sc;
   sc.sync_data = protocol_ == Protocol::kNfsV2;
   nfs_server_ = std::make_unique<nfs::NfsServer>(env_, *server_fs_, sc);
-  install_nfs_cost_hooks();
+  nfs_server_->set_cost_hook(
+      [this](sim::Time at, nfs::Proc proc, std::uint32_t bytes) {
+        std::uint32_t layers = config_.system.cpu.nfs_layers;
+        // Meta-data requests that miss the server cache traverse the
+        // VFS/FS/block layers repeatedly (paper §5.4).
+        const bool is_meta = proc != nfs::Proc::kRead &&
+                             proc != nfs::Proc::kWrite &&
+                             proc != nfs::Proc::kCommit;
+        if (is_meta) layers += config_.system.cpu.nfs_meta_miss_layers / 2;
+        sim::Duration d = config_.system.cpu.server_layer * layers;
+        if (!is_meta) {
+          const sim::Duration per_page =
+              proc == nfs::Proc::kWrite ? config_.system.cpu.server_per_page_write
+                                        : config_.system.cpu.server_per_page_read;
+          d += per_page *
+               ((bytes + block::kBlockSize - 1) / block::kBlockSize);
+        }
+        server_cpu_.charge(at, d);
+        tracer_.charge(obs::Component::kCpu, d);
+        return d;
+      });
 
   rpc_ = std::make_unique<rpc::RpcTransport>(env_, *link_, config_.system.rpc);
   nfs_client_ = std::make_unique<nfs::NfsClient>(env_, *rpc_, *nfs_server_,
                                                  nfs_client_config());
   nfs_client_->mount();
 
-  wire_nfs_vfs();
+  auto v = std::make_unique<vfs::NfsVfs>(env_, *nfs_client_);
+  instr_ = std::make_unique<ClientInstr>(
+      tracer_, [this](sim::Time at, vfs::Syscall, std::uint32_t bytes) {
+        const sim::Duration d =
+            config_.system.cpu.client_nfs_syscall +
+            config_.system.cpu.client_per_page *
+                ((bytes + block::kBlockSize - 1) / block::kBlockSize) / 2;
+        client_cpu_.charge(at, d);
+        return d;
+      });
+  v->set_instrumentation(instr_.get());
+  vfs_ = std::move(v);
 }
 
 namespace {

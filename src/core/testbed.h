@@ -112,22 +112,12 @@ class Testbed {
   /// Failure injection: client dies — caches and un-shipped state vanish.
   void crash_client();
 
-  // --- checkpoint / fork (warm-state snapshots, see DESIGN.md §13) ---
-
   /// Runs every deferred daemon (journal commits, page flushes, delegation
   /// flushes) to completion and waits out in-flight asynchronous writes,
-  /// leaving the world in the quiesced state fork() requires.  Virtual
-  /// time advances past the deferred work; warm cache contents survive.
+  /// leaving no pending event.  Virtual time advances past the deferred
+  /// work; warm cache contents survive.  Sweep points build a world and
+  /// quiesce it before measuring (DESIGN.md §13).
   void quiesce();
-
-  /// Deep-clones this testbed into an independent world with identical
-  /// observable state: clock and event-sequence counter, disks, caches
-  /// (LRU recency order included), protocol sessions, and every counter.
-  /// Requires quiescence — no pending events, no in-flight asynchronous
-  /// writes (quiesce() gets there; CHECK-aborts otherwise).  The source
-  /// remains fully usable; runs continued from the clone and from the
-  /// source are byte-identical in their reports.
-  [[nodiscard]] std::unique_ptr<Testbed> fork() const;
 
   // --- internals for white-box tests ---
   [[nodiscard]] fs::Ext3Fs& client_fs();     // iSCSI stacks only
@@ -140,23 +130,8 @@ class Testbed {
  private:
   class ClientInstr;  // vfs::Instrumentation impl (spans + CPU costs)
 
-  /// Fork constructor: deep-clones `src` (which must be quiesced) and
-  /// re-installs this instance's own cost hooks, tracer wiring, and
-  /// metrics registry against the cloned components.
-  struct ForkTag {};
-  Testbed(const Testbed& src, ForkTag);
-
   void build_iscsi();
   void build_nfs();
-  /// Cost hooks close over `this` (CPU models, tracer, config), so forks
-  /// must re-install their own rather than copy the source's; shared by
-  /// the normal build path and the fork constructor.
-  void install_iscsi_cost_hooks();
-  void install_nfs_cost_hooks();
-  /// Builds the client-side Vfs + instrumentation over the (fresh or
-  /// cloned) protocol stack.
-  void wire_local_vfs();
-  void wire_nfs_vfs();
   /// Adopts every long-lived component counter into the registry.  The fs
   /// page/buffer caches are deliberately absent: mount() recreates them,
   /// which would dangle an adopted reference — their ratios are computed

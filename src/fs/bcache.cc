@@ -11,29 +11,6 @@ Bcache::Bcache(block::BlockDevice& dev, std::uint64_t capacity_blocks)
   NETSTORE_CHECK_GT(capacity_, 0u);
 }
 
-std::unique_ptr<Bcache> Bcache::clone(block::BlockDevice& dev) const {
-  auto copy = std::make_unique<Bcache>(dev, capacity_);
-  copy->map_.reserve(map_.size());
-  // Hash-map iteration order only affects the clone's internal layout;
-  // eviction order is rebuilt exactly below.
-  // netstore-lint: allow(unordered-iter)
-  for (const auto& kv : map_) {
-    NETSTORE_CHECK(!kv.second.loading,
-                   "cannot clone a Bcache with an in-flight read");
-    Entry& e = copy->map_[kv.first];
-    e.lba = kv.second.lba;
-    e.buf = kv.second.buf;  // shares the frame (copy-on-write)
-    e.dirty = kv.second.dirty;
-  }
-  core::clone_lru_order(lru_, copy->lru_, [&copy](const Entry& src) {
-    return &copy->map_.find(src.lba)->second;
-  });
-  copy->dirty_count_ = dirty_count_;
-  copy->hits_ = hits_;
-  copy->misses_ = misses_;
-  return copy;
-}
-
 Bcache::Entry& Bcache::insert(block::Lba lba, bool read_from_device) {
   maybe_evict();
   Entry& e = map_[lba];

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 
 #include "block/device.h"
@@ -27,14 +26,13 @@ class Bcache {
   Bcache(block::BlockDevice& dev, std::uint64_t capacity_blocks);
 
   /// Returns the buffer for `lba`, reading it from the device on a miss
-  /// (blocking).  Mutable access: a block still shared with a fork or
-  /// with the device is un-shared here, lazily, so fork cost is
-  /// O(blocks touched afterwards).  The reference is valid until the
-  /// next Bcache call, and that includes calls made for the caller: a
-  /// journal commit or checkpoint (any dirty_metadata(), any miss that
-  /// advances the clock) hands this frame to the device, and a write
-  /// through a reference held across it lands in the device's copy.
-  /// Write after such a call through refetch().
+  /// (blocking).  Mutable access: a block still shared with the device is
+  /// un-shared here.  The reference is valid until the next Bcache call,
+  /// and that includes calls made for the caller: a journal commit or
+  /// checkpoint (any dirty_metadata(), any miss that advances the clock)
+  /// hands this frame to the device, and a write through a reference held
+  /// across it lands in the device's copy.  Write after such a call
+  /// through refetch().
   block::BlockBuf& get(block::Lba lba);
 
   /// Mutable access again to a block the caller fetched with get() in
@@ -85,19 +83,12 @@ class Bcache {
   [[nodiscard]] sim::Counter& hits_counter() { return hits_; }
   [[nodiscard]] sim::Counter& misses_counter() { return misses_; }
 
-  /// Deep copy for checkpoint/fork, rehomed onto `dev` (the cloned world's
-  /// device).  Buffers, dirty bits, counters, and the exact LRU recency
-  /// order carry over.  CHECK-fails if any entry is mid-load — a loading
-  /// entry means a device read is on the stack, which a quiesced fork
-  /// rules out.
-  [[nodiscard]] std::unique_ptr<Bcache> clone(block::BlockDevice& dev) const;
-
  private:
   struct Entry {
     Entry* lru_prev = nullptr;  // intrusive LRU links (core::LruList)
     Entry* lru_next = nullptr;
     block::Lba lba = 0;
-    core::BufRef buf;  // pooled frame, shared with clones until written
+    core::BufRef buf;  // pooled frame, shared with the device until written
     bool dirty = false;
     // Set while the buffer is being filled from the device.  The device
     // read advances the virtual clock, which can fire the journal-commit

@@ -41,23 +41,6 @@ Ext3Fs::Ext3Fs(sim::Env& env, block::BlockDevice& dev, Ext3Params params)
 
 Ext3Fs::~Ext3Fs() = default;
 
-std::unique_ptr<Ext3Fs> Ext3Fs::clone(sim::Env& env,
-                                      block::BlockDevice& dev) const {
-  auto copy = std::make_unique<Ext3Fs>(env, dev, params_);
-  copy->sb_ = sb_;
-  copy->groups_ = groups_;
-  if (bcache_) copy->bcache_ = bcache_->clone(dev);
-  if (pages_) copy->pages_ = pages_->clone(env, dev);
-  if (journal_) {
-    // The journal mutates the owning fs's superblock on commit, so it must
-    // bind to the clone's sb_, which is why sb_ is copied before this.
-    copy->journal_ = journal_->clone(env, dev, *copy->bcache_, copy->sb_);
-  }
-  copy->mounted_ = mounted_;
-  copy->readstate_ = readstate_;
-  return copy;
-}
-
 // ---------------------------------------------------------------------------
 // mkfs / mount / unmount
 // ---------------------------------------------------------------------------

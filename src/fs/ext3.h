@@ -125,14 +125,6 @@ class Ext3Fs {
   /// component.
   Result<Ino> resolve_parent(const std::string& path, std::string& leaf);
 
-  /// Deep copy for checkpoint/fork, rehomed onto the cloned world's
-  /// env/device: superblock, group descriptors, both caches (LRU order
-  /// preserved), journal state, and per-inode read-ahead cursors.  The
-  /// source must be quiescent (no scheduled journal commit or flusher
-  /// tick) — the component clones CHECK this.
-  [[nodiscard]] std::unique_ptr<Ext3Fs> clone(sim::Env& env,
-                                              block::BlockDevice& dev) const;
-
   // --- internals exposed for instrumentation and tests ---
   [[nodiscard]] Bcache& bcache() { return *bcache_; }
   [[nodiscard]] PageCache& pages() { return *pages_; }

@@ -18,23 +18,6 @@ Journal::Journal(sim::Env& env, block::BlockDevice& dev, Bcache& bcache,
       interval_(interval),
       next_sequence_(sb.journal_sequence) {}
 
-std::unique_ptr<Journal> Journal::clone(sim::Env& env, block::BlockDevice& dev,
-                                        Bcache& bcache, SuperBlock& sb) const {
-  NETSTORE_CHECK(!commit_scheduled_,
-                 "cannot clone a Journal with a scheduled commit");
-  auto copy = std::make_unique<Journal>(env, dev, bcache, sb, interval_);
-  copy->running_ = running_;
-  copy->checkpoint_pending_ = checkpoint_pending_;
-  copy->revoked_pending_ = revoked_pending_;
-  copy->next_sequence_ = next_sequence_;
-  copy->live_blocks_ = live_blocks_;
-  copy->stopped_ = stopped_;
-  copy->audit_ = audit_;
-  copy->last_commit_sequence_ = last_commit_sequence_;
-  copy->stats_ = stats_;
-  return copy;
-}
-
 void Journal::dirty_metadata(block::Lba lba) {
   bcache_.mark_dirty(lba);
   if (std::find(running_.begin(), running_.end(), lba) == running_.end()) {

@@ -79,16 +79,6 @@ class Journal {
   /// on-disk journal.  Off by default; testbeds enable it stack-wide.
   void set_audit(bool on) { audit_ = on; }
 
-  /// Deep copy for checkpoint/fork, rehomed onto the cloned world's
-  /// env/device/bcache and the cloned file system's superblock (the
-  /// journal mutates `sb` on commit, so it must be the clone's own copy,
-  /// never the source's).  CHECK-fails if a timed commit is scheduled —
-  /// the quiesced-fork rule.
-  [[nodiscard]] std::unique_ptr<Journal> clone(sim::Env& env,
-                                               block::BlockDevice& dev,
-                                               Bcache& bcache,
-                                               SuperBlock& sb) const;
-
  private:
   /// Writes every checkpoint-pending block in place (coalesced into
   /// sequential runs) and resets the journal tail.
@@ -109,8 +99,6 @@ class Journal {
   SuperBlock& sb_;
   sim::Duration interval_;
   // Guards the scheduled commit callback against outliving this object.
-  // netstore: not_cloned -- each instance mints a fresh liveness token;
-  // copying it would let the source's scheduled callbacks fire in the clone
   std::shared_ptr<int> alive_ = std::make_shared<int>(0);
 
   std::vector<block::Lba> running_;  // insertion-ordered, deduplicated

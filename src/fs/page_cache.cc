@@ -10,33 +10,6 @@ PageCache::PageCache(sim::Env& env, block::BlockDevice& dev,
                      PageCacheParams params)
     : env_(env), dev_(dev), params_(params) {}
 
-std::unique_ptr<PageCache> PageCache::clone(sim::Env& env,
-                                            block::BlockDevice& dev) const {
-  NETSTORE_CHECK(!flusher_scheduled_,
-                 "cannot clone a PageCache with a scheduled flusher tick");
-  auto copy = std::make_unique<PageCache>(env, dev, params_);
-  copy->pages_.reserve(pages_.size());
-  // Hash-map iteration order only affects the clone's internal layout;
-  // eviction order is rebuilt exactly below.
-  // netstore-lint: allow(unordered-iter)
-  for (const auto& kv : pages_) {
-    Page& p = copy->pages_[kv.first];
-    p.key = kv.second.key;
-    p.data = kv.second.data;  // shares the frame (copy-on-write)
-    p.lba = kv.second.lba;
-    p.dirty = kv.second.dirty;
-    p.ready_at = kv.second.ready_at;
-    p.dirty_since = kv.second.dirty_since;
-  }
-  core::clone_lru_order(lru_, copy->lru_, [&copy](const Page& src) {
-    return &copy->pages_.find(src.key)->second;
-  });
-  copy->dirty_count_ = dirty_count_;
-  copy->stopped_ = stopped_;
-  copy->stats_ = stats_;
-  return copy;
-}
-
 PageCache::Page* PageCache::lookup(Ino ino, std::uint64_t index) {
   auto it = pages_.find(Key{ino, index});
   if (it == pages_.end()) return nullptr;

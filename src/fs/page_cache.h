@@ -96,17 +96,6 @@ class PageCache {
   [[nodiscard]] std::uint64_t resident_pages() const { return pages_.size(); }
   [[nodiscard]] std::uint64_t dirty_pages() const { return dirty_count_; }
 
-  /// True while a flusher tick is scheduled (quiescence probe).
-  [[nodiscard]] bool flusher_scheduled() const { return flusher_scheduled_; }
-
-  /// Deep copy for checkpoint/fork, rehomed onto the cloned world's
-  /// env/device.  Pages (contents, dirty bits, read-ahead deadlines) and
-  /// the exact LRU recency order carry over; the clone gets a fresh
-  /// `alive_` guard since a quiesced source has no callbacks in flight.
-  /// CHECK-fails if a flusher tick is still scheduled.
-  [[nodiscard]] std::unique_ptr<PageCache> clone(sim::Env& env,
-                                                 block::BlockDevice& dev) const;
-
  private:
   struct Key {
     Ino ino;
@@ -126,8 +115,8 @@ class PageCache {
     Page* lru_prev = nullptr;  // intrusive LRU links (core::LruList)
     Page* lru_next = nullptr;
     Key key{};                 // owning map key, for erase via LRU walk
-    core::BufRef data;         // pooled frame; may be shared with a fork,
-                               // the bcache below, or the disk store
+    core::BufRef data;         // pooled frame; may be shared with the
+                               // bcache below or the disk store
     block::Lba lba = 0;
     bool dirty = false;
     sim::Time ready_at = 0;     // read-ahead completion
@@ -147,8 +136,6 @@ class PageCache {
   PageCacheParams params_;
   // Guards scheduled flusher callbacks against outliving this object
   // (remount destroys the cache while events may still be queued).
-  // netstore: not_cloned -- each instance mints a fresh liveness token;
-  // copying it would let the source's scheduled callbacks fire in the clone
   std::shared_ptr<int> alive_ = std::make_shared<int>(0);
   std::unordered_map<Key, Page, KeyHash> pages_;
   core::LruList<Page> lru_;  // front = most recent

@@ -16,24 +16,6 @@ Initiator::Initiator(sim::Env& env, net::Link& link, Target& target,
                      SessionParams params)
     : env_(env), link_(link), target_(target), params_(params) {}
 
-std::unique_ptr<Initiator> Initiator::clone(sim::Env& env, net::Link& link,
-                                            Target& target) const {
-  // The completion heap is reaped lazily, so entries in the past are fine
-  // — one in the future is an async write still in flight, which a
-  // quiesced fork rules out.
-  for (auto pending = outstanding_; !pending.empty();) {
-    NETSTORE_CHECK_LE(pending.pop(), env.now(),
-                      "cannot clone an Initiator with writes in flight");
-  }
-  auto copy = std::make_unique<Initiator>(env, link, target, params_);
-  copy->state_ = state_;
-  copy->outstanding_ = outstanding_;
-  copy->exchanges_ = exchanges_;
-  copy->write_commands_ = write_commands_;
-  copy->write_bytes_ = write_bytes_;
-  return copy;
-}
-
 void Initiator::login() {
   NETSTORE_CHECK_NE(state_, SessionState::kLoggedIn, "double login");
   target_.claim_lun(params_.lun);  // exclusive ownership, before any I/O

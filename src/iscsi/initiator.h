@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 
 #include "block/device.h"
@@ -78,15 +77,6 @@ class Initiator final : public block::BlockDevice {
 
   void set_cost_hook(InitiatorCostHook hook) { cost_hook_ = std::move(hook); }
 
-  /// Deep copy for checkpoint/fork, rehomed onto the cloned env/link/
-  /// target: session state, the tagged-queue completion heap, and the
-  /// exchange counters.  CHECKs that no async write is still in flight
-  /// (every queued completion time <= now) — the quiesced-fork rule.  The
-  /// cost hook is NOT copied; the forking Testbed installs its own.
-  [[nodiscard]] std::unique_ptr<Initiator> clone(sim::Env& env,
-                                                 net::Link& link,
-                                                 Target& target) const;
-
  private:
   /// Sends one READ command sequence starting now, appending one frame
   /// per block to `out`; returns the time the final Data-In/response
@@ -107,8 +97,6 @@ class Initiator final : public block::BlockDevice {
   Target& target_;
   SessionParams params_;
   SessionState state_ = SessionState::kFree;
-  // netstore: not_cloned -- closure over the source Testbed; the fork
-  // installs its own (see clone())
   InitiatorCostHook cost_hook_;
 
   // Min-heap of outstanding async-write response arrival times.

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <type_traits>
 
 namespace netstore::iscsi {
 
@@ -34,14 +33,5 @@ struct SessionParams {
   // Text bytes exchanged during login negotiation (key=value pairs).
   std::uint32_t login_negotiation_bytes = 512;
 };
-
-// Checkpoint/fork contract: session parameters and state are cloned by
-// plain copy.
-static_assert(std::is_trivially_copyable_v<SessionParams>,
-              "SessionParams must stay trivially copyable for "
-              "checkpoint/fork");
-static_assert(std::is_trivially_copyable_v<SessionState>,
-              "SessionState must stay trivially copyable for "
-              "checkpoint/fork");
 
 }  // namespace netstore::iscsi

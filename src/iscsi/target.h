@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <unordered_set>
 #include <vector>
@@ -75,16 +74,6 @@ class Target {
 
   [[nodiscard]] block::TimedCache& cache() { return cache_; }
 
-  /// Deep copy for checkpoint/fork, rehomed onto `cache` (the cloned
-  /// world's cache).  The cost hook is a closure over the source Testbed
-  /// and is deliberately NOT copied — the forking Testbed installs its own.
-  [[nodiscard]] std::unique_ptr<Target> clone(block::TimedCache& cache) const {
-    auto copy = std::make_unique<Target>(cache, volume_blocks_);
-    copy->commands_ = commands_;
-    copy->claimed_luns_ = claimed_luns_;
-    return copy;
-  }
-
  private:
   /// Command prologue shared by both entry points: counts the command,
   /// resets `result`, charges the cost hook, and rejects an LBA range
@@ -95,8 +84,6 @@ class Target {
 
   block::TimedCache& cache_;
   std::uint64_t volume_blocks_;
-  // netstore: not_cloned -- closure over the source Testbed; the fork
-  // installs its own (see clone())
   TargetCostHook cost_hook_;
   sim::Counter commands_;
   std::unordered_set<std::uint32_t> claimed_luns_;

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "sim/env.h"
 #include "sim/rng.h"
@@ -112,19 +111,6 @@ class Link {
 
   [[nodiscard]] sim::Env& env() { return env_; }
   [[nodiscard]] const LinkConfig& config() const { return config_; }
-
-  /// Deep copy for checkpoint/fork, rehomed onto `env`: config (including
-  /// any injected WAN delay), loss probability, per-direction pipe
-  /// occupancy, and traffic counters all carry over.
-  [[nodiscard]] std::unique_ptr<Link> clone(sim::Env& env) const {
-    auto copy = std::make_unique<Link>(env, config_);
-    copy->loss_probability_ = loss_probability_;
-    copy->c2s_busy_until_ = c2s_busy_until_;
-    copy->s2c_busy_until_ = s2c_busy_until_;
-    copy->c2s_ = c2s_;
-    copy->s2c_ = s2c_;
-    return copy;
-  }
 
  private:
   sim::Time transmit(Direction d, std::uint64_t bytes, sim::Time earliest);

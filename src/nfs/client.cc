@@ -29,51 +29,6 @@ NfsClient::NfsClient(sim::Env& env, rpc::RpcTransport& rpc, NfsServer& server,
 
 NfsClient::~NfsClient() = default;
 
-std::unique_ptr<NfsClient> NfsClient::clone(sim::Env& env,
-                                            rpc::RpcTransport& rpc,
-                                            NfsServer& server) const {
-  NETSTORE_CHECK(!deleg_flush_scheduled_,
-                 "cannot clone an NfsClient with a scheduled delegation "
-                 "flush");
-  // The write pool holds completion times of outstanding WRITE RPCs; it is
-  // reaped lazily, so entries in the past are fine — one in the future is
-  // a write still in flight, which a quiesced fork rules out.
-  for (auto pool = write_pool_; !pool.empty(); pool.pop()) {
-    NETSTORE_CHECK_LE(pool.top(), env.now(),
-                      "cannot clone an NfsClient with writes in flight");
-  }
-
-  auto copy = std::make_unique<NfsClient>(env, rpc, server, config_);
-  copy->mounted_ = mounted_;
-  copy->root_ = root_;
-  copy->dentries_ = dentries_;
-  copy->deleg_negative_ = deleg_negative_;
-  copy->attrs_ = attrs_;
-  copy->access_cache_ = access_cache_;
-  // The page LRU is a std::list of keys; copying it preserves recency
-  // order, after which each cloned page's lru_pos iterator is re-anchored
-  // into the new list.
-  copy->page_lru_ = page_lru_;
-  copy->pages_.reserve(pages_.size());
-  for (auto it = copy->page_lru_.begin(); it != copy->page_lru_.end(); ++it) {
-    const auto src = pages_.find(*it);
-    NETSTORE_CHECK(src != pages_.end(), "page LRU key with no page");
-    Page& p = copy->pages_[*it];
-    p.data = src->second.data;  // shares the frame (copy-on-write)
-    p.ready_at = src->second.ready_at;
-    p.lru_pos = it;
-  }
-  NETSTORE_CHECK_EQ(copy->pages_.size(), pages_.size(),
-                    "page map and page LRU out of sync");
-  copy->files_ = files_;
-  copy->write_pool_ = write_pool_;
-  copy->deleg_queue_ = deleg_queue_;
-  copy->provisional_to_real_ = provisional_to_real_;
-  copy->next_provisional_ = next_provisional_;
-  copy->stats_ = stats_;
-  return copy;
-}
-
 // ---------------------------------------------------------------------------
 // RPC plumbing
 // ---------------------------------------------------------------------------
@@ -139,9 +94,8 @@ fs::Status NfsClient::do_getattr(Fh fh) {
 }
 
 void NfsClient::v4_ensure_access(Fh fh) {
-  if (config_.version != Version::kV4 || !config_.v4_access_per_component) {
-    return;
-  }
+  // Linux v4 idiosyncrasy: an ACCESS exchange per directory component.
+  if (config_.version != Version::kV4) return;
   if (is_provisional(fh)) return;  // §7: not yet shipped to the server
   // §7: the strongly-consistent cache keeps access decisions valid until
   // a server callback invalidates them; no per-window ACCESS probes.

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <memory>
 #include <queue>
 #include <string>
 #include <unordered_map>
@@ -39,32 +38,26 @@ namespace netstore::nfs {
 
 struct ClientConfig {
   Version version = Version::kV3;
-  // Consistency windows (paper §2.3: Linux treats cached meta-data as
-  // potentially stale after 3 s, data after 30 s).
+  // Consistency window (paper §2.3: Linux treats cached meta-data as
+  // potentially stale after 3 s); cached file data is revalidated on the
+  // same window.
   sim::Duration attr_timeout = sim::seconds(3);
-  sim::Duration data_timeout = sim::seconds(30);
   // Bounded async-write pool (v3/v4).  Past this many outstanding WRITE
   // RPCs the client blocks on completions: pseudo-synchronous writes.
   std::uint32_t write_pool_slots = 16;
   // Outstanding read-ahead READ RPCs on a sequential stream.
   std::uint32_t readahead_pages = 2;
   std::uint64_t page_cache_capacity = 64 * 1024;  // 256 MB of pages
-  // Linux v4 idiosyncrasy: ACCESS exchange per directory component.
-  bool v4_access_per_component = true;
-  // v4 read delegation (server grants on open; lets reads skip
-  // revalidation).
-  bool v4_read_delegation = false;
 
   // --- §7 enhancements (meaningful with version = kV4) ---
   // Strongly-consistent read-only name/attribute cache: entries stay
   // valid until a server callback invalidates them, so consistency-check
-  // messages disappear.
+  // messages disappear.  The server also grants a v4 read delegation on
+  // open, so reopening a delegated file skips OPEN and CLOSE.
   bool consistent_metadata_cache = false;
   // Directory delegation: meta-data updates are applied locally and
   // shipped to the server in aggregated compounds.
   bool directory_delegation = false;
-  sim::Duration delegation_flush_interval = sim::seconds(5);
-  std::uint32_t compound_batch = 16;  // ops per aggregated compound
 };
 
 struct ClientStats {
@@ -150,23 +143,9 @@ class NfsClient {
     return deleg_queue_.size();
   }
 
-  /// True while a delegation-flush tick is scheduled (quiescence probe).
-  [[nodiscard]] bool deleg_flush_scheduled() const {
-    return deleg_flush_scheduled_;
-  }
-
   /// Waits out every outstanding asynchronous WRITE RPC, advancing the
   /// clock to each completion (Testbed::quiesce() support).
   void drain_pending_writes() { drain_writes(); }
-
-  /// Deep copy for checkpoint/fork, rehomed onto the cloned env/rpc/server:
-  /// dentry/attr/access caches, the page cache (LRU order preserved), file
-  /// states, the async write pool, and all §7 delegation state.  CHECKs
-  /// the quiesced-fork rules: no scheduled delegation flush and no write
-  /// RPC still in flight (every pool slot's completion time <= now).
-  [[nodiscard]] std::unique_ptr<NfsClient> clone(sim::Env& env,
-                                                 rpc::RpcTransport& rpc,
-                                                 NfsServer& server) const;
 
  private:
   // -- caches --
@@ -203,7 +182,7 @@ class NfsClient {
     }
   };
   struct Page {
-    core::BufRef data;  // pooled frame; may be shared with a fork
+    core::BufRef data;  // pooled frame; may be shared with the server cache
     sim::Time ready_at = 0;
     std::list<PageKey>::iterator lru_pos;
   };

@@ -96,7 +96,7 @@ void NfsClient::v4_open_sequence(Fh fh, FileState& st, bool with_access) {
   // OPEN (+ one-time OPEN_CONFIRM) + GETATTR (+ ACCESS on the file).
   call(Proc::kOpen, WireSizes::kFh + 32, WireSizes::kFh + WireSizes::kAttrs,
        [&] {
-         if (config_.v4_read_delegation) st.read_delegation = true;
+         if (config_.consistent_metadata_cache) st.read_delegation = true;
        });
   if (!st.open_confirmed) {
     call(Proc::kOpenConfirm, WireSizes::kFh + 8, 8, [] {});
@@ -205,7 +205,7 @@ fs::Result<Fh> NfsClient::open(const std::string& path) {
   FileState& st = files_[*fh];
 
   if (config_.version == Version::kV4) {
-    if (config_.v4_read_delegation && st.read_delegation) {
+    if (st.read_delegation) {
       // A held delegation covers the open: no server interaction.
       return *fh;
     }
@@ -242,7 +242,7 @@ fs::Status NfsClient::close(Fh fh) {
     st.needs_commit = false;
   }
   if (config_.version == Version::kV4) {
-    if (config_.v4_read_delegation && st.read_delegation) {
+    if (st.read_delegation) {
       // The delegation outlives the open; nothing to tell the server.
       return fs::Status::Ok();
     }
@@ -271,10 +271,9 @@ fs::Status NfsClient::fsync(Fh fh) {
 // ---------------------------------------------------------------------------
 
 fs::Status NfsClient::revalidate_data(Fh fh, FileState& st) {
+  // The strongly-consistent cache (and the read delegation it brings)
+  // needs no revalidation.
   if (config_.consistent_metadata_cache) return fs::Status::Ok();
-  if (config_.version == Version::kV4 && st.read_delegation) {
-    return fs::Status::Ok();
-  }
   const sim::Duration window = config_.attr_timeout;
   if (st.last_reval >= 0 && env_.now() - st.last_reval < window) {
     return fs::Status::Ok();

@@ -22,6 +22,15 @@ namespace netstore::nfs {
 
 using block::kBlockSize;
 
+namespace {
+
+// A queued delegated update ships within this interval.
+constexpr sim::Duration kDelegationFlushInterval = sim::seconds(5);
+// Meta-data operations per aggregated compound.
+constexpr std::size_t kCompoundBatch = 16;
+
+}  // namespace
+
 Fh NfsClient::to_real(Fh fh) const {
   auto it = provisional_to_real_.find(fh);
   return it == provisional_to_real_.end() ? fh : it->second;
@@ -30,7 +39,7 @@ Fh NfsClient::to_real(Fh fh) const {
 void NfsClient::schedule_deleg_flush() {
   if (deleg_flush_scheduled_) return;
   deleg_flush_scheduled_ = true;
-  env_.schedule_after(config_.delegation_flush_interval, [this] {
+  env_.schedule_after(kDelegationFlushInterval, [this] {
     deleg_flush_scheduled_ = false;
     if (mounted_ && !deleg_queue_.empty()) flush_delegated_updates();
   });
@@ -125,13 +134,13 @@ void NfsClient::flush_delegated_updates() {
   std::vector<PendingUpdate> queue;
   queue.swap(deleg_queue_);
 
-  // Ship in aggregated compounds of up to `compound_batch` updates: one
+  // Ship in aggregated compounds of up to kCompoundBatch updates: one
   // exchange carries many meta-data operations (the compounding benefit
   // §6.3 of the paper speculates about, made concrete).
   std::size_t i = 0;
   while (i < queue.size()) {
     const std::size_t batch =
-        std::min<std::size_t>(config_.compound_batch, queue.size() - i);
+        std::min(kCompoundBatch, queue.size() - i);
     std::uint32_t payload = 0;
     for (std::size_t j = 0; j < batch; ++j) {
       payload += WireSizes::name_arg(queue[i + j].name) + WireSizes::kSetAttrs;

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -87,16 +86,6 @@ class NfsServer {
   /// Non-const access for MetricsRegistry adoption (src/obs).
   [[nodiscard]] sim::Counter& requests_counter() { return requests_; }
 
-  /// Deep copy for checkpoint/fork, rehomed onto the cloned env and file
-  /// system.  The cost hook is a closure over the source Testbed and is
-  /// deliberately NOT copied — the forking Testbed installs its own.
-  [[nodiscard]] std::unique_ptr<NfsServer> clone(sim::Env& env,
-                                                 fs::Ext3Fs& fs) const {
-    auto copy = std::make_unique<NfsServer>(env, fs, config_);
-    copy->requests_ = requests_;
-    return copy;
-  }
-
  private:
   /// Journal barrier after a metadata mutation when sync_metadata.
   void metadata_barrier();
@@ -104,8 +93,6 @@ class NfsServer {
   sim::Env& env_;
   fs::Ext3Fs& fs_;
   ServerConfig config_;
-  // netstore: not_cloned -- closure over the source Testbed; the fork
-  // installs its own (see clone())
   ServerCostHook cost_hook_;
   sim::Counter requests_;
 };

@@ -118,23 +118,6 @@ std::vector<SpanRecord> Tracer::recent() const {
   return out;
 }
 
-void Tracer::clone_from(const Tracer& src) {
-  NETSTORE_CHECK_EQ(src.active_.size(), std::size_t{0},
-                    "cannot clone a Tracer with an open span");
-  NETSTORE_CHECK_EQ(active_.size(), std::size_t{0},
-                    "cannot clone into a Tracer with an open span");
-  ring_capacity_ = src.ring_capacity_;
-  ring_ = src.ring_;
-  next_id_ = src.next_id_;
-  suspended_ = src.suspended_;
-  client_context_ = src.client_context_;
-  completed_ = src.completed_;
-  overattributed_ = src.overattributed_;
-  component_us_ = src.component_us_;
-  op_total_us_ = src.op_total_us_;
-  total_us_ = src.total_us_;
-}
-
 void Tracer::reset() {
   ring_.clear();
   completed_.reset();

@@ -141,12 +141,6 @@ class Tracer {
   /// mid-syscall keeps the open span consistent).
   void reset();
 
-  /// Copies the ring, samplers, and id counter from a source tracer with
-  /// no active spans (checkpoint/fork support).  An open span belongs to a
-  /// request still on the source's stack and cannot be meaningfully
-  /// duplicated, so cloning a tracer mid-request is a CHECK failure.
-  void clone_from(const Tracer& src);
-
  private:
   std::size_t ring_capacity_;
   std::vector<SpanRecord> ring_;  // circular once full

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "net/link.h"
 #include "sim/env.h"
@@ -74,15 +73,6 @@ class RpcTransport {
   [[nodiscard]] net::Link& link() { return link_; }
   [[nodiscard]] sim::Env& env() { return env_; }
   [[nodiscard]] const RpcConfig& config() const { return config_; }
-
-  /// Deep copy for checkpoint/fork, rehomed onto the cloned env/link.  The
-  /// transport itself is stateless beyond its counters.
-  [[nodiscard]] std::unique_ptr<RpcTransport> clone(sim::Env& env,
-                                                    net::Link& link) const {
-    auto copy = std::make_unique<RpcTransport>(env, link, config_);
-    copy->stats_ = stats_;
-    return copy;
-  }
 
  private:
   sim::Time exchange(std::uint32_t request_payload,

@@ -78,19 +78,4 @@ void Env::check_quiesced() const {
                     "events still pending at teardown");
 }
 
-void Env::clone_from(const Env& src) {
-  NETSTORE_CHECK_EQ(src.pending_events(), std::size_t{0},
-                    "cannot clone an Env with pending events");
-  NETSTORE_CHECK_EQ(pending_events(), std::size_t{0},
-                    "cannot clone into an Env with pending events");
-  now_ = src.now_;
-  next_seq_ = src.next_seq_;
-  // Counter values carry over so a forked snapshot equals the source's.
-  timer_stats_ = src.timer_stats_;
-  audit_has_last_pop_ = src.audit_has_last_pop_;
-  audit_last_pop_at_ = src.audit_last_pop_at_;
-  audit_last_pop_seq_ = src.audit_last_pop_seq_;
-  audit_seq_snapshot_ = src.audit_seq_snapshot_;
-}
-
 }  // namespace netstore::sim

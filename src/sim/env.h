@@ -96,15 +96,6 @@ class Env {
   /// if events are still pending.
   void check_quiesced() const;
 
-  /// Copies the clock, sequence counter, timer counters and audit
-  /// bookkeeping from a *quiesced* source environment (checkpoint/fork
-  /// support).  Both queues must be empty — events hold type-erased
-  /// callables that capture pointers into the source world and cannot be
-  /// rewired, which is why fork() only exists for quiesced testbeds.  The observability pointers and audit flag are
-  /// deliberately NOT copied: they belong to the new owner and are wired
-  /// up by the forking Testbed.
-  void clone_from(const Env& src);
-
   /// Scheduling telemetry; adopted into the registry as sim.timer.* by
   /// the owning Testbed.
   [[nodiscard]] const TimerStats& timer_stats() const { return timer_stats_; }
@@ -145,21 +136,15 @@ class Env {
   void run_pending(Time target, bool drain_all);
 
   Time now_ = 0;
-  // netstore: not_cloned -- observers and config, not simulated state:
-  // Testbed::clone_from re-installs its own registry/tracer and re-derives
-  // audit_ from config right after Env::clone_from returns
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;  // netstore: not_cloned -- see metrics_
-  bool audit_ = false;             // netstore: not_cloned -- see metrics_
+  obs::Tracer* tracer_ = nullptr;
+  bool audit_ = false;
   bool audit_has_last_pop_ = false;
   Time audit_last_pop_at_ = 0;
   std::uint64_t audit_last_pop_seq_ = 0;
   std::uint64_t audit_seq_snapshot_ = 0;
   std::uint64_t next_seq_ = 0;
   TimerStats timer_stats_;
-
-  // netstore: not_cloned -- clone_from CHECKs both sides quiesced, so the
-  // queue is empty by construction at fork time.
   DaryHeap<Event, Sooner> queue_;
 };
 

@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
-#include <type_traits>
 #include <vector>
 
 namespace netstore::sim {
@@ -128,11 +127,6 @@ class Rng {
 
   std::array<std::uint64_t, 4> state_{};
 };
-
-// Checkpoint/fork contract: an Rng is cloned by plain copy — the stream
-// continues identically in both worlds from the copied state.
-static_assert(std::is_trivially_copyable_v<Rng>,
-              "Rng must stay trivially copyable for checkpoint/fork");
 
 /// Zipf-distributed sampler over [0, n) with exponent `theta` (theta = 0 is
 /// uniform; ~0.99 matches commonly measured file-popularity skew).  Uses

@@ -157,7 +157,8 @@ class Task {
   }
 
   // Process-wide allocation diagnostics for bench_sim_selfperf; never read
-  // by the simulation, so forked worlds cannot observe each other here.
+  // by the simulation, so worlds in one process cannot observe each other
+  // here.
   // netstore-lint: allow(fork-unsafe-state) -- host-side diagnostic counter
   inline static std::atomic<std::uint64_t> inline_constructions_{0};
   // netstore-lint: allow(fork-unsafe-state) -- host-side diagnostic counter

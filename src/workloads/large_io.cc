@@ -66,8 +66,8 @@ LargeIoResult run_large_write(core::Testbed& bed, const LargeIoConfig& cfg) {
   vfs::Vfs& v = bed.vfs();
   // Uniquify the file name per run from the testbed's own clock (strictly
   // ahead of any previous run's creation time on this bed).  A process-wide
-  // counter here would leak state across testbeds — two worlds forked from
-  // one checkpoint must create identical names (fork-unsafe-state lint).
+  // counter here would leak state across testbeds — two worlds built from
+  // one config must create identical names (fork-unsafe-state lint).
   const std::string path = "/wfile" + std::to_string(bed.env().now());
 
   bed.settle(sim::seconds(40));

@@ -106,8 +106,9 @@ TEST(BufRefTest, MutableAccessOnSharedFrameCopiesOnWrite) {
 }
 
 TEST(BufRefTest, ForkLikeFanOutIsolatesEveryHandle) {
-  // Model a checkpoint image forked twice: all three worlds share one
-  // frame until each writes, and each write isolates only that world.
+  // One frame fanned out to three holders (say the disk store and two
+  // caches): all three share it until each writes, and each write
+  // isolates only that holder.
   BufRef image = alloc_filled(0xee);
   BufRef fork1 = image;
   BufRef fork2 = image;

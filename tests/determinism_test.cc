@@ -17,9 +17,9 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/checkpoint.h"
 #include "core/fleet.h"
 #include "core/testbed.h"
 #include "obs/report.h"
@@ -258,21 +258,20 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, GoldenDigest,
                            return protocol_slug(info.param);
                          });
 
-// A checkpoint-forked fleet (24 clients, 400 ops, seed 4242): its full
-// metrics report, minus sim.timer.*, plus the world's end time.  The
-// expected text lives in tests/golden/fleet_<protocol>.txt.
+// A fleet (24 clients, 400 ops, seed 4242) on a freshly built, quiesced
+// world: its full metrics report, minus sim.timer.*, plus the world's end
+// time.  The expected text lives in tests/golden/fleet_<protocol>.txt.
 std::string fleet_report_of(Protocol p) {
   core::WorkloadConfig w;
   w.clients = 24;
   w.ops = 400;
   w.seed = 4242;
-  Testbed proto(p);
-  proto.quiesce();
-  core::Checkpoint cp(proto);
-  std::unique_ptr<core::Fleet> fleet = cp.fleet(w);
-  fleet->run();
+  auto world = std::make_unique<Testbed>(p);
+  world->quiesce();
+  core::Fleet fleet(std::move(world), w);
+  fleet.run();
 
-  obs::MetricsRegistry::Snapshot snap = fleet->world().metrics().snapshot();
+  obs::MetricsRegistry::Snapshot snap = fleet.world().metrics().snapshot();
   std::erase_if(snap, [](const auto& kv) {
     return kv.first.starts_with("sim.timer.");
   });
@@ -283,7 +282,7 @@ std::string fleet_report_of(Protocol p) {
   for (std::size_t at = 0; (at = text.find("},\"", at)) != std::string::npos;) {
     text.insert(at += 2, "\n");
   }
-  return text + "\nend=" + std::to_string(fleet->world().env().now()) + "\n";
+  return text + "\nend=" + std::to_string(fleet.world().env().now()) + "\n";
 }
 
 class GoldenFleet : public ::testing::TestWithParam<Protocol> {};

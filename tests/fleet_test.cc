@@ -3,9 +3,6 @@
 // The contracts under test:
 //   * Determinism: fixed seed + fixed client count => byte-identical
 //     report output, run to run.
-//   * A fleet driven on a checkpoint-forked world equals one driven on a
-//     from-scratch world with the same history (the sweep optimization
-//     changes nothing observable).
 //   * N=1 degenerates to the single-client open-loop run: a hand-rolled
 //     twin driver issuing the identical op stream produces byte-identical
 //     protocol traffic, so the fleet machinery itself costs nothing.
@@ -21,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "core/checkpoint.h"
 #include "core/config.h"
 #include "core/fleet.h"
 #include "core/testbed.h"
@@ -32,17 +28,15 @@
 namespace netstore {
 namespace {
 
-using core::Checkpoint;
 using core::Fleet;
 using core::Protocol;
 using core::StatsSnapshot;
 using core::Testbed;
 using core::WorkloadConfig;
 
-// A from-scratch world with the same history a WarmPool build has:
-// construct, then quiesce.  Forks of a Checkpoint of such a prototype
-// must be indistinguishable from this.
-std::unique_ptr<Testbed> scratch_world(Protocol p) {
+// A world with the history every bench sweep point has: construct, then
+// quiesce.
+std::unique_ptr<Testbed> quiesced_world(Protocol p) {
   auto bed = std::make_unique<Testbed>(p);
   bed->quiesce();
   return bed;
@@ -94,40 +88,19 @@ std::string traffic_digest(Testbed& bed) {
 
 class FleetTest : public ::testing::TestWithParam<Protocol> {};
 
-// Two completely independent runs (own prototype, own checkpoint, own
-// fork) with the same seed and client count must produce byte-identical
-// reports — the determinism contract bench_fleet and CI rely on.
+// Two completely independent runs (each on its own world) with the same
+// seed and client count must produce byte-identical reports — the
+// determinism contract bench_fleet and CI rely on.
 TEST_P(FleetTest, FixedSeedRunsAreByteIdentical) {
   const WorkloadConfig w = small_workload(32);
 
   std::string digests[2];
   for (std::string& d : digests) {
-    Testbed proto(GetParam());
-    proto.quiesce();
-    Checkpoint cp(proto);
-    Fleet fleet(cp.fork(), w);
+    Fleet fleet(quiesced_world(GetParam()), w);
     fleet.run();
     d = fleet_digest(fleet);
   }
   EXPECT_EQ(digests[0], digests[1]);
-}
-
-// A fleet on a warm-forked world equals a fleet on a from-scratch world:
-// the NETSTORE_NO_FORK=1 escape hatch and the fast path are the same
-// experiment.
-TEST_P(FleetTest, ForkedWorldEqualsFromScratchWorld) {
-  const WorkloadConfig w = small_workload(16);
-
-  Testbed proto(GetParam());
-  proto.quiesce();
-  Checkpoint cp(proto);
-  Fleet forked(cp.fork(), w);
-  forked.run();
-
-  Fleet scratch(scratch_world(GetParam()), w);
-  scratch.run();
-
-  EXPECT_EQ(fleet_digest(forked), fleet_digest(scratch));
 }
 
 // Hand-rolled single-client driver mirroring Fleet's per-op logic (same
@@ -205,19 +178,15 @@ void drive_single_client_twin(Testbed& bed, const WorkloadConfig& w) {
   }
 }
 
-// N=1 byte-identity: Fleet with one client vs the twin driver, both on
-// forks of the same checkpoint, end with identical traffic and clocks.
+// N=1 byte-identity: Fleet with one client vs the twin driver, each on a
+// fresh quiesced world, end with identical traffic and clocks.
 TEST_P(FleetTest, SingleClientFleetMatchesTwinDriver) {
   const WorkloadConfig w = small_workload(1);
 
-  Testbed proto(GetParam());
-  proto.quiesce();
-  Checkpoint cp(proto);
-
-  Fleet fleet(cp.fork(), w);
+  Fleet fleet(quiesced_world(GetParam()), w);
   fleet.run();
 
-  std::unique_ptr<Testbed> twin = cp.fork();
+  std::unique_ptr<Testbed> twin = quiesced_world(GetParam());
   ASSERT_NO_FATAL_FAILURE(drive_single_client_twin(*twin, w));
 
   EXPECT_EQ(traffic_digest(fleet.world()), traffic_digest(*twin));
@@ -228,10 +197,7 @@ TEST_P(FleetTest, SingleClientFleetMatchesTwinDriver) {
 TEST_P(FleetTest, AggregatesAreConsistent) {
   const WorkloadConfig w = small_workload(8);
 
-  Testbed proto(GetParam());
-  proto.quiesce();
-  Checkpoint cp(proto);
-  Fleet fleet(cp.fork(), w);
+  Fleet fleet(quiesced_world(GetParam()), w);
   fleet.run();
 
   EXPECT_EQ(fleet.ops_completed(), w.ops);
@@ -244,7 +210,7 @@ TEST_P(FleetTest, AggregatesAreConsistent) {
   EXPECT_TRUE(fleet.world().metrics().contains("fleet.response_us"));
   EXPECT_TRUE(fleet.world().metrics().contains("fleet.queue_delay_us"));
 
-  Fleet solo(cp.fork(), small_workload(1));
+  Fleet solo(quiesced_world(GetParam()), small_workload(1));
   solo.run();
   EXPECT_EQ(solo.active_clients(), 1u);
   EXPECT_DOUBLE_EQ(solo.jain_fairness_index(), 1.0);
@@ -272,10 +238,7 @@ std::uint64_t forced_revals(Protocol p, std::uint64_t clients) {
   w.shared_write_fraction = 0.3;
   w.arrival.ops_per_client_per_s = 50;  // 20 ms mean think time
 
-  Testbed proto(p);
-  proto.quiesce();
-  Checkpoint cp(proto);
-  Fleet fleet(cp.fork(), w);
+  Fleet fleet(quiesced_world(p), w);
   fleet.run();
   return fleet.forced_revalidations();
 }

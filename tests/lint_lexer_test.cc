@@ -194,14 +194,5 @@ TEST(LintLexer, ModuleAndSrcDetection) {
   EXPECT_EQ(c.module, "sim");
 }
 
-TEST(LintLexer, HashIsContentStable) {
-  const SourceFile a = lex_source("src/sim/a.cc", "int x = 1;\n");
-  const SourceFile b = lex_source("src/sim/b.cc", "int x = 1;\n");
-  const SourceFile c = lex_source("src/sim/c.cc", "int x = 2;\n");
-  EXPECT_EQ(a.hash, b.hash);
-  EXPECT_NE(a.hash, c.hash);
-  EXPECT_EQ(a.hash, fnv1a("int x = 1;\n"));
-}
-
 }  // namespace
 }  // namespace netstore::lint

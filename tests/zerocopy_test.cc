@@ -10,10 +10,6 @@
 //   * CoW aliasing safety: adopting a frame across a layer crossing
 //     aliases it; mutating either side un-shares first, so no alias ever
 //     sees the other's writes.
-//   * Checkpoint forks with views outstanding: forking a world whose
-//     caches hold cross-layer shared frames equals building the same
-//     world from scratch, and mutations inside the fork never leak into
-//     the parent.
 //   * Charging: a warm cached read costs exactly one charged copy — the
 //     user-buffer boundary — and nothing below it.
 #include <gtest/gtest.h>
@@ -24,10 +20,10 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/buffer_pool.h"
-#include "core/checkpoint.h"
 #include "core/fleet.h"
 #include "core/iovec.h"
 #include "core/testbed.h"
@@ -38,7 +34,6 @@ namespace netstore {
 namespace {
 
 using core::BufferPool;
-using core::Checkpoint;
 using core::Fleet;
 using core::Protocol;
 using core::StatsSnapshot;
@@ -193,13 +188,12 @@ TEST(ZerocopyFleet, RunToRunIdenticalAcrossShardCounts) {
   w.seed = 99;
   std::string digests[2];
   for (std::string& d : digests) {
-    Testbed proto(Protocol::kNfsV3);
-    proto.quiesce();
-    Checkpoint cp(proto);
-    auto fleet = cp.fleet(w);
-    fleet->setup();
-    fleet->run();
-    d = fleet_digest(*fleet);
+    auto world = std::make_unique<Testbed>(Protocol::kNfsV3);
+    world->quiesce();
+    Fleet fleet(std::move(world), w);
+    fleet.setup();
+    fleet.run();
+    d = fleet_digest(fleet);
   }
   EXPECT_EQ(digests[0], digests[1]);
 }
@@ -254,88 +248,6 @@ TEST(ZerocopyCow, OverwriteAfterSharedReadYieldsNewBytes) {
   ASSERT_TRUE(bed.vfs().close(*fd).ok());
   bed.settle();
 }
-
-// Read the whole file back and return its first `n` bytes.
-std::vector<std::uint8_t> read_back(Testbed& bed, const char* path,
-                                    std::uint32_t n) {
-  auto fd = bed.vfs().open(path);
-  if (!fd.ok()) return {};
-  std::vector<std::uint8_t> rd(n);
-  auto got = bed.vfs().read(*fd, 0, rd);
-  (void)bed.vfs().close(*fd);
-  if (!got.ok() || *got != n) return {};
-  return rd;
-}
-
-// A world warmed to the point where every cache layer holds shared
-// frames: file written, synced, then read back (client page cache,
-// server page cache / block cache and the pool all alias the payload).
-std::unique_ptr<Testbed> warm_viewful_world(Protocol p) {
-  auto bed = std::make_unique<Testbed>(p);
-  auto fd = bed->vfs().creat("/views", 0644);
-  if (!fd.ok()) return nullptr;
-  std::vector<std::uint8_t> data(32 * 1024, 0x5C);
-  (void)bed->vfs().write(*fd, 0, data);
-  (void)bed->vfs().fsync(*fd);
-  std::vector<std::uint8_t> rd(data.size());
-  (void)bed->vfs().read(*fd, 0, rd);
-  (void)bed->vfs().close(*fd);
-  bed->quiesce();
-  return bed;
-}
-
-class ZerocopyFork : public ::testing::TestWithParam<Protocol> {};
-
-// Forking a checkpoint while views are outstanding equals building the
-// same world from scratch; and writes inside the fork stay inside it.
-TEST_P(ZerocopyFork, ForkWithOutstandingViewsEqualsFromScratch) {
-  constexpr std::uint32_t kBytes = 32 * 1024;
-
-  auto proto = warm_viewful_world(GetParam());
-  ASSERT_NE(proto, nullptr);
-  Checkpoint cp(*proto);
-  auto forked = cp.fork();
-
-  auto scratch = warm_viewful_world(GetParam());
-  ASSERT_NE(scratch, nullptr);
-
-  // The same post-fork op on both worlds must observe identical traffic
-  // and identical bytes.
-  const std::vector<std::uint8_t> a = read_back(*forked, "/views", kBytes);
-  const std::vector<std::uint8_t> b = read_back(*scratch, "/views", kBytes);
-  ASSERT_EQ(a.size(), kBytes);
-  EXPECT_EQ(a, b);
-  const StatsSnapshot fs = forked->snapshot();
-  const StatsSnapshot ss = scratch->snapshot();
-  EXPECT_EQ(fs.messages, ss.messages);
-  EXPECT_EQ(fs.bytes, ss.bytes);
-
-  // Mutate inside the fork: the parent (and a second fork) still see the
-  // original bytes through their aliased frames.
-  auto wfd = forked->vfs().open("/views");
-  ASSERT_TRUE(wfd.ok());
-  std::vector<std::uint8_t> clobber(kBytes, 0xE7);
-  ASSERT_TRUE(forked->vfs().write(*wfd, 0, clobber).ok());
-  ASSERT_TRUE(forked->vfs().close(*wfd).ok());
-  forked->settle();
-
-  const std::vector<std::uint8_t> parent = read_back(*proto, "/views", kBytes);
-  ASSERT_EQ(parent.size(), kBytes);
-  EXPECT_EQ(parent[0], 0x5C);
-  EXPECT_EQ(parent[kBytes - 1], 0x5C);
-  const std::vector<std::uint8_t> sibling =
-      read_back(*cp.fork(), "/views", kBytes);
-  ASSERT_EQ(sibling.size(), kBytes);
-  EXPECT_EQ(sibling[0], 0x5C);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllStacks, ZerocopyFork,
-                         ::testing::Values(Protocol::kNfsV3,
-                                           Protocol::kIscsi),
-                         [](const auto& info) {
-                           return info.param == Protocol::kIscsi ? "Iscsi"
-                                                                 : "NfsV3";
-                         });
 
 // Charging: a warm cached read is exactly one charged copy — the
 // user-buffer crossing — and zero below-boundary bytes.

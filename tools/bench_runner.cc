@@ -1,17 +1,12 @@
 // bench_runner: fan built-in Testbed scenarios across worker threads.
 //
-//   bench_runner [--workers N] [--out DIR] [--warm-prototype]
-//                [--list] [scenario...]
+//   bench_runner [--workers N] [--out DIR] [--list] [scenario...]
 //
 // With no scenario names, runs the whole built-in catalogue.  Each
 // scenario writes <out>/<name>.json (a netstore-report-v1 document) and a
 // merged <out>/merged.json summarizing all of them in catalogue order.
 // Per-scenario output is byte-identical for every --workers value; the CI
 // perf-smoke job diffs a serial run against a parallel one to prove it.
-// --warm-prototype makes the fan-out share one warmed checkpoint image
-// per protocol (scenarios fork it instead of rebuilding the stack); the
-// output is byte-identical to a run without the flag, which CI also
-// diffs.
 //
 // The effective worker count is clamped to the machine's hardware threads
 // (tools::clamp_workers).  The clamp decision is reported in
@@ -37,8 +32,7 @@ using netstore::tools::ScenarioResult;
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--workers N] [--out DIR] "
-               "[--warm-prototype] [--list] [scenario...]\n",
+               "usage: %s [--workers N] [--out DIR] [--list] [scenario...]\n",
                argv0);
   return 2;
 }
@@ -49,7 +43,6 @@ int main(int argc, char** argv) {
   unsigned workers = 1;
   std::string out_dir;
   bool list = false;
-  bool warm_prototype = false;
   std::vector<std::string> wanted;
 
   for (int i = 1; i < argc; ++i) {
@@ -63,8 +56,6 @@ int main(int argc, char** argv) {
       out_dir = argv[++i];
     } else if (arg == "--list") {
       list = true;
-    } else if (arg == "--warm-prototype") {
-      warm_prototype = true;
     } else if (!arg.empty() && arg[0] == '-') {
       return usage(argv[0]);
     } else {
@@ -117,9 +108,8 @@ int main(int argc, char** argv) {
                 std::thread::hardware_concurrency());
   }
 
-  netstore::tools::WarmPrototypePool pool;
-  const std::vector<ScenarioResult> results = netstore::tools::run_scenarios(
-      selected, workers, warm_prototype ? &pool : nullptr);
+  const std::vector<ScenarioResult> results =
+      netstore::tools::run_scenarios(selected, workers);
 
   int rc = 0;
   std::printf("%-16s %12s %12s %14s  %s\n", "scenario", "messages", "bytes",

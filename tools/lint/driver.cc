@@ -28,8 +28,6 @@ const std::set<std::string> kRequiredRules = {
     "raw-blockbuf-alloc",
     // Shard-safety family.
     "shard-mutable-global", "shard-unsafe-singleton", "shard-mutable-member",
-    // Clone-completeness family.
-    "clone-missing-field",
     // Ownership/aliasing family.
     "bufref-held", "poolframe-escape", "raii-temp", "manual-lock",
     "manual-suspend", "lock-order-cycle",
@@ -39,7 +37,7 @@ const std::set<std::string> kRequiredRules = {
 
 int usage() {
   std::cerr << "usage: netstore_lint [--self-test] [--json <path>] "
-               "[--index-cache <path>] <dir-or-file>...\n";
+               "<dir-or-file>...\n";
   return 2;
 }
 
@@ -108,44 +106,8 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-struct CacheEntry {
-  std::uint64_t hash = 0;
-  std::string serialized;
-};
-
-std::map<std::string, CacheEntry> load_cache(const std::string& path) {
-  std::map<std::string, CacheEntry> cache;
-  std::ifstream in(path);
-  if (!in) return cache;
-  std::string line;
-  std::string cur_path;
-  while (std::getline(in, line)) {
-    if (line.rfind("file|", 0) == 0) {
-      const std::size_t p1 = line.find('|');
-      const std::size_t p2 = line.find('|', p1 + 1);
-      if (p2 == std::string::npos) {
-        cur_path.clear();
-        continue;
-      }
-      cur_path = line.substr(p1 + 1, p2 - p1 - 1);
-      try {
-        cache[cur_path].hash = std::stoull(line.substr(p2 + 1));
-      } catch (const std::exception&) {
-        cache.erase(cur_path);
-        cur_path.clear();
-        continue;
-      }
-      cache[cur_path].serialized = line + "\n";
-    } else if (!cur_path.empty()) {
-      cache[cur_path].serialized += line + "\n";
-    }
-  }
-  return cache;
-}
-
 void write_json(const std::string& path, const std::vector<Finding>& findings,
-                std::size_t nfiles, std::size_t nsuppressed, const Index& idx,
-                std::size_t cache_hits) {
+                std::size_t nfiles, std::size_t nsuppressed, const Index& idx) {
   std::map<std::string, int> per_rule;
   for (const Finding& f : findings) per_rule[f.rule]++;
 
@@ -153,8 +115,7 @@ void write_json(const std::string& path, const std::vector<Finding>& findings,
   out << "{\n  \"format\": \"netstore-report-v1\",\n"
       << "  \"bench\": \"netstore_lint\",\n"
       << "  \"reproduces\": \"static analysis gates: determinism, "
-         "shard-safety, clone-completeness, ownership (DESIGN.md section "
-         "15)\",\n"
+         "shard-safety, ownership (DESIGN.md section 15)\",\n"
       << "  \"tables\": [\n"
       << "    {\"name\": \"lint:findings\",\n"
       << "     \"columns\": [\"file\", \"line\", \"col\", \"rule\", "
@@ -184,13 +145,7 @@ void write_json(const std::string& path, const std::vector<Finding>& findings,
       << "      \"lint.suppressed\": {\"kind\": \"counter\", \"value\": "
       << nsuppressed << "},\n"
       << "      \"lint.index_classes\": {\"kind\": \"counter\", \"value\": "
-      << idx.classes.size() << "},\n"
-      << "      \"lint.index_clone_bodies\": {\"kind\": \"counter\", "
-         "\"value\": "
-      << idx.clone_bodies.size() << "},\n"
-      << "      \"lint.index_cache_hits\": {\"kind\": \"counter\", "
-         "\"value\": "
-      << cache_hits << "}\n    }}\n  ]\n}\n";
+      << idx.classes.size() << "}\n    }}\n  ]\n}\n";
 }
 
 int self_test_verdict(const std::vector<Finding>& findings,
@@ -244,7 +199,6 @@ int self_test_verdict(const std::vector<Finding>& findings,
 int run_cli(int argc, char** argv) {
   bool self_test = false;
   std::string json_path;
-  std::string cache_path;
   std::vector<stdfs::path> roots;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -252,8 +206,6 @@ int run_cli(int argc, char** argv) {
       self_test = true;
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (arg == "--index-cache" && i + 1 < argc) {
-      cache_path = argv[++i];
     } else if (!arg.empty() && arg[0] == '-') {
       return usage();
     } else {
@@ -288,42 +240,9 @@ int run_cli(int argc, char** argv) {
   files.reserve(paths.size());
   for (const stdfs::path& p : paths) files.push_back(lex_file(p.string()));
 
-  // --- pass 1: the cross-TU index (cache-aware) -------------------------
-  std::map<std::string, CacheEntry> cache;
-  if (!cache_path.empty()) cache = load_cache(cache_path);
-  std::size_t cache_hits = 0;
-
+  // --- pass 1: the cross-TU index ---------------------------------------
   Index idx;
-  std::set<std::string> in_run;
-  for (const SourceFile& f : files) {
-    in_run.insert(f.path);
-    const auto it = cache.find(f.path);
-    FileIndex fi;
-    if (it != cache.end() && it->second.hash == f.hash &&
-        deserialize(it->second.serialized, fi)) {
-      cache_hits++;
-    } else {
-      fi = index_file(f);
-      cache[f.path] = {f.hash, serialize(fi)};
-    }
-    idx.merge(fi);
-  }
-  // Symbols from cached files outside this run keep cross-TU context for
-  // subset invocations (e.g. linting one .cc against cached headers).
-  for (const auto& [path, entry] : cache) {
-    if (in_run.count(path) != 0) continue;
-    FileIndex fi;
-    if (deserialize(entry.serialized, fi)) idx.merge(fi);
-  }
-  if (!cache_path.empty()) {
-    const stdfs::path dir = stdfs::path(cache_path).parent_path();
-    if (!dir.empty()) {
-      std::error_code ec;
-      stdfs::create_directories(dir, ec);
-    }
-    std::ofstream out(cache_path);
-    for (const auto& [path, entry] : cache) out << entry.serialized;
-  }
+  for (const SourceFile& f : files) idx.merge(index_file(f));
 
   // --- pass 2: rules, suppressions, dedupe ------------------------------
   std::vector<Finding> findings;
@@ -357,8 +276,7 @@ int run_cli(int argc, char** argv) {
               << f.message << "\n";
   }
   if (!json_path.empty()) {
-    write_json(json_path, findings, files.size(), nsuppressed, idx,
-               cache_hits);
+    write_json(json_path, findings, files.size(), nsuppressed, idx);
   }
 
   if (self_test) return self_test_verdict(findings, files.size());

@@ -9,14 +9,6 @@
 //                                             netstore-report-v1 report
 //                                             (validated by
 //                                             tools/check_report.py)
-//   netstore_lint --index-cache <path> ...    reuse/update the serialized
-//                                             cross-TU symbol index; files
-//                                             whose content hash matches
-//                                             the cache skip re-indexing,
-//                                             and symbols from files not
-//                                             in this run are still
-//                                             visible (single-file runs
-//                                             keep cross-TU context)
 //
 // Directory walks skip `testdata` subtrees unless the root itself points
 // into one, so `netstore_lint tools` gates the harness code without

@@ -1,7 +1,6 @@
 #include "lint/index.h"
 
 #include <algorithm>
-#include <sstream>
 
 namespace netstore::lint {
 namespace {
@@ -38,7 +37,6 @@ class Indexer {
  public:
   explicit Indexer(const SourceFile& f) : f_(f), ts_(f.tokens) {
     out_.path = f.path;
-    out_.hash = f.hash;
   }
 
   FileIndex run() {
@@ -255,9 +253,6 @@ class Indexer {
       if (cls < 0) return;  // namespace-scope prototype: nothing to record
       ClassInfo& ci = out_.classes[static_cast<std::size_t>(cls)];
       const Token& fname = ts_[stmt[first_top_paren - 1]];
-      if (fname.text == "clone" || fname.text == "clone_from") {
-        ci.has_clone_decl = true;
-      }
       if (fname.text == "instance" && has_word(stmt, "static") &&
           has_amp_before(stmt, first_top_paren - 1)) {
         ci.singleton = true;
@@ -299,16 +294,12 @@ class Indexer {
 
   void member_declaration(const std::vector<std::size_t>& stmt) {
     ClassInfo& ci = out_.classes[static_cast<std::size_t>(current_class())];
-    Member base;
-    base.is_static = has_word(stmt, "static");
-    base.is_mutable = has_word(stmt, "mutable");
-    base.is_const = has_word(stmt, "const") || has_word(stmt, "constexpr") ||
-                    has_word(stmt, "constinit");
-    for_each_declarator(stmt, [&](const Token& name, bool is_ref) {
-      Member m = base;
+    const bool is_mutable = has_word(stmt, "mutable");
+    for_each_declarator(stmt, [&](const Token& name) {
+      Member m;
       m.name = name.text;
       m.line = name.line;
-      m.is_reference = is_ref;
+      m.is_mutable = is_mutable;
       m.annotations = annotations_at(f_, name.line);
       ci.members.push_back(std::move(m));
     });
@@ -322,7 +313,7 @@ class Indexer {
         has_word(stmt, "constinit")) {
       return;  // immutable: harmless to share
     }
-    for_each_declarator(stmt, [&](const Token& name, bool /*is_ref*/) {
+    for_each_declarator(stmt, [&](const Token& name) {
       GlobalVar g = base;
       g.name = name.text;
       g.file = f_.path;
@@ -342,12 +333,10 @@ class Indexer {
   void for_each_declarator(const std::vector<std::size_t>& stmt, Fn&& fn) {
     int angle = 0, paren = 0, bracket = 0;
     const Token* name = nullptr;
-    bool ref_seen = false;       // '&' directly before the candidate name
     bool cut = false;            // saw '=' / '{' / '[' / ':' this segment
     auto flush = [&] {
-      if (name != nullptr) fn(*name, ref_seen);
+      if (name != nullptr) fn(*name);
       name = nullptr;
-      ref_seen = false;
       cut = false;
     };
     for (std::size_t k = 0; k < stmt.size(); ++k) {
@@ -370,10 +359,7 @@ class Indexer {
         continue;
       }
       if (cut) continue;
-      if (t.kind == Tok::kIdent && !is_decl_keyword(t.text)) {
-        name = &t;
-        ref_seen = k > 0 && (ts_[stmt[k - 1]].text == "&");
-      }
+      if (t.kind == Tok::kIdent && !is_decl_keyword(t.text)) name = &t;
     }
     flush();
   }
@@ -389,8 +375,8 @@ class Indexer {
   // --- function bodies --------------------------------------------------
 
   /// Called with the collected header tokens and the cursor on '{'.
-  /// Scans to the matching '}' harvesting clone-body identifiers and
-  /// lock-acquisition order; never recurses into the statement machine.
+  /// Scans to the matching '}' harvesting lock-acquisition order; never
+  /// recurses into the statement machine.
   void function_definition(const std::vector<std::size_t>& stmt,
                            std::size_t first_top_paren) {
     // Function name and owning class.
@@ -412,7 +398,6 @@ class Indexer {
       if (cls >= 0) {
         ClassInfo& ci = out_.classes[static_cast<std::size_t>(cls)];
         fclass = ci.name;
-        if (fname == "clone" || fname == "clone_from") ci.has_clone_decl = true;
         if (fname == "instance" && has_word(stmt, "static") &&
             has_amp_before(stmt, first_top_paren - 1)) {
           ci.singleton = true;
@@ -422,12 +407,6 @@ class Indexer {
         }
       }
     }
-
-    const bool is_clone = (fname == "clone" || fname == "clone_from");
-    CloneBody body;
-    body.class_name = fclass;
-    body.file = f_.path;
-    body.line = fline;
 
     std::vector<std::pair<std::string, std::uint32_t>> locks;  // ordered
     int depth = 0;
@@ -440,20 +419,13 @@ class Indexer {
         if (depth == 0) break;
         continue;
       }
-      if (t.kind == Tok::kIdent) {
-        body.idents.insert(t.text);
-        if (t.text == "this" && i_ > 0 && ts_[i_ - 1].text == "*") {
-          body.copies_all = true;
-        }
-        if (kLockTypes.count(t.text) != 0) {
-          harvest_lock(fclass, locks);
-          continue;
-        }
+      if (t.kind == Tok::kIdent && kLockTypes.count(t.text) != 0) {
+        harvest_lock(fclass, locks);
+        continue;
       }
       i_++;
     }
 
-    if (is_clone && !fclass.empty()) out_.clone_bodies.push_back(std::move(body));
     for (std::size_t k = 1; k < locks.size(); ++k) {
       if (locks[k - 1].first == locks[k].first) continue;
       out_.lock_edges.push_back(
@@ -549,33 +521,6 @@ class Indexer {
   std::vector<Scope> scopes_;
 };
 
-std::string join(const std::set<std::string>& words) {
-  std::string out;
-  for (const std::string& w : words) {
-    if (!out.empty()) out += ",";
-    out += w;
-  }
-  return out;
-}
-
-std::set<std::string> split(const std::string& csv) {
-  std::set<std::string> out;
-  std::stringstream in(csv);
-  std::string w;
-  while (std::getline(in, w, ',')) {
-    if (!w.empty()) out.insert(w);
-  }
-  return out;
-}
-
-std::vector<std::string> fields(const std::string& line) {
-  std::vector<std::string> out;
-  std::stringstream in(line);
-  std::string fld;
-  while (std::getline(in, fld, '|')) out.push_back(fld);
-  return out;
-}
-
 }  // namespace
 
 std::set<std::string> annotations_at(const SourceFile& f, std::uint32_t line) {
@@ -630,117 +575,12 @@ void Index::merge(const FileIndex& fi) {
     unordered_names[mod].insert(names.begin(), names.end());
   }
   for (const ClassInfo& c : fi.classes) {
-    class_by_name[c.name].push_back(classes.size());
     if (c.singleton) singleton_classes.insert(c.name);
     classes.push_back(c);
   }
-  clone_bodies.insert(clone_bodies.end(), fi.clone_bodies.begin(),
-                      fi.clone_bodies.end());
   globals.insert(globals.end(), fi.globals.begin(), fi.globals.end());
   lock_edges.insert(lock_edges.end(), fi.lock_edges.begin(),
                     fi.lock_edges.end());
-}
-
-std::string serialize(const FileIndex& fi) {
-  std::ostringstream out;
-  out << "file|" << fi.path << "|" << fi.hash << "\n";
-  for (const auto& [mod, names] : fi.unordered_names) {
-    for (const std::string& n : names) out << "U|" << mod << "|" << n << "\n";
-  }
-  for (const ClassInfo& c : fi.classes) {
-    out << "C|" << c.qual << "|" << c.name << "|" << c.file << "|" << c.line
-        << "|" << c.module << "|" << c.in_src << "|" << c.has_clone_decl
-        << "|" << c.singleton << "|" << c.singleton_line << "|"
-        << join(c.annotations) << "\n";
-    for (const Member& m : c.members) {
-      out << "M|" << m.name << "|" << m.line << "|" << m.is_static << "|"
-          << m.is_mutable << "|" << m.is_const << "|" << m.is_reference
-          << "|" << join(m.annotations) << "\n";
-    }
-  }
-  for (const CloneBody& b : fi.clone_bodies) {
-    out << "B|" << b.class_name << "|" << b.file << "|" << b.line << "|"
-        << b.copies_all << "|" << join(b.idents) << "\n";
-  }
-  for (const GlobalVar& g : fi.globals) {
-    out << "G|" << g.name << "|" << g.file << "|" << g.line << "|" << g.module
-        << "|" << g.in_src << "|" << g.is_static << "|" << g.is_thread_local
-        << "|" << join(g.annotations) << "\n";
-  }
-  for (const LockEdge& e : fi.lock_edges) {
-    out << "L|" << e.first << "|" << e.second << "|" << e.file << "|"
-        << e.line << "\n";
-  }
-  return out.str();
-}
-
-bool deserialize(const std::string& text, FileIndex& fi) {
-  std::istringstream in(text);
-  std::string line;
-  bool saw_header = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const std::vector<std::string> f = fields(line);
-    if (f.empty()) continue;
-    try {
-      if (f[0] == "file" && f.size() >= 3) {
-        fi.path = f[1];
-        fi.hash = std::stoull(f[2]);
-        saw_header = true;
-      } else if (f[0] == "U" && f.size() >= 3) {
-        fi.unordered_names[f[1]].insert(f[2]);
-      } else if (f[0] == "C" && f.size() >= 10) {
-        ClassInfo c;
-        c.qual = f[1];
-        c.name = f[2];
-        c.file = f[3];
-        c.line = static_cast<std::uint32_t>(std::stoul(f[4]));
-        c.module = f[5];
-        c.in_src = f[6] == "1";
-        c.has_clone_decl = f[7] == "1";
-        c.singleton = f[8] == "1";
-        c.singleton_line = static_cast<std::uint32_t>(std::stoul(f[9]));
-        if (f.size() >= 11) c.annotations = split(f[10]);
-        fi.classes.push_back(std::move(c));
-      } else if (f[0] == "M" && f.size() >= 7 && !fi.classes.empty()) {
-        Member m;
-        m.name = f[1];
-        m.line = static_cast<std::uint32_t>(std::stoul(f[2]));
-        m.is_static = f[3] == "1";
-        m.is_mutable = f[4] == "1";
-        m.is_const = f[5] == "1";
-        m.is_reference = f[6] == "1";
-        if (f.size() >= 8) m.annotations = split(f[7]);
-        fi.classes.back().members.push_back(std::move(m));
-      } else if (f[0] == "B" && f.size() >= 5) {
-        CloneBody b;
-        b.class_name = f[1];
-        b.file = f[2];
-        b.line = static_cast<std::uint32_t>(std::stoul(f[3]));
-        b.copies_all = f[4] == "1";
-        if (f.size() >= 6) b.idents = split(f[5]);
-        fi.clone_bodies.push_back(std::move(b));
-      } else if (f[0] == "G" && f.size() >= 8) {
-        GlobalVar g;
-        g.name = f[1];
-        g.file = f[2];
-        g.line = static_cast<std::uint32_t>(std::stoul(f[3]));
-        g.module = f[4];
-        g.in_src = f[5] == "1";
-        g.is_static = f[6] == "1";
-        g.is_thread_local = f[7] == "1";
-        if (f.size() >= 9) g.annotations = split(f[8]);
-        fi.globals.push_back(std::move(g));
-      } else if (f[0] == "L" && f.size() >= 5) {
-        fi.lock_edges.push_back(
-            {f[1], f[2], f[3],
-             static_cast<std::uint32_t>(std::stoul(f[4]))});
-      }
-    } catch (const std::exception&) {
-      return false;  // corrupt cache entry: caller re-indexes
-    }
-  }
-  return saw_header;
 }
 
 }  // namespace netstore::lint

@@ -3,20 +3,17 @@
 // The analyzer runs in two passes: pass 1 lexes every file under the
 // given roots and folds what the rules need to know about *other* files
 // into this index; pass 2 re-walks each file and runs the rule families
-// against (file, index).  That is what lets clone-completeness compare a
-// clone() body in page_cache.cc against the member list in page_cache.h,
-// and lets lock-order see that two different .cc files acquire the same
-// pair of mutexes in opposite orders.
+// against (file, index).  That is what lets unordered-iter see a
+// container declared in a module's header while linting its .cc, and
+// lets lock-order see that two different .cc files acquire the same pair
+// of mutexes in opposite orders.
 //
 // Everything here is a per-file record first (FileIndex) and a merged
-// view second (Index).  The split exists for the --index-cache: per-file
-// records serialize with the file's content hash, so an unchanged file's
-// records reload without re-indexing and a cached full-tree index lets a
-// single-file run still see cross-TU symbols.
+// view second (Index).
 //
 // Declaration parsing is heuristic, tuned to this tree's (Google-style)
 // idiom.  It does not need to be a full C++ front end: it needs to never
-// miss a data member of a cloneable class, and to never invent one.
+// miss a mutable data member, and to never invent one.
 #pragma once
 
 #include <cstdint>
@@ -33,34 +30,21 @@ namespace netstore::lint {
 struct Member {
   std::string name;
   std::uint32_t line = 0;
-  bool is_static = false;
   bool is_mutable = false;
-  bool is_const = false;      // const / constexpr in the declaration
-  bool is_reference = false;  // declarator is `T& name` (ctor-bound)
   std::set<std::string> annotations;  // "netstore: <word>" on decl line/above
 };
 
 struct ClassInfo {
-  std::string name;  // simple name (clone bodies attach by simple name)
+  std::string name;  // simple name
   std::string qual;  // Namespace::Outer::Name
   std::string file;
   std::uint32_t line = 0;
   std::string module;
   bool in_src = false;
-  bool has_clone_decl = false;  // declares clone() or clone_from()
   bool singleton = false;       // declares `static Self& instance()`
   std::uint32_t singleton_line = 0;
   std::set<std::string> annotations;  // on the class head or instance()
   std::vector<Member> members;
-};
-
-/// The identifier footprint of one clone()/clone_from() definition.
-struct CloneBody {
-  std::string class_name;  // simple name of the owning class
-  std::string file;
-  std::uint32_t line = 0;
-  bool copies_all = false;  // body copy-constructs from *this
-  std::set<std::string> idents;
 };
 
 /// A mutable namespace-scope variable definition.
@@ -88,10 +72,8 @@ struct LockEdge {
 /// Pass-1 output for a single file.
 struct FileIndex {
   std::string path;
-  std::uint64_t hash = 0;
   std::map<std::string, std::set<std::string>> unordered_names;  // module->
   std::vector<ClassInfo> classes;
-  std::vector<CloneBody> clone_bodies;
   std::vector<GlobalVar> globals;
   std::vector<LockEdge> lock_edges;
 };
@@ -100,8 +82,6 @@ struct FileIndex {
 struct Index {
   std::map<std::string, std::set<std::string>> unordered_names;
   std::vector<ClassInfo> classes;
-  std::map<std::string, std::vector<std::size_t>> class_by_name;
-  std::vector<CloneBody> clone_bodies;
   std::vector<GlobalVar> globals;
   std::vector<LockEdge> lock_edges;
   std::set<std::string> singleton_classes;  // simple names
@@ -115,9 +95,5 @@ std::set<std::string> annotations_at(const SourceFile& f, std::uint32_t line);
 
 /// Builds the pass-1 record for one lexed file.
 FileIndex index_file(const SourceFile& f);
-
-/// Serialization for --index-cache (stable, line-oriented text format).
-std::string serialize(const FileIndex& fi);
-bool deserialize(const std::string& text, FileIndex& fi);
 
 }  // namespace netstore::lint

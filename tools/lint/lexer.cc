@@ -103,15 +103,6 @@ bool word_on_line(const std::string& line, const std::string& word) {
   return false;
 }
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 std::string module_of(const std::string& path) {
   const stdfs::path p(path);
   const auto parts = std::vector<std::string>(p.begin(), p.end());
@@ -125,7 +116,6 @@ SourceFile lex_source(const std::string& path, const std::string& content) {
   SourceFile f;
   f.path = path;
   f.module = module_of(path);
-  f.hash = fnv1a(content);
   {
     const stdfs::path p(path);
     for (const auto& part : p) {

@@ -51,7 +51,6 @@ struct SourceFile {
   std::string path;
   std::string module;  // path component after "src/", else parent dir name
   bool in_src = false; // any path component equals "src"
-  std::uint64_t hash = 0;  // FNV-1a of the raw content (index cache key)
 
   std::vector<std::string> raw;   // original physical lines
   std::vector<std::string> code;  // blanked view, one per physical line
@@ -69,9 +68,6 @@ SourceFile lex_source(const std::string& path, const std::string& content);
 
 /// Reads and lexes a file from disk.
 SourceFile lex_file(const std::string& path);
-
-/// FNV-1a 64-bit, the index-cache content key.
-std::uint64_t fnv1a(const std::string& s);
 
 bool is_ident_char(char c);
 

@@ -8,7 +8,6 @@
 // Families and where they run:
 //   determinism  (PR 1 rules, re-hosted on the lexer)   src/ or everywhere
 //   shard        shard-safety for bench_runner's workers src/ only
-//   clone        clone()/clone_from() completeness      wherever a body is
 //   ownership    BufRef aliasing, RAII pairing, locks   src/ + tools/
 #pragma once
 
@@ -41,11 +40,6 @@ void run_determinism_rules(const SourceFile& f, const Index& idx,
 /// and mutable members, all of which alias across the worlds bench_runner
 /// runs on parallel worker threads.
 void run_shard_rules(const SourceFile& f, const Index& idx,
-                     std::vector<Finding>& out);
-
-/// Clone-completeness: every data member of a class with clone()/
-/// clone_from() must be mentioned in a clone body somewhere in the tree.
-void run_clone_rules(const SourceFile& f, const Index& idx,
                      std::vector<Finding>& out);
 
 /// Ownership/aliasing: BufRef mutable pointers held across statements,

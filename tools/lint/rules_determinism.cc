@@ -116,7 +116,7 @@ void check_std_clog(const SourceFile& f, std::vector<Finding>& out) {
 void check_raw_blockbuf_alloc(const SourceFile& f, std::vector<Finding>& out) {
   // core::BufferPool is the one component allowed to allocate frames;
   // everything else holds pages as core::BufRef so the steady state stays
-  // allocation-free and clone() shares frames copy-on-write.
+  // allocation-free and layers share frames copy-on-write.
   if (!f.in_src) return;
   const std::string base = std::filesystem::path(f.path).filename().string();
   if (base.starts_with("buffer_pool")) return;
@@ -137,7 +137,7 @@ void check_raw_blockbuf_alloc(const SourceFile& f, std::vector<Finding>& out) {
                        "raw-blockbuf-alloc",
                        "heap-allocated BlockBuf outside core::BufferPool; "
                        "use core::BufferPool::instance().alloc() so the "
-                       "frame is pooled and forks share it copy-on-write, "
+                       "frame is pooled and layers share it copy-on-write, "
                        "or suppress for a cold path"});
         pos = line.find(needle, pos + 1);
       }
@@ -167,8 +167,9 @@ void check_std_function(const SourceFile& f, std::vector<Finding>& out) {
 }
 
 void check_fork_unsafe_static(const SourceFile& f, std::vector<Finding>& out) {
-  // `static` durations are process-wide; Checkpoint::fork() deep-clones
-  // the world, so static state leaks between the source and every fork.
+  // `static` durations are process-wide and outlive every Testbed, so
+  // static state leaks between the worlds one process builds (bench
+  // sweeps build one per point; bench_runner runs several at once).
   if (!f.in_src) return;
   for (std::size_t li = 0; li < f.code.size(); ++li) {
     const std::string& line = f.code[li];
@@ -196,9 +197,9 @@ void check_fork_unsafe_static(const SourceFile& f, std::vector<Finding>& out) {
                          static_cast<std::uint32_t>(pos + 1),
                          "fork-unsafe-state",
                          "mutable static state outlives the Testbed and is "
-                         "shared across checkpoint forks; move it into the "
-                         "world so fork() clones it, or suppress for "
-                         "process-wide diagnostics"});
+                         "shared by every world the process builds; move "
+                         "it into the world, or suppress for process-wide "
+                         "diagnostics"});
         }
       }
       pos = line.find("static", pos + 6);

@@ -8,8 +8,8 @@
 //   bufref-held            the pointer/reference returned by
 //                          BufRef::mutable_data()/mutable_block()/
 //                          mutable_view() is stored into a variable.  Any
-//                          later copy of the handle (a fork, a cache
-//                          share) un-shares the frame and the stored
+//                          later copy of the handle (a cache share)
+//                          un-shares the frame and the stored
 //                          pointer silently keeps writing to the *old*
 //                          frame.  Use the result within the expression
 //                          that produced it, or suppress with proof that
@@ -282,7 +282,6 @@ void run_all_rules(const SourceFile& f, const Index& idx,
                    std::vector<Finding>& out) {
   run_determinism_rules(f, idx, out);
   run_shard_rules(f, idx, out);
-  run_clone_rules(f, idx, out);
   run_ownership_rules(f, idx, out);
 }
 

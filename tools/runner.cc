@@ -100,34 +100,9 @@ std::string hex(std::uint64_t v) {
 
 }  // namespace
 
-std::unique_ptr<core::Testbed> WarmPrototypePool::acquire(core::Protocol p) {
-  core::Checkpoint* image = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto& slot = images_[p];
-    if (!slot) {
-      core::Testbed proto(p);
-      proto.quiesce();
-      slot = std::make_unique<core::Checkpoint>(proto);
-    }
-    image = slot.get();
-  }
-  // Forking outside the lock: fork() only reads the image, so concurrent
-  // workers clone the same prototype without serializing.
-  return image->fork();
-}
-
-ScenarioResult run_scenario(const Scenario& sc, WarmPrototypePool* pool) {
-  // Both paths start from the identical state — construct + quiesce —
-  // which is what makes pooled and from-scratch results byte-identical.
-  std::unique_ptr<core::Testbed> owned;
-  if (pool != nullptr) {
-    owned = pool->acquire(sc.proto);
-  } else {
-    owned = std::make_unique<core::Testbed>(sc.proto);
-    owned->quiesce();
-  }
-  core::Testbed& bed = *owned;
+ScenarioResult run_scenario(const Scenario& sc) {
+  core::Testbed bed(sc.proto);
+  bed.quiesce();
 
   ScenarioResult res;
   switch (sc.kind) {
@@ -164,12 +139,11 @@ ScenarioResult run_scenario(const Scenario& sc, WarmPrototypePool* pool) {
 }
 
 std::vector<ScenarioResult> run_scenarios(std::span<const Scenario> scenarios,
-                                          unsigned workers,
-                                          WarmPrototypePool* pool) {
+                                          unsigned workers) {
   std::vector<ScenarioResult> results(scenarios.size());
   if (workers < 2 || scenarios.size() < 2) {
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
-      results[i] = run_scenario(scenarios[i], pool);
+      results[i] = run_scenario(scenarios[i]);
     }
     return results;
   }
@@ -182,7 +156,7 @@ std::vector<ScenarioResult> run_scenarios(std::span<const Scenario> scenarios,
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= scenarios.size()) return;
-      results[i] = run_scenario(scenarios[i], pool);
+      results[i] = run_scenario(scenarios[i]);
     }
   };
   std::vector<std::thread> threads;

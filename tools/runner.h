@@ -11,14 +11,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "core/checkpoint.h"
 #include "core/testbed.h"
 
 namespace netstore::tools {
@@ -50,38 +46,15 @@ struct ScenarioResult {
   std::uint64_t data_hash = 0;  // FNV-1a over every byte read back
 };
 
-/// Shared pool of warmed per-protocol prototype images (DESIGN.md §13).
-/// With a pool, every scenario forks its private world from one quiesced
-/// core::Checkpoint per protocol instead of rebuilding the stack (mkfs,
-/// mount, login) from scratch.  The first acquire() per protocol builds
-/// the image under a lock; later acquires fork concurrently — fork() on
-/// a const image is read-only, so workers never serialize on it.  Both
-/// the fork path and the from-scratch path hand back a world with the
-/// identical history (construct, then quiesce), so scenario results are
-/// byte-identical with or without a pool.
-class WarmPrototypePool {
- public:
-  /// A fresh, private world in the warmed prototype state for `p`.
-  /// Thread-safe.
-  [[nodiscard]] std::unique_ptr<core::Testbed> acquire(core::Protocol p);
-
- private:
-  std::mutex mu_;
-  std::map<core::Protocol, std::unique_ptr<core::Checkpoint>> images_;
-};
-
-/// Runs one scenario on a private Testbed (deterministic: depends only on
-/// the Scenario fields).  With `pool`, the world is forked from the
-/// pool's warmed prototype; the result is identical either way.
-[[nodiscard]] ScenarioResult run_scenario(const Scenario& sc,
-                                          WarmPrototypePool* pool = nullptr);
+/// Runs one scenario on a private, freshly built and quiesced Testbed
+/// (deterministic: depends only on the Scenario fields).
+[[nodiscard]] ScenarioResult run_scenario(const Scenario& sc);
 
 /// Runs all scenarios across `workers` threads (clamped to >= 1).
 /// result[i] corresponds to scenarios[i] regardless of worker count or
-/// completion order.  With `pool`, workers share its warmed prototypes.
+/// completion order.
 [[nodiscard]] std::vector<ScenarioResult> run_scenarios(
-    std::span<const Scenario> scenarios, unsigned workers,
-    WarmPrototypePool* pool = nullptr);
+    std::span<const Scenario> scenarios, unsigned workers);
 
 /// Caps `requested` workers at the machine's hardware threads: every
 /// scenario runs single-threaded, so more workers than threads only adds

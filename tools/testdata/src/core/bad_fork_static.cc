@@ -1,4 +1,4 @@
-// Fixture: mutable process-wide state that checkpoint forks would share.
+// Fixture: mutable process-wide state that every world would share.
 // Every `static` object here must trip fork-unsafe-state.
 #include <atomic>
 #include <cstdint>
@@ -6,9 +6,9 @@
 
 namespace fixture {
 
-// A run-id minted from a process-wide counter: two worlds forked from one
-// checkpoint mint *different* names, so forked runs diverge from scratch
-// runs.
+// A run-id minted from a process-wide counter: two worlds built from one
+// config mint *different* names, so the second run diverges from the
+// first.
 std::string next_run_name() {
   static int run_id = 0;
   return "/run" + std::to_string(run_id++);

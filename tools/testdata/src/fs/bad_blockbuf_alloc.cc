@@ -1,6 +1,6 @@
 // Fixture: heap-allocating BlockBuf frames outside core::BufferPool.
 // Every 4 KB frame on the data path must come from the pool (as a
-// core::BufRef) so the steady state is allocation-free and forks share
+// core::BufRef) so the steady state is allocation-free and layers share
 // pages copy-on-write, so each raw allocation below must trip the
 // raw-blockbuf-alloc rule.
 #include <memory>

@@ -1,7 +1,7 @@
 // Fixture: copy-on-write buffer-pool aliasing hazards.
 //
 //   bad line 1: the pointer from mutable_data() is stored; if the BufRef
-//   is forked or shared afterwards, the frame is un-shared and the stored
+//   is shared afterwards, the frame is un-shared and the stored
 //   pointer keeps writing to the stale copy (rule: bufref-held).
 //
 //   bad line 2: naming core::detail::PoolFrame outside the pool
