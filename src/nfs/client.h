@@ -262,7 +262,7 @@ class NfsClient {
     Proc op;
     Fh dir;
     std::string name;
-    std::string aux;     // symlink target / rename destination name
+    std::string aux{};   // symlink target / rename destination name
     Fh aux_fh = 0;       // link target / rename destination dir
     Fh provisional = 0;  // handle assigned locally for creates
     std::uint16_t perm = 0;

@@ -6,15 +6,33 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <queue>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "sim/env.h"
 #include "sim/event_heap.h"
 #include "sim/rng.h"
 #include "sim/task.h"
+
+namespace {
+// Every global operator new in this test binary, for
+// TaskTest.SelfReschedulingDaemonsNeverAllocate.
+std::uint64_t operator_new_calls = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  ++operator_new_calls;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace netstore::sim {
 namespace {
@@ -110,6 +128,51 @@ TEST(TaskTest, MoveAssignDestroysPreviousCallable) {
   Task t([p = Probe(&first_dtors)] { (void)p; });
   t = Task([] {});
   EXPECT_EQ(first_dtors, 1);
+}
+
+// A daemon that reschedules itself until a shared budget runs out: the
+// flusher/journal/lease pattern behind most events in a run.  The capture
+// mirrors an I/O completion closure (context pointers plus a file handle
+// and an offset) and fills Task's inline storage exactly.
+struct Tick {
+  Env* env;
+  std::uint64_t* remaining;
+  std::uint64_t period;
+  std::uint64_t fh;
+  std::uint64_t offset;
+
+  void operator()() const {
+    if (*remaining == 0) return;
+    --*remaining;
+    env->schedule_after(period,
+                        Tick{env, remaining, period, fh + 1, offset ^ fh});
+  }
+};
+static_assert(sizeof(Tick) == Task::kInlineSize);
+
+// The event loop's steady state touches no heap: every Task is built in
+// inline storage, and the heap's backing vector never grows once the
+// daemons are queued.  A per-event allocation shows up here as an exact
+// count, not as a slower run.
+TEST(TaskTest, SelfReschedulingDaemonsNeverAllocate) {
+  constexpr std::uint64_t kEvents = 100'000;
+  constexpr std::uint64_t kDaemons = 4;
+  Env env;
+  std::uint64_t remaining = kEvents;
+  const std::uint64_t inline_before = Task::inline_constructions();
+  const std::uint64_t heap_before = Task::heap_constructions();
+  for (std::uint64_t i = 0; i < kDaemons; ++i) {
+    env.schedule_after(i + 1, Tick{&env, &remaining, i % 7 + 1, i, i * 4096});
+  }
+
+  const std::uint64_t news_before = operator_new_calls;
+  env.drain();
+  const std::uint64_t news = operator_new_calls - news_before;
+
+  EXPECT_EQ(remaining, 0u);
+  EXPECT_EQ(news, 0u);
+  EXPECT_EQ(Task::heap_constructions() - heap_before, 0u);
+  EXPECT_EQ(Task::inline_constructions() - inline_before, kEvents + kDaemons);
 }
 
 // --- FuncRef -------------------------------------------------------------

@@ -12,6 +12,8 @@
 //     sees the other's writes.
 //   * Charging: a warm cached read costs exactly one charged copy — the
 //     user-buffer boundary — and nothing below it.
+//   * Steady state: a long warm read loop, at every I/O size, allocates
+//     no frame outside the free list and copies only at the boundary.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +22,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -276,6 +279,59 @@ TEST(ZerocopyCharging, WarmReadChargesExactlyTheBoundary) {
   // below.
   EXPECT_EQ(after.copies - before.copies, kBytes / block::kBlockSize);
 }
+
+// The warm steady state, at every I/O size the paper sweeps: 2,000 reads
+// cycling over a cached 256 KB file.  The free list serves every frame the
+// loop touches (no fallback to fresh slab capacity), and each page crossing
+// the user boundary is one charged copy, with no bytes copied below it.
+class WarmReadSteadyState
+    : public ::testing::TestWithParam<std::tuple<Protocol, std::uint32_t>> {};
+
+TEST_P(WarmReadSteadyState, CopiesOnlyTheBoundaryAndAllocatesNothing) {
+  const Protocol proto = std::get<0>(GetParam());
+  const std::uint32_t io_bytes = std::get<1>(GetParam()) * 1024;
+  constexpr std::uint32_t kFileBytes = 256 * 1024;
+  constexpr std::uint64_t kReads = 2000;
+  Testbed bed(proto);
+
+  auto fd = bed.vfs().creat("/warm", 0644);
+  ASSERT_TRUE(fd.ok());
+  const std::vector<std::uint8_t> data(kFileBytes, 0x6b);
+  ASSERT_TRUE(bed.vfs().write(*fd, 0, data).ok());
+  ASSERT_TRUE(bed.vfs().fsync(*fd).ok());
+  std::vector<std::uint8_t> rd(io_bytes);
+  for (std::uint64_t off = 0; off < kFileBytes; off += io_bytes) {
+    ASSERT_TRUE(bed.vfs().read(*fd, off, rd).ok());  // fault in every layer
+  }
+
+  auto& pool = BufferPool::instance();
+  const std::uint64_t fallbacks_before = pool.alloc_fallbacks();
+  const BufferPool::CopyStats before = pool.copy_stats();
+  for (std::uint64_t i = 0; i < kReads; ++i) {
+    const std::uint64_t off = (i % (kFileBytes / io_bytes)) * io_bytes;
+    ASSERT_TRUE(bed.vfs().read(*fd, off, rd).ok());
+  }
+  const BufferPool::CopyStats after = pool.copy_stats();
+  EXPECT_EQ(pool.alloc_fallbacks() - fallbacks_before, 0u);
+  ASSERT_TRUE(bed.vfs().close(*fd).ok());
+
+  EXPECT_EQ(after.bytes_read - before.bytes_read, kReads * io_bytes);
+  EXPECT_EQ(after.bytes_copied - before.bytes_copied,
+            after.bytes_read - before.bytes_read);
+  EXPECT_EQ(after.bytes_written, before.bytes_written);
+  EXPECT_EQ(after.copies - before.copies,
+            kReads * (io_bytes / block::kBlockSize));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSizes, WarmReadSteadyState,
+    ::testing::Combine(::testing::Values(Protocol::kIscsi, Protocol::kNfsV3),
+                       ::testing::Values(4u, 8u, 16u, 32u, 64u)),
+    [](const auto& info) {
+      const Protocol proto = std::get<0>(info.param);
+      return std::string(proto == Protocol::kIscsi ? "Iscsi" : "NfsV3") +
+             "_" + std::to_string(std::get<1>(info.param)) + "K";
+    });
 
 // NFSv4 directory delegation buffers a new file's data on the client and
 // ships it after the deferred create reaches the server.  The ship sends
