@@ -30,18 +30,17 @@
 //     mutable_data() on it un-shares; the zero page itself is immutable.
 //
 // The pool is process-global: frames are storage, not simulated state.
-// Worlds on bench_runner's worker threads share it (and its zero page),
-// so the free list is mutex-protected and refcounts are atomic.  Nothing
+// Every world a process builds shares it (and its zero page).  Nothing
 // simulated depends on frame identity, only on frame contents, which
 // each world owns (copy-on-write) — pooling changes time and memory,
-// never behaviour.
+// never behaviour.  A process runs one thread, so the free list takes no
+// lock and refcounts and counters are plain integers; parallel runs are
+// separate processes, each with its own pool.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -57,7 +56,7 @@ namespace detail {
 /// individually allocated or freed.
 struct PoolFrame {
   block::BlockBuf data;
-  std::atomic<std::uint32_t> refs{0};
+  std::uint32_t refs = 0;
   PoolFrame* next_free = nullptr;
 };
 }  // namespace detail
@@ -104,15 +103,11 @@ class BufferPool {
  public:
   /// The process-wide pool.  Frames are storage shared by every world;
   /// see the header comment for why this does not break world isolation.
-  // netstore: shard_safe -- frame storage, not simulated state: handles
-  // own frames exclusively or share them copy-on-write, so worlds never
-  // write the same frame; the free list is the one contended structure
-  // and is mutex-protected.
   static BufferPool& instance() {
     // Leaked deliberately: BufRefs may outlive static destruction order.
     // The pool is page storage outside the simulated world; worlds own
     // frame contents via copy-on-write, so worlds stay isolated.
-    // netstore-lint: allow(fork-unsafe-state)
+    // netstore-lint: allow(process-state)
     static BufferPool* pool = new BufferPool();
     return *pool;
   }
@@ -133,56 +128,37 @@ class BufferPool {
 
   // --- telemetry (exported as pool.* through the obs layer) -----------
   /// Slabs allocated (kFramesPerSlab frames each); capacity gauge.
-  [[nodiscard]] std::uint64_t slabs() const {
-    return slabs_count_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t slabs() const { return slabs_.size(); }
   /// Frames currently referenced by more than one handle.
-  [[nodiscard]] std::uint64_t shared_pages() const {
-    const std::int64_t v = shared_pages_.load(std::memory_order_relaxed);
-    return v > 0 ? static_cast<std::uint64_t>(v) : 0;
-  }
+  [[nodiscard]] std::uint64_t shared_pages() const { return shared_pages_; }
   /// Copy-on-write copies taken by mutable access to shared frames.
-  [[nodiscard]] std::uint64_t unshare_ops() const {
-    return unshare_ops_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t unshare_ops() const { return unshare_ops_; }
   /// Frame requests the free list could not satisfy (served from fresh
   /// slab capacity instead).  Flat in steady state: the delta over a
   /// warmed workload is its heap-backed allocation count.
   [[nodiscard]] std::uint64_t alloc_fallbacks() const {
-    return alloc_fallbacks_.load(std::memory_order_relaxed);
+    return alloc_fallbacks_;
   }
 
   // --- copy telemetry (the zero-copy data plane, DESIGN.md §17) -------
   /// Payload memcpy calls charged through the sanctioned copy helpers
   /// (core::copy_out / copy_in in core/iovec.h).
-  [[nodiscard]] std::uint64_t copies() const {
-    return copies_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t copies() const { return copies_; }
   /// Bytes moved by those copies.  Every charged copy is a user-buffer
   /// boundary crossing, so bytes_copied == bytes_read + bytes_written
   /// exactly (check_report.py enforces <=).
-  [[nodiscard]] std::uint64_t bytes_copied() const {
-    return bytes_copied_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t bytes_copied() const { return bytes_copied_; }
   /// Bytes handed to user read buffers at the VFS boundary.
-  [[nodiscard]] std::uint64_t bytes_read() const {
-    return bytes_read_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t bytes_read() const { return bytes_read_; }
   /// Bytes accepted from user write buffers at the VFS boundary.
-  [[nodiscard]] std::uint64_t bytes_written() const {
-    return bytes_written_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t bytes_written() const { return bytes_written_; }
 
   void note_copy(std::uint64_t n) {
-    copies_.fetch_add(1, std::memory_order_relaxed);
-    bytes_copied_.fetch_add(n, std::memory_order_relaxed);
+    ++copies_;
+    bytes_copied_ += n;
   }
-  void note_user_read(std::uint64_t n) {
-    bytes_read_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void note_user_write(std::uint64_t n) {
-    bytes_written_.fetch_add(n, std::memory_order_relaxed);
-  }
+  void note_user_read(std::uint64_t n) { bytes_read_ += n; }
+  void note_user_write(std::uint64_t n) { bytes_written_ += n; }
 
   /// The four copy counters read together (tests and benches take
   /// before/after deltas).
@@ -207,27 +183,25 @@ class BufferPool {
     // The pool's own pinned reference: zero_page() handles are always
     // shared, so mutable access copies-on-write instead of scribbling on
     // the canonical frame, and drop_ref can never recycle it.
-    zero_frame_.refs.store(1, std::memory_order_relaxed);
+    zero_frame_.refs = 1;
   }
 
   Frame* obtain();
   void add_ref(Frame* f);
   void drop_ref(Frame* f);
 
-  std::mutex mu_;
-  std::vector<std::unique_ptr<Frame[]>> slabs_;  // guarded by mu_
-  Frame* free_head_ = nullptr;                   // guarded by mu_
-  Frame* fresh_next_ = nullptr;                  // guarded by mu_
-  std::size_t fresh_left_ = 0;                   // guarded by mu_
+  std::vector<std::unique_ptr<Frame[]>> slabs_;
+  Frame* free_head_ = nullptr;
+  Frame* fresh_next_ = nullptr;
+  std::size_t fresh_left_ = 0;
 
-  std::atomic<std::uint64_t> slabs_count_{0};
-  std::atomic<std::int64_t> shared_pages_{0};
-  std::atomic<std::uint64_t> unshare_ops_{0};
-  std::atomic<std::uint64_t> alloc_fallbacks_{0};
-  std::atomic<std::uint64_t> copies_{0};
-  std::atomic<std::uint64_t> bytes_copied_{0};
-  std::atomic<std::uint64_t> bytes_read_{0};
-  std::atomic<std::uint64_t> bytes_written_{0};
+  std::uint64_t shared_pages_ = 0;
+  std::uint64_t unshare_ops_ = 0;
+  std::uint64_t alloc_fallbacks_ = 0;
+  std::uint64_t copies_ = 0;
+  std::uint64_t bytes_copied_ = 0;
+  std::uint64_t bytes_read_ = 0;
+  std::uint64_t bytes_written_ = 0;
 
   Frame zero_frame_{};  // refs pinned at >= 1 by the pool
 };
@@ -236,46 +210,38 @@ class BufferPool {
 
 inline BufferPool::Frame* BufferPool::obtain() {
   Frame* f = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (free_head_ != nullptr) {
-      f = free_head_;
-      free_head_ = f->next_free;
-      f->next_free = nullptr;
-    } else {
-      alloc_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      if (fresh_left_ == 0) {
-        slabs_.push_back(std::make_unique<Frame[]>(kFramesPerSlab));
-        slabs_count_.fetch_add(1, std::memory_order_relaxed);
-        fresh_next_ = slabs_.back().get();
-        fresh_left_ = kFramesPerSlab;
-      }
-      f = fresh_next_++;
-      --fresh_left_;
+  if (free_head_ != nullptr) {
+    f = free_head_;
+    free_head_ = f->next_free;
+    f->next_free = nullptr;
+  } else {
+    ++alloc_fallbacks_;
+    if (fresh_left_ == 0) {
+      slabs_.push_back(std::make_unique<Frame[]>(kFramesPerSlab));
+      fresh_next_ = slabs_.back().get();
+      fresh_left_ = kFramesPerSlab;
     }
+    f = fresh_next_++;
+    --fresh_left_;
   }
-  NETSTORE_DCHECK_EQ(f->refs.load(std::memory_order_relaxed), 0u);
-  f->refs.store(1, std::memory_order_relaxed);
+  NETSTORE_DCHECK_EQ(f->refs, 0u);
+  f->refs = 1;
   return f;
 }
 
 inline void BufferPool::add_ref(Frame* f) {
-  // fetch_add returns the prior count, so exactly one referencing thread
-  // observes each 1 -> 2 transition (the frame becoming shared).
-  if (f->refs.fetch_add(1, std::memory_order_relaxed) == 1) {
-    shared_pages_.fetch_add(1, std::memory_order_relaxed);
-  }
+  // The 1 -> 2 transition is the frame becoming shared.
+  if (f->refs++ == 1) ++shared_pages_;
 }
 
 inline void BufferPool::drop_ref(Frame* f) {
-  const std::uint32_t prior = f->refs.fetch_sub(1, std::memory_order_acq_rel);
-  NETSTORE_DCHECK_GT(prior, 0u);
+  NETSTORE_DCHECK_GT(f->refs, 0u);
+  const std::uint32_t prior = f->refs--;
   if (prior == 2) {
-    shared_pages_.fetch_sub(1, std::memory_order_relaxed);
+    --shared_pages_;
   } else if (prior == 1) {
     // Last reference gone: recycle.  The zero frame never reaches here
     // because the pool's own reference pins it above zero.
-    std::lock_guard<std::mutex> lock(mu_);
     f->next_free = free_head_;
     free_head_ = f;
   }
@@ -325,11 +291,11 @@ inline block::BlockView BufRef::view() const { return block::BlockView{block()};
 
 inline std::uint8_t* BufRef::mutable_data() {
   NETSTORE_DCHECK(frame_ != nullptr);
-  if (frame_->refs.load(std::memory_order_acquire) > 1) {
+  if (frame_->refs > 1) {
     BufferPool& pool = BufferPool::instance();
     Frame* fresh = pool.obtain();
     std::memcpy(fresh->data.data(), frame_->data.data(), block::kBlockSize);
-    pool.unshare_ops_.fetch_add(1, std::memory_order_relaxed);
+    ++pool.unshare_ops_;
     pool.drop_ref(frame_);
     frame_ = fresh;
   }
@@ -345,8 +311,7 @@ inline block::MutBlockView BufRef::mutable_view() {
 }
 
 inline std::uint32_t BufRef::use_count() const {
-  return frame_ == nullptr ? 0u
-                           : frame_->refs.load(std::memory_order_relaxed);
+  return frame_ == nullptr ? 0u : frame_->refs;
 }
 
 }  // namespace netstore::core

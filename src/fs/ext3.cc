@@ -605,8 +605,13 @@ void write_dirent_at(block::BlockBuf& buf, std::uint32_t pos,
 }
 }  // namespace
 
-Result<Ino> Ext3Fs::dir_find(Ino dir, RawInode& dri, const std::string& name,
-                             FileType* type_out) {
+// This scan is the hottest loop of the metadata workloads (about 70% of
+// perfbench fleet_nfs host time), and its speed moves by 10-25% with its
+// start address modulo 64.  Unpinned, that address shifts whenever code
+// linked before it changes size, so pin it to a cache line.
+[[gnu::aligned(64)]] Result<Ino> Ext3Fs::dir_find(Ino dir, RawInode& dri,
+                                                  const std::string& name,
+                                                  FileType* type_out) {
   const std::uint64_t nblocks = dri.size / kBlockSize;
   for (std::uint64_t b = 0; b < nblocks; ++b) {
     bool dummy = false;

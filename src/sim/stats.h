@@ -66,11 +66,8 @@ class Sampler {
  private:
   std::vector<double> samples_;
   // Cached ascending copy of samples_, rebuilt lazily after a record().
-  // netstore: shard_local -- every Sampler is owned by one world, and
-  // bench_runner keeps each world on one worker thread, so the
-  // const-surface cache rebuild never races
   mutable std::vector<double> sorted_;
-  mutable bool sorted_valid_ = false;  // netstore: shard_local -- see sorted_
+  mutable bool sorted_valid_ = false;
 };
 
 /// Fixed-boundary histogram for message-size / latency distributions.

@@ -10,8 +10,8 @@
 //                 deferred-work currency of sim::Env: daemon captures
 //                 ([this, alive-token]) fit inline and never touch the
 //                 heap.  Oversized captures still work — they fall back to
-//                 a heap box, and a process-wide counter records it so a
-//                 regression is visible in bench_sim_selfperf.
+//                 a heap box, and a process-wide counter records it, so
+//                 task_test can pin daemon-shaped captures at zero.
 //
 //   sim::FuncRef  non-owning, two-word view of a callable.  For synchronous
 //                 borrows (RPC server work, write-back predicates) where
@@ -23,7 +23,6 @@
 // src/sim, src/fs and src/block in favour of these.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -52,13 +51,19 @@ class Task {
     if constexpr (sizeof(Fn) <= kInlineSize &&
                   alignof(Fn) <= alignof(std::max_align_t) &&
                   std::is_nothrow_move_constructible_v<Fn>) {
+      if constexpr (std::is_empty_v<Fn>) {
+        // A capture-less callable writes no byte of storage_, but moving
+        // the Task memcpys all of it: zero it so that copy reads no
+        // indeterminate bytes.
+        std::memset(storage_, 0, kInlineSize);
+      }
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       ops_ = &kInlineOps<Fn>;
-      inline_constructions_.fetch_add(1, std::memory_order_relaxed);
+      ++inline_constructions_;
     } else {
       ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
       ops_ = &kHeapOps<Fn>;
-      heap_constructions_.fetch_add(1, std::memory_order_relaxed);
+      ++heap_constructions_;
     }
   }
 
@@ -91,15 +96,10 @@ class Task {
   /// True if this task's capture lives in the heap fallback box.
   [[nodiscard]] bool on_heap() const { return ops_ != nullptr && ops_->heap; }
 
-  /// Process-wide construction counters (relaxed atomics: the parallel
-  /// scenario runner constructs tasks from many worker threads).  Absolute
-  /// values accumulate for the process lifetime — report deltas.
-  static std::uint64_t inline_constructions() {
-    return inline_constructions_.load(std::memory_order_relaxed);
-  }
-  static std::uint64_t heap_constructions() {
-    return heap_constructions_.load(std::memory_order_relaxed);
-  }
+  /// Process-wide construction counters.  Absolute values accumulate
+  /// for the process lifetime — report deltas.
+  static std::uint64_t inline_constructions() { return inline_constructions_; }
+  static std::uint64_t heap_constructions() { return heap_constructions_; }
 
  private:
   struct Ops {
@@ -156,13 +156,12 @@ class Task {
     }
   }
 
-  // Process-wide allocation diagnostics for bench_sim_selfperf; never read
-  // by the simulation, so worlds in one process cannot observe each other
-  // here.
-  // netstore-lint: allow(fork-unsafe-state) -- host-side diagnostic counter
-  inline static std::atomic<std::uint64_t> inline_constructions_{0};
-  // netstore-lint: allow(fork-unsafe-state) -- host-side diagnostic counter
-  inline static std::atomic<std::uint64_t> heap_constructions_{0};
+  // Process-wide allocation diagnostics for tests; never read by the
+  // simulation, so worlds in one process cannot observe each other here.
+  // netstore-lint: allow(process-state) -- host-side diagnostic counter
+  inline static std::uint64_t inline_constructions_ = 0;
+  // netstore-lint: allow(process-state) -- host-side diagnostic counter
+  inline static std::uint64_t heap_constructions_ = 0;
 
   alignas(std::max_align_t) unsigned char storage_[kInlineSize];
   const Ops* ops_ = nullptr;

@@ -67,7 +67,7 @@ LargeIoResult run_large_write(core::Testbed& bed, const LargeIoConfig& cfg) {
   // Uniquify the file name per run from the testbed's own clock (strictly
   // ahead of any previous run's creation time on this bed).  A process-wide
   // counter here would leak state across testbeds — two worlds built from
-  // one config must create identical names (fork-unsafe-state lint).
+  // one config must create identical names (process-state lint).
   const std::string path = "/wfile" + std::to_string(bed.env().now());
 
   bed.settle(sim::seconds(40));

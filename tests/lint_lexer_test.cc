@@ -186,7 +186,7 @@ TEST(LintLexer, ModuleAndSrcDetection) {
   const SourceFile a = lex_source("src/fs/page_cache.cc", "int x;\n");
   EXPECT_TRUE(a.in_src);
   EXPECT_EQ(a.module, "fs");
-  const SourceFile b = lex_source("tools/bench_runner.cc", "int x;\n");
+  const SourceFile b = lex_source("tools/netstore_lint.cc", "int x;\n");
   EXPECT_FALSE(b.in_src);
   const SourceFile c =
       lex_source("tools/testdata/src/sim/bad_rand.cc", "int x;\n");

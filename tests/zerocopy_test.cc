@@ -280,8 +280,8 @@ TEST(ZerocopyCharging, WarmReadChargesExactlyTheBoundary) {
   EXPECT_EQ(after.copies - before.copies, kBytes / block::kBlockSize);
 }
 
-// The warm steady state, at every I/O size the paper sweeps: 2,000 reads
-// cycling over a cached 256 KB file.  The free list serves every frame the
+// The warm steady state at I/O sizes from 4 to 64 KB: 2,000 reads cycling
+// over a cached 256 KB file.  The free list serves every frame the
 // loop touches (no fallback to fresh slab capacity), and each page crossing
 // the user boundary is one charged copy, with no bytes copied below it.
 class WarmReadSteadyState

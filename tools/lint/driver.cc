@@ -22,15 +22,13 @@ namespace stdfs = std::filesystem;
 
 /// Every rule the self-test fixture tree must trip at least once.
 const std::set<std::string> kRequiredRules = {
-    // PR-1 determinism family.
-    "wall-clock", "rand", "raw-assert", "raw-print", "unordered-iter",
-    "virtual-dtor", "float-eq", "std-function-hot-path", "fork-unsafe-state",
-    "raw-blockbuf-alloc",
-    // Shard-safety family.
-    "shard-mutable-global", "shard-unsafe-singleton", "shard-mutable-member",
+    // Determinism family.
+    "wall-clock", "rand", "raw-assert", "raw-print", "thread",
+    "unordered-iter", "virtual-dtor", "float-eq", "std-function-hot-path",
+    "process-state", "raw-blockbuf-alloc",
     // Ownership/aliasing family.
     "bufref-held", "poolframe-escape", "raii-temp", "manual-lock",
-    "manual-suspend", "lock-order-cycle",
+    "manual-suspend",
     // Zero-copy data plane.
     "raw-datapath-memcpy",
 };
@@ -107,7 +105,7 @@ std::string json_escape(const std::string& s) {
 }
 
 void write_json(const std::string& path, const std::vector<Finding>& findings,
-                std::size_t nfiles, std::size_t nsuppressed, const Index& idx) {
+                std::size_t nfiles, std::size_t nsuppressed) {
   std::map<std::string, int> per_rule;
   for (const Finding& f : findings) per_rule[f.rule]++;
 
@@ -115,7 +113,7 @@ void write_json(const std::string& path, const std::vector<Finding>& findings,
   out << "{\n  \"format\": \"netstore-report-v1\",\n"
       << "  \"bench\": \"netstore_lint\",\n"
       << "  \"reproduces\": \"static analysis gates: determinism, "
-         "shard-safety, ownership (DESIGN.md section 15)\",\n"
+         "ownership (DESIGN.md section 15)\",\n"
       << "  \"tables\": [\n"
       << "    {\"name\": \"lint:findings\",\n"
       << "     \"columns\": [\"file\", \"line\", \"col\", \"rule\", "
@@ -143,17 +141,15 @@ void write_json(const std::string& path, const std::vector<Finding>& findings,
       << "      \"lint.findings\": {\"kind\": \"counter\", \"value\": "
       << findings.size() << "},\n"
       << "      \"lint.suppressed\": {\"kind\": \"counter\", \"value\": "
-      << nsuppressed << "},\n"
-      << "      \"lint.index_classes\": {\"kind\": \"counter\", \"value\": "
-      << idx.classes.size() << "}\n    }}\n  ]\n}\n";
+      << nsuppressed << "}\n    }}\n  ]\n}\n";
 }
 
 int self_test_verdict(const std::vector<Finding>& findings,
                       std::size_t nfiles) {
   std::set<std::string> fired;
   bool ok = true;
-  // Findings in clean* fixtures mean a rule or the suppression/annotation
-  // parser regressed; multi* fixtures must show that one line can carry
+  // Findings in clean* fixtures mean a rule or the suppression parser
+  // regressed; multi* fixtures must show that one line can carry
   // several findings of the same rule (the PR-1 truncation bug).
   std::map<std::pair<std::string, std::uint32_t>, int> same_line_rule;
   std::set<std::string> multi_files_hit;
@@ -276,7 +272,7 @@ int run_cli(int argc, char** argv) {
               << f.message << "\n";
   }
   if (!json_path.empty()) {
-    write_json(json_path, findings, files.size(), nsuppressed, idx);
+    write_json(json_path, findings, files.size(), nsuppressed);
   }
 
   if (self_test) return self_test_verdict(findings, files.size());

@@ -5,9 +5,6 @@
 namespace netstore::lint {
 namespace {
 
-const std::set<std::string> kLockTypes = {"lock_guard", "scoped_lock",
-                                          "unique_lock"};
-
 bool is_keyword_skip(const std::string& t) {
   return t == "using" || t == "typedef" || t == "friend" ||
          t == "static_assert" || t == "extern" || t == "namespace";
@@ -31,8 +28,7 @@ std::size_t skip_angles(const std::vector<Token>& ts, std::size_t i) {
 }
 
 /// The statement machine.  Walks the token stream maintaining a
-/// namespace/class scope stack; function bodies are scanned (not parsed)
-/// by `scan_function_body`.
+/// namespace/class scope stack; function bodies are skipped whole.
 class Indexer {
  public:
   explicit Indexer(const SourceFile& f) : f_(f), ts_(f.tokens) {
@@ -46,11 +42,7 @@ class Indexer {
   }
 
  private:
-  struct Scope {
-    enum Kind { kNamespace, kClass } kind;
-    std::string name;
-    int class_idx;  // into out_.classes when kind == kClass, else -1
-  };
+  enum class Scope { kNamespace, kClass };
 
   [[nodiscard]] bool at_eof() const {
     return i_ >= ts_.size() || ts_[i_].kind == Tok::kEof;
@@ -58,23 +50,6 @@ class Indexer {
   [[nodiscard]] const Token& tok(std::size_t off = 0) const {
     const std::size_t j = i_ + off;
     return j < ts_.size() ? ts_[j] : ts_.back();
-  }
-
-  [[nodiscard]] int current_class() const {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      if (it->kind == Scope::kClass) return it->class_idx;
-    }
-    return -1;
-  }
-
-  [[nodiscard]] std::string qual_prefix() const {
-    std::string q;
-    for (const Scope& s : scopes_) {
-      if (s.name.empty()) continue;
-      if (!q.empty()) q += "::";
-      q += s.name;
-    }
-    return q;
   }
 
   // --- statement collection at namespace/class scope -------------------
@@ -152,13 +127,7 @@ class Indexer {
                   std::size_t first_top_paren, std::size_t first_top_eq) {
     const auto text = [&](std::size_t k) { return ts_[stmt[k]].text; };
     if (!stmt.empty() && text(0) == "namespace") {
-      std::string name;
-      for (std::size_t k = 1; k < stmt.size(); ++k) {
-        if (ts_[stmt[k]].kind == Tok::kIdent || text(k) == "::") {
-          name += text(k);
-        }
-      }
-      scopes_.push_back({Scope::kNamespace, name, -1});
+      scopes_.push_back(Scope::kNamespace);
       i_++;  // '{'
       return true;
     }
@@ -168,7 +137,7 @@ class Indexer {
       return true;
     }
     if (!stmt.empty() && text(0) == "extern") {  // extern "C" {
-      scopes_.push_back({Scope::kNamespace, "", -1});
+      scopes_.push_back(Scope::kNamespace);
       i_++;
       return true;
     }
@@ -178,7 +147,7 @@ class Indexer {
       const std::string& t = text(k);
       if (t == "(") break;
       if (t == "class" || t == "struct" || t == "union") {
-        begin_class(stmt, k);
+        scopes_.push_back(Scope::kClass);
         i_++;  // '{'
         return true;
       }
@@ -188,38 +157,11 @@ class Indexer {
     // it (trailing `= delete`-ish forms), not before (an initializer).
     if (first_top_paren != std::string::npos &&
         (first_top_eq == std::string::npos || first_top_eq > first_top_paren)) {
-      function_definition(stmt, first_top_paren);
+      skip_braces();  // the body: nothing in it is namespace-scope
       return true;
     }
     // `= {...}` / `Config c{...}` initializer braces.
     return false;
-  }
-
-  void begin_class(const std::vector<std::size_t>& stmt, std::size_t kw) {
-    // Name: the last identifier before the base-clause ':' (skipping
-    // `final`), searching from the keyword forward.
-    std::string name;
-    std::uint32_t line = ts_[stmt[kw]].line;
-    for (std::size_t k = kw + 1; k < stmt.size(); ++k) {
-      const Token& t = ts_[stmt[k]];
-      if (t.text == ":") break;
-      if (t.kind == Tok::kIdent && t.text != "final" && t.text != "alignas") {
-        name = t.text;
-        line = t.line;
-      }
-    }
-    ClassInfo ci;
-    ci.name = name;
-    const std::string prefix = qual_prefix();
-    ci.qual = prefix.empty() ? name : prefix + "::" + name;
-    ci.file = f_.path;
-    ci.line = line;
-    ci.module = f_.module;
-    ci.in_src = f_.in_src;
-    ci.annotations = annotations_at(f_, line);
-    out_.classes.push_back(std::move(ci));
-    scopes_.push_back({Scope::kClass, name,
-                       static_cast<int>(out_.classes.size() - 1)});
   }
 
   // --- declarations ending in ';' --------------------------------------
@@ -247,31 +189,11 @@ class Indexer {
          first_top_eq > first_top_paren) &&
         first_top_paren > 0 &&
         ts_[stmt[first_top_paren - 1]].kind == Tok::kIdent;
-    const int cls = current_class();
-
-    if (is_function) {
-      if (cls < 0) return;  // namespace-scope prototype: nothing to record
-      ClassInfo& ci = out_.classes[static_cast<std::size_t>(cls)];
-      const Token& fname = ts_[stmt[first_top_paren - 1]];
-      if (fname.text == "instance" && has_word(stmt, "static") &&
-          has_amp_before(stmt, first_top_paren - 1)) {
-        ci.singleton = true;
-        ci.singleton_line = fname.line;
-        const auto a = annotations_at(f_, fname.line);
-        ci.annotations.insert(a.begin(), a.end());
-      }
-      return;
-    }
-
-    if (cls >= 0) {
-      member_declaration(stmt);
-    } else if (in_namespace_scope()) {
-      global_declaration(stmt);
-    }
+    if (!is_function && in_namespace_scope()) global_declaration(stmt);
   }
 
   [[nodiscard]] bool in_namespace_scope() const {
-    return scopes_.empty() || scopes_.back().kind == Scope::kNamespace;
+    return scopes_.empty() || scopes_.back() == Scope::kNamespace;
   }
 
   [[nodiscard]] bool has_word(const std::vector<std::size_t>& stmt,
@@ -282,46 +204,14 @@ class Indexer {
     return false;
   }
 
-  /// True if a '&' punctuation appears among the tokens before `name_pos`
-  /// (i.e. the function returns, or the declarator is, a reference).
-  [[nodiscard]] bool has_amp_before(const std::vector<std::size_t>& stmt,
-                                    std::size_t name_pos) const {
-    for (std::size_t k = 0; k < name_pos && k < stmt.size(); ++k) {
-      if (ts_[stmt[k]].text == "&") return true;
-    }
-    return false;
-  }
-
-  void member_declaration(const std::vector<std::size_t>& stmt) {
-    ClassInfo& ci = out_.classes[static_cast<std::size_t>(current_class())];
-    const bool is_mutable = has_word(stmt, "mutable");
-    for_each_declarator(stmt, [&](const Token& name) {
-      Member m;
-      m.name = name.text;
-      m.line = name.line;
-      m.is_mutable = is_mutable;
-      m.annotations = annotations_at(f_, name.line);
-      ci.members.push_back(std::move(m));
-    });
-  }
-
   void global_declaration(const std::vector<std::size_t>& stmt) {
-    GlobalVar base;
-    base.is_static = has_word(stmt, "static");
-    base.is_thread_local = has_word(stmt, "thread_local");
     if (has_word(stmt, "const") || has_word(stmt, "constexpr") ||
         has_word(stmt, "constinit")) {
       return;  // immutable: harmless to share
     }
+    const bool is_static = has_word(stmt, "static");
     for_each_declarator(stmt, [&](const Token& name) {
-      GlobalVar g = base;
-      g.name = name.text;
-      g.file = f_.path;
-      g.line = name.line;
-      g.module = f_.module;
-      g.in_src = f_.in_src;
-      g.annotations = annotations_at(f_, name.line);
-      out_.globals.push_back(std::move(g));
+      out_.globals.push_back({name.text, f_.path, name.line, is_static});
     });
   }
 
@@ -370,103 +260,6 @@ class Indexer {
            t == "inline" || t == "volatile" || t == "signed" ||
            t == "unsigned" || t == "final" || t == "noexcept" ||
            t == "override" || t == "virtual" || t == "explicit";
-  }
-
-  // --- function bodies --------------------------------------------------
-
-  /// Called with the collected header tokens and the cursor on '{'.
-  /// Scans to the matching '}' harvesting lock-acquisition order; never
-  /// recurses into the statement machine.
-  void function_definition(const std::vector<std::size_t>& stmt,
-                           std::size_t first_top_paren) {
-    // Function name and owning class.
-    std::string fname, fclass;
-    std::uint32_t fline = ts_[stmt.empty() ? 0 : stmt[0]].line;
-    if (first_top_paren > 0 &&
-        ts_[stmt[first_top_paren - 1]].kind == Tok::kIdent) {
-      fname = ts_[stmt[first_top_paren - 1]].text;
-      fline = ts_[stmt[first_top_paren - 1]].line;
-      // Qualified name: `Class::fname` — class is the identifier before
-      // the '::' that precedes the function name.
-      if (first_top_paren >= 3 && ts_[stmt[first_top_paren - 2]].text == "::" &&
-          ts_[stmt[first_top_paren - 3]].kind == Tok::kIdent) {
-        fclass = ts_[stmt[first_top_paren - 3]].text;
-      }
-    }
-    if (fclass.empty()) {
-      const int cls = current_class();
-      if (cls >= 0) {
-        ClassInfo& ci = out_.classes[static_cast<std::size_t>(cls)];
-        fclass = ci.name;
-        if (fname == "instance" && has_word(stmt, "static") &&
-            has_amp_before(stmt, first_top_paren - 1)) {
-          ci.singleton = true;
-          ci.singleton_line = fline;
-          const auto a = annotations_at(f_, fline);
-          ci.annotations.insert(a.begin(), a.end());
-        }
-      }
-    }
-
-    std::vector<std::pair<std::string, std::uint32_t>> locks;  // ordered
-    int depth = 0;
-    while (!at_eof()) {
-      const Token& t = tok();
-      if (t.text == "{") depth++;
-      if (t.text == "}") {
-        depth--;
-        i_++;
-        if (depth == 0) break;
-        continue;
-      }
-      if (t.kind == Tok::kIdent && kLockTypes.count(t.text) != 0) {
-        harvest_lock(fclass, locks);
-        continue;
-      }
-      i_++;
-    }
-
-    for (std::size_t k = 1; k < locks.size(); ++k) {
-      if (locks[k - 1].first == locks[k].first) continue;
-      out_.lock_edges.push_back(
-          {locks[k - 1].first, locks[k].first, f_.path, locks[k].second});
-    }
-  }
-
-  /// Cursor is on a lock_guard/scoped_lock/unique_lock identifier.
-  /// Records each constructor argument as an acquisition, in order.
-  /// Lock identity is `Class::argtokens` so member mutexes of different
-  /// classes stay distinct across TUs.
-  void harvest_lock(const std::string& fclass,
-                    std::vector<std::pair<std::string, std::uint32_t>>& locks) {
-    const std::uint32_t line = tok().line;
-    i_++;  // the type name
-    if (tok().text == "<") i_ = skip_angles(ts_, i_);
-    if (tok().kind == Tok::kIdent) i_++;  // the guard variable name, if any
-    if (tok().text != "(") return;
-    i_++;
-    int depth = 1;
-    std::string arg;
-    auto flush = [&] {
-      if (!arg.empty()) {
-        locks.emplace_back(fclass.empty() ? arg : fclass + "::" + arg, line);
-        arg.clear();
-      }
-    };
-    while (!at_eof() && depth > 0) {
-      const Token& t = tok();
-      if (t.text == "(") depth++;
-      else if (t.text == ")") {
-        if (--depth == 0) { i_++; break; }
-      } else if (t.text == "," && depth == 1) {
-        flush();
-        i_++;
-        continue;
-      }
-      if (depth >= 1 && !(t.text == ")" && depth == 0)) arg += t.text;
-      i_++;
-    }
-    flush();
   }
 
   void skip_braces() {
@@ -523,64 +316,13 @@ class Indexer {
 
 }  // namespace
 
-std::set<std::string> annotations_at(const SourceFile& f, std::uint32_t line) {
-  std::set<std::string> out;
-  const auto harvest = [&](std::uint32_t li) {
-    const auto range = f.comments.equal_range(li);
-    for (auto it = range.first; it != range.second; ++it) {
-      const std::string& text = it->second;
-      const std::string tag = "netstore:";
-      std::size_t pos = text.find(tag);
-      if (pos == std::string::npos) continue;
-      // Words between "netstore:" and "--" (or end of comment).
-      pos += tag.size();
-      const std::size_t stop = std::min(text.find("--", pos), text.size());
-      std::string word;
-      for (std::size_t k = pos; k <= stop; ++k) {
-        const char c = k < stop ? text[k] : ' ';
-        if (is_ident_char(c)) {
-          word.push_back(c);
-        } else if (!word.empty()) {
-          out.insert(word);
-          word.clear();
-        }
-      }
-    }
-  };
-  // True when the blanked view of 1-based line `li` holds no code, i.e.
-  // the physical line is comment/whitespace only.
-  const auto pure_comment = [&](std::uint32_t li) {
-    if (li == 0 || li > f.code.size()) return false;
-    const std::string& code = f.code[li - 1];
-    return std::all_of(code.begin(), code.end(), [](char c) {
-      return std::isspace(static_cast<unsigned char>(c));
-    });
-  };
-  harvest(line);
-  // The line directly above always anchors here (PR-1 placement rule);
-  // beyond it the annotation may continue through a contiguous block of
-  // pure-comment lines, so multi-line justifications stay readable.
-  for (std::uint32_t li = line - 1; li >= 1 && li < line; --li) {
-    if (f.comments.count(li) == 0) break;
-    harvest(li);
-    if (!pure_comment(li)) break;  // code line with trailing comment
-  }
-  return out;
-}
-
 FileIndex index_file(const SourceFile& f) { return Indexer(f).run(); }
 
 void Index::merge(const FileIndex& fi) {
   for (const auto& [mod, names] : fi.unordered_names) {
     unordered_names[mod].insert(names.begin(), names.end());
   }
-  for (const ClassInfo& c : fi.classes) {
-    if (c.singleton) singleton_classes.insert(c.name);
-    classes.push_back(c);
-  }
   globals.insert(globals.end(), fi.globals.begin(), fi.globals.end());
-  lock_edges.insert(lock_edges.end(), fi.lock_edges.begin(),
-                    fi.lock_edges.end());
 }
 
 }  // namespace netstore::lint

@@ -15,8 +15,7 @@
 //               for the line-pattern rule family.  Structure is preserved:
 //               code[i] lines up column-for-column with raw[i].
 //   * comments — every comment's text keyed by line, for the suppression
-//               ("netstore-lint: allow(...)") and annotation
-//               ("netstore: shard_local") vocabularies.
+//               vocabulary ("netstore-lint: allow(...)").
 //
 // Preprocessor directives are kept in the blanked view (so line rules see
 // them, matching the old scanner) but emit no tokens: a '#include <sim/x.h>'

@@ -7,8 +7,7 @@
 //
 // Families and where they run:
 //   determinism  (PR 1 rules, re-hosted on the lexer)   src/ or everywhere
-//   shard        shard-safety for bench_runner's workers src/ only
-//   ownership    BufRef aliasing, RAII pairing, locks   src/ + tools/
+//   ownership    BufRef aliasing, RAII pairing           src/ or everywhere
 #pragma once
 
 #include <cstdint>
@@ -29,24 +28,17 @@ struct Finding {
 };
 
 /// PR-1 rule family, re-hosted on the lexer's blanked view: wall-clock,
-/// rand, raw-assert, raw-print, unordered-iter, virtual-dtor, float-eq,
-/// std-function-hot-path, raw-blockbuf-alloc, fork-unsafe-state.
+/// rand, raw-assert, raw-print, thread, unordered-iter, virtual-dtor,
+/// float-eq, std-function-hot-path, raw-blockbuf-alloc, process-state.
 /// Reports every occurrence on a line (the PR-1 scanner truncated to one
 /// finding per rule per line).
 void run_determinism_rules(const SourceFile& f, const Index& idx,
                            std::vector<Finding>& out);
 
-/// Shard-safety: mutable namespace-scope state, unannotated singletons,
-/// and mutable members, all of which alias across the worlds bench_runner
-/// runs on parallel worker threads.
-void run_shard_rules(const SourceFile& f, const Index& idx,
-                     std::vector<Finding>& out);
-
 /// Ownership/aliasing: BufRef mutable pointers held across statements,
-/// pool frames escaping core::BufferPool, unnamed RAII guards, manual
-/// lock()/suspend() calls, and cross-TU lock-order cycles.
-void run_ownership_rules(const SourceFile& f, const Index& idx,
-                         std::vector<Finding>& out);
+/// pool frames escaping core::BufferPool, unnamed RAII guards, and
+/// manual lock()/suspend() calls.
+void run_ownership_rules(const SourceFile& f, std::vector<Finding>& out);
 
 /// All families, in the order above.
 void run_all_rules(const SourceFile& f, const Index& idx,

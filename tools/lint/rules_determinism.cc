@@ -9,10 +9,14 @@
 //     the first match per rule per line, so `assert(a); assert(b);` on
 //     one line reported once and the second violation survived review.
 //   * rules about simulator internals (wall-clock, rand, raw-print,
-//     std-function-hot-path, raw-blockbuf-alloc, fork-unsafe-state) are
-//     scoped to src/ files, because the tree-wide run now also covers
-//     tools/, where a bench harness legitimately prints and keeps
-//     process-wide state.
+//     std-function-hot-path, raw-blockbuf-alloc, process-state) are
+//     scoped to src/ files, because the tree-wide run also covers tools/,
+//     bench/, examples/ and tests/, where a harness legitimately prints,
+//     reads the host clock and keeps process-wide state.
+//
+// `thread` runs everywhere the lint runs: a netstore process is one
+// thread, so no linted tree may start a second one.  Parallel runs are
+// separate processes.
 #include <algorithm>
 #include <array>
 #include <cctype>
@@ -33,7 +37,7 @@ struct Pattern {
   const char* message;
 };
 
-constexpr std::array<Pattern, 17> kPatterns = {{
+constexpr std::array<Pattern, 20> kPatterns = {{
     {"wall-clock", "system_clock", false, true,
      "wall-clock time in the simulation; use sim::Env::now()"},
     {"wall-clock", "steady_clock", false, true,
@@ -73,6 +77,15 @@ constexpr std::array<Pattern, 17> kPatterns = {{
     {"raw-print", "std::cerr", false, true,
      "raw console output in a simulator component; report through obs:: "
      "instead, or suppress for genuine diagnostics"},
+    {"thread", "std::thread", true, false,
+     "a second thread in a single-threaded process; run parallel work as "
+     "separate processes"},
+    {"thread", "std::jthread", true, false,
+     "a second thread in a single-threaded process; run parallel work as "
+     "separate processes"},
+    {"thread", "std::async", true, false,
+     "a second thread in a single-threaded process; run parallel work as "
+     "separate processes"},
 }};
 
 void check_patterns(const SourceFile& f, std::vector<Finding>& out) {
@@ -166,11 +179,24 @@ void check_std_function(const SourceFile& f, std::vector<Finding>& out) {
   }
 }
 
-void check_fork_unsafe_static(const SourceFile& f, std::vector<Finding>& out) {
-  // `static` durations are process-wide and outlive every Testbed, so
-  // static state leaks between the worlds one process builds (bench
-  // sweeps build one per point; bench_runner runs several at once).
+void check_process_state(const SourceFile& f, const Index& idx,
+                         std::vector<Finding>& out) {
+  // Static and namespace-scope storage is process-wide and outlives every
+  // Testbed, so mutable state there leaks between the worlds one process
+  // builds (bench sweeps build one per point).  With one thread per
+  // process a thread_local is process-wide too.
   if (!f.in_src) return;
+  // Mutable namespace-scope variables, from the index.  `static` ones are
+  // left to the keyword scan below, which also sees function-local and
+  // member statics.
+  for (const GlobalVar& g : idx.globals) {
+    if (g.file != f.path || g.is_static) continue;
+    out.push_back({f.path, g.line, 0, "process-state",
+                   "mutable namespace-scope variable '" + g.name +
+                       "' is shared by every world the process builds; "
+                       "move it into the world, or suppress for "
+                       "process-wide diagnostics"});
+  }
   for (std::size_t li = 0; li < f.code.size(); ++li) {
     const std::string& line = f.code[li];
     std::size_t pos = line.find("static");
@@ -195,7 +221,7 @@ void check_fork_unsafe_static(const SourceFile& f, std::vector<Finding>& out) {
         if (structural == std::string::npos || decl[structural] != '(') {
           out.push_back({f.path, static_cast<std::uint32_t>(li + 1),
                          static_cast<std::uint32_t>(pos + 1),
-                         "fork-unsafe-state",
+                         "process-state",
                          "mutable static state outlives the Testbed and is "
                          "shared by every world the process builds; move "
                          "it into the world, or suppress for process-wide "
@@ -470,7 +496,7 @@ void run_determinism_rules(const SourceFile& f, const Index& idx,
   check_std_clog(f, out);
   check_raw_blockbuf_alloc(f, out);
   check_std_function(f, out);
-  check_fork_unsafe_static(f, out);
+  check_process_state(f, idx, out);
   check_unordered_iteration(f, idx, out);
   check_virtual_dtor(f, out);
   check_float_eq(f, out);

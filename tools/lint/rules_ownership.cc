@@ -40,12 +40,6 @@
 //                          suppress where a byte-small sub-payload copy
 //                          is semantically required (ext3 indirect
 //                          entries, parity folds).
-//   lock-order-cycle       two functions (possibly in different TUs)
-//                          acquire the same pair of locks in opposite
-//                          orders — the classic ABBA deadlock
-//                          bench_runner's workers must never hit.  Lock
-//                          identity is Class::expr via the cross-TU
-//                          index.
 #include <filesystem>
 
 #include "lint/rules.h"
@@ -71,10 +65,12 @@ bool is_iovec_impl(const SourceFile& f) {
       "iovec");
 }
 
-/// Token scan for the per-file ownership rules.  Statement boundaries are
-/// ';', '{', '}' at any nesting — statement-expression granularity is all
-/// these patterns need.
-void scan_tokens(const SourceFile& f, std::vector<Finding>& out) {
+}  // namespace
+
+// One token scan runs every ownership rule.  Statement boundaries are
+// ';', '{', '}' at any nesting — statement-expression granularity is all
+// these patterns need.
+void run_ownership_rules(const SourceFile& f, std::vector<Finding>& out) {
   const std::vector<Token>& ts = f.tokens;
   const bool pool_impl = is_pool_impl(f);
   std::size_t stmt_start = 0;  // token index of current statement start
@@ -228,61 +224,10 @@ void scan_tokens(const SourceFile& f, std::vector<Finding>& out) {
   }
 }
 
-/// True if `to` is reachable from `from` along lock edges.
-bool reachable(const std::map<std::string, std::set<std::string>>& adj,
-               const std::string& from, const std::string& to) {
-  std::set<std::string> seen;
-  std::vector<std::string> work = {from};
-  while (!work.empty()) {
-    const std::string cur = work.back();
-    work.pop_back();
-    if (cur == to) return true;
-    if (!seen.insert(cur).second) continue;
-    const auto it = adj.find(cur);
-    if (it == adj.end()) continue;
-    for (const std::string& next : it->second) work.push_back(next);
-  }
-  return false;
-}
-
-void check_lock_order(const SourceFile& f, const Index& idx,
-                      std::vector<Finding>& out) {
-  std::map<std::string, std::set<std::string>> adj;
-  for (const LockEdge& e : idx.lock_edges) adj[e.first].insert(e.second);
-
-  for (const LockEdge& e : idx.lock_edges) {
-    if (e.file != f.path) continue;  // report in the file that owns it
-    // This edge closes a cycle if its target already reaches its source.
-    if (!reachable(adj, e.second, e.first)) continue;
-    // Name one counter-site for the message.
-    std::string counter = "elsewhere";
-    for (const LockEdge& o : idx.lock_edges) {
-      if (o.first == e.second || (o.second == e.first && o.first != e.first)) {
-        counter = o.file + ":" + std::to_string(o.line);
-        break;
-      }
-    }
-    out.push_back({f.path, e.line, 0, "lock-order-cycle",
-                   "'" + e.second + "' acquired while holding '" + e.first +
-                       "', but the opposite order is reachable (see " +
-                       counter + "); threads taking these paths "
-                       "concurrently can deadlock — pick one global order"});
-  }
-}
-
-}  // namespace
-
-void run_ownership_rules(const SourceFile& f, const Index& idx,
-                         std::vector<Finding>& out) {
-  scan_tokens(f, out);
-  check_lock_order(f, idx, out);
-}
-
 void run_all_rules(const SourceFile& f, const Index& idx,
                    std::vector<Finding>& out) {
   run_determinism_rules(f, idx, out);
-  run_shard_rules(f, idx, out);
-  run_ownership_rules(f, idx, out);
+  run_ownership_rules(f, out);
 }
 
 }  // namespace netstore::lint

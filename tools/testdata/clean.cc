@@ -28,13 +28,13 @@ struct Tracker {
 // and neither must the string below.
 inline const char* kDoc = "call rand() and assert( nothing here )";
 
-// Immutable statics and static member functions are fork-safe as-is; a
+// Immutable statics and static member functions are fine as-is; a
 // process-wide diagnostic may keep mutable static state under a
 // justified suppression.
-struct ForkSafe {
+struct ProcessSafe {
   static constexpr int kWays = 4;
-  static const char* name() { return "fork-safe"; }
-  // netstore-lint: allow(fork-unsafe-state) -- host-side diagnostic only
+  static const char* name() { return "process-safe"; }
+  // netstore-lint: allow(process-state) -- host-side diagnostic only
   static int debug_probes_;
 };
 

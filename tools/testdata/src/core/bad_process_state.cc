@@ -1,8 +1,9 @@
 // Fixture: mutable process-wide state that every world would share.
-// Every `static` object here must trip fork-unsafe-state.
-#include <atomic>
+// Every mutable `static` object and every mutable namespace-scope
+// variable here must trip process-state.
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace fixture {
 
@@ -20,9 +21,15 @@ class Cache {
 };
 
 // Namespace-scope mutable globals, wrapped declaration included.
-static std::atomic<std::uint64_t> g_ops{0};
+static std::uint64_t g_ops{0};
 static std::uint64_t
     g_wrapped_total = 0;
+
+// Non-static globals are just as process-wide, and with one thread per
+// process so is a thread_local.
+int g_tick_skew = 0;
+std::vector<std::uint64_t> g_pending_ids;
+thread_local std::uint64_t g_epoch = 0;
 
 // Static member functions and immutable tables are fine: no finding.
 struct Codec {
