@@ -37,7 +37,7 @@ struct Pattern {
   const char* message;
 };
 
-constexpr std::array<Pattern, 20> kPatterns = {{
+constexpr std::array<Pattern, 17> kPatterns = {{
     {"wall-clock", "system_clock", false, true,
      "wall-clock time in the simulation; use sim::Env::now()"},
     {"wall-clock", "steady_clock", false, true,
@@ -77,15 +77,6 @@ constexpr std::array<Pattern, 20> kPatterns = {{
     {"raw-print", "std::cerr", false, true,
      "raw console output in a simulator component; report through obs:: "
      "instead, or suppress for genuine diagnostics"},
-    {"thread", "std::thread", true, false,
-     "a second thread in a single-threaded process; run parallel work as "
-     "separate processes"},
-    {"thread", "std::jthread", true, false,
-     "a second thread in a single-threaded process; run parallel work as "
-     "separate processes"},
-    {"thread", "std::async", true, false,
-     "a second thread in a single-threaded process; run parallel work as "
-     "separate processes"},
 }};
 
 void check_patterns(const SourceFile& f, std::vector<Finding>& out) {
@@ -122,6 +113,22 @@ void check_std_clog(const SourceFile& f, std::vector<Finding>& out) {
                      "through obs:: instead, or suppress for genuine "
                      "diagnostics"});
       pos = f.code[li].find("std::clog", pos + 1);
+    }
+  }
+}
+
+void check_thread(const SourceFile& f, std::vector<Finding>& out) {
+  // Token-based, so `std :: thread` and wrapped lines match too.  Runs on
+  // every linted file, not just src/.
+  static const std::set<std::string> kThreadStarters = {"thread", "jthread",
+                                                        "async"};
+  const std::vector<Token>& ts = f.tokens;
+  for (std::size_t i = 2; i < ts.size(); ++i) {
+    if (ts[i].kind == Tok::kIdent && kThreadStarters.count(ts[i].text) != 0 &&
+        ts[i - 1].text == "::" && ts[i - 2].text == "std") {
+      out.push_back({f.path, ts[i - 2].line, ts[i - 2].col, "thread",
+                     "std::" + ts[i].text + " in a single-threaded process; "
+                         "run parallel work as separate processes"});
     }
   }
 }
@@ -494,6 +501,7 @@ void run_determinism_rules(const SourceFile& f, const Index& idx,
                            std::vector<Finding>& out) {
   check_patterns(f, out);
   check_std_clog(f, out);
+  check_thread(f, out);
   check_raw_blockbuf_alloc(f, out);
   check_std_function(f, out);
   check_process_state(f, idx, out);
