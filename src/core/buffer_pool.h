@@ -12,6 +12,10 @@
 //   * the steady state is allocation-free: frames released by cache
 //     eviction or world destruction return to a free list and are
 //     recycled, so warmed benches stop hitting the heap entirely.
+//   * placement does not drift: once the last frame is released (every
+//     world gone), the pool forgets its free list and hands frames out
+//     in address order again, so each world built afterwards gets the
+//     same frames as the first one did.
 //
 // Ownership rules (DESIGN.md §14):
 //
@@ -133,9 +137,9 @@ class BufferPool {
   [[nodiscard]] std::uint64_t shared_pages() const { return shared_pages_; }
   /// Copy-on-write copies taken by mutable access to shared frames.
   [[nodiscard]] std::uint64_t unshare_ops() const { return unshare_ops_; }
-  /// Frame requests the free list could not satisfy (served from fresh
-  /// slab capacity instead).  Flat in steady state: the delta over a
-  /// warmed workload is its heap-backed allocation count.
+  /// Frame requests that needed a frame never handed out before (new
+  /// slab capacity).  Flat in steady state: the delta over a warmed
+  /// workload is its heap-backed allocation count.
   [[nodiscard]] std::uint64_t alloc_fallbacks() const {
     return alloc_fallbacks_;
   }
@@ -192,8 +196,11 @@ class BufferPool {
 
   std::vector<std::unique_ptr<Frame[]>> slabs_;
   Frame* free_head_ = nullptr;
-  Frame* fresh_next_ = nullptr;
-  std::size_t fresh_left_ = 0;
+  // Slab frames [0, cursor_) in address order were handed out since the
+  // pool last held no live frame; [cursor_, alloc_fallbacks_) are free
+  // and off the free list.
+  std::uint64_t cursor_ = 0;
+  std::uint64_t live_ = 0;  // frames referenced by a handle
 
   std::uint64_t shared_pages_ = 0;
   std::uint64_t unshare_ops_ = 0;
@@ -209,21 +216,20 @@ class BufferPool {
 // --- BufferPool internals ----------------------------------------------
 
 inline BufferPool::Frame* BufferPool::obtain() {
-  Frame* f = nullptr;
-  if (free_head_ != nullptr) {
-    f = free_head_;
+  Frame* f = free_head_;
+  if (f != nullptr) {
     free_head_ = f->next_free;
-    f->next_free = nullptr;
   } else {
-    ++alloc_fallbacks_;
-    if (fresh_left_ == 0) {
-      slabs_.push_back(std::make_unique<Frame[]>(kFramesPerSlab));
-      fresh_next_ = slabs_.back().get();
-      fresh_left_ = kFramesPerSlab;
+    if (cursor_ == alloc_fallbacks_) {
+      if (cursor_ % kFramesPerSlab == 0) {
+        slabs_.push_back(std::make_unique<Frame[]>(kFramesPerSlab));
+      }
+      ++alloc_fallbacks_;
     }
-    f = fresh_next_++;
-    --fresh_left_;
+    f = &slabs_[cursor_ / kFramesPerSlab][cursor_ % kFramesPerSlab];
+    ++cursor_;
   }
+  ++live_;
   NETSTORE_DCHECK_EQ(f->refs, 0u);
   f->refs = 1;
   return f;
@@ -242,8 +248,16 @@ inline void BufferPool::drop_ref(Frame* f) {
   } else if (prior == 1) {
     // Last reference gone: recycle.  The zero frame never reaches here
     // because the pool's own reference pins it above zero.
-    f->next_free = free_head_;
-    free_head_ = f;
+    if (--live_ == 0) {
+      // Every frame is free: drop the free list, whose order is the
+      // history of the worlds that used it, and start over in address
+      // order.
+      free_head_ = nullptr;
+      cursor_ = 0;
+    } else {
+      f->next_free = free_head_;
+      free_head_ = f;
+    }
   }
 }
 

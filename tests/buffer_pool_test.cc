@@ -166,6 +166,25 @@ TEST(BufferPoolTest, ReleasedFramesAreRecycledNotReallocated) {
   EXPECT_EQ(pool().slabs(), slabs);
 }
 
+TEST(BufferPoolTest, EmptyPoolHandsFramesOutInAddressOrderAgain) {
+  // Once no frame is live, placement restarts: the next batch gets the
+  // same frames in the same order as the last one, whatever order they
+  // were released in.  300 frames cross a slab boundary.
+  constexpr int kFrames = 300;
+  std::vector<const std::uint8_t*> first;
+  {
+    std::vector<BufRef> batch;
+    for (int i = 0; i < kFrames; ++i) batch.push_back(pool().alloc());
+    for (const BufRef& r : batch) first.push_back(r.data());
+    for (int i = 0; i < kFrames; i += 2) batch[i].reset();
+  }
+  const std::uint64_t fallbacks = pool().alloc_fallbacks();
+  std::vector<BufRef> again;
+  for (int i = 0; i < kFrames; ++i) again.push_back(pool().alloc());
+  for (int i = 0; i < kFrames; ++i) EXPECT_EQ(again[i].data(), first[i]) << i;
+  EXPECT_EQ(pool().alloc_fallbacks(), fallbacks);
+}
+
 TEST(BufferPoolTest, AllocNeverReturnsALiveFrame) {
   // A frame released by one handle and re-obtained must start unique:
   // writes through the new handle can't alias the old (dead) one.
