@@ -8,9 +8,12 @@
 // a cache entry is one allocation and one hash lookup per touch, and the
 // list operations are pointer splices on memory that is already hot.
 //
-// Requirements on Node: two public members `Node* lru_prev` and
-// `Node* lru_next` (managed exclusively by this list).  The list never
-// owns nodes; the map does.  Erasing a map entry must unlink() it first.
+// Requirements on Node: two public `Node*` link members, named by the
+// `Prev`/`Next` template arguments (default `lru_prev`/`lru_next`) and
+// managed exclusively by this list.  Distinct link pairs let one node sit
+// on two lists at once: a cache's LRU and its file's page list.  The list
+// never owns nodes; the map does.  Erasing a map entry must unlink() it
+// from every list first.
 //
 // Invariants (checked in debug builds by callers' audits, relied on
 // everywhere): a node is linked iff it is reachable from head_, and
@@ -22,7 +25,8 @@
 
 namespace netstore::core {
 
-template <typename Node>
+template <typename Node, Node* Node::*Prev = &Node::lru_prev,
+          Node* Node::*Next = &Node::lru_next>
 class LruList {
  public:
   [[nodiscard]] bool empty() const { return head_ == nullptr; }
@@ -34,14 +38,14 @@ class LruList {
   /// Steps from `n` toward colder entries (toward back()); nullptr at the
   /// end.  Safe to call while iterating as long as the current node is not
   /// unlinked before stepping.
-  static Node* colder(Node* n) { return n->lru_next; }
-  static Node* warmer(Node* n) { return n->lru_prev; }
+  static Node* colder(Node* n) { return n->*Next; }
+  static Node* warmer(Node* n) { return n->*Prev; }
 
   void push_front(Node* n) {
-    n->lru_prev = nullptr;
-    n->lru_next = head_;
+    n->*Prev = nullptr;
+    n->*Next = head_;
     if (head_ != nullptr) {
-      head_->lru_prev = n;
+      head_->*Prev = n;
     } else {
       tail_ = n;
     }
@@ -50,15 +54,15 @@ class LruList {
   }
 
   void unlink(Node* n) {
-    if (n->lru_prev != nullptr) {
-      n->lru_prev->lru_next = n->lru_next;
+    if (n->*Prev != nullptr) {
+      n->*Prev->*Next = n->*Next;
     } else {
-      head_ = n->lru_next;
+      head_ = n->*Next;
     }
-    if (n->lru_next != nullptr) {
-      n->lru_next->lru_prev = n->lru_prev;
+    if (n->*Next != nullptr) {
+      n->*Next->*Prev = n->*Prev;
     } else {
-      tail_ = n->lru_prev;
+      tail_ = n->*Prev;
     }
     --size_;
   }

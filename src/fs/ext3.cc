@@ -7,6 +7,7 @@
 #include "core/check.h"
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 
 namespace netstore::fs {
 
@@ -172,6 +173,7 @@ void Ext3Fs::mkfs(block::BlockDevice& dev, const MkfsOptions& opts) {
 
 void Ext3Fs::mount() {
   NETSTORE_CHECK(!mounted_, "double mount");
+  dir_index_.clear();
   bcache_ = std::make_unique<Bcache>(dev_, params_.bcache_capacity_blocks);
 
   // Superblock.
@@ -222,6 +224,7 @@ void Ext3Fs::unmount() {
   dev_.flush();
   bcache_->drop_clean_all();
   readstate_.clear();
+  dir_index_.clear();
   mounted_ = false;
 }
 
@@ -235,6 +238,7 @@ void Ext3Fs::crash() {
   journal_->stop();
   bcache_->crash();
   readstate_.clear();
+  dir_index_.clear();
   mounted_ = false;
 }
 
@@ -351,6 +355,7 @@ void Ext3Fs::free_inode(Ino ino) {
   journal_->dirty_metadata(groups_[group].inode_bitmap);
   groups_[group].free_inodes++;
   update_group_desc(group);
+  dir_index_.erase(ino);  // the number may next name another directory
 }
 
 Result<Lba> Ext3Fs::alloc_block(std::uint32_t goal_group) {
@@ -565,27 +570,43 @@ void Ext3Fs::free_blocks_from(Ino ino, RawInode& ri,
 // ---------------------------------------------------------------------------
 
 namespace {
+
+/// Reads the dirent header at `pos`.  False past the block's end or at a
+/// rec_len that would overrun it (the scans stop there: corruption guard).
+bool read_dirent(const block::BlockBuf& buf, std::uint32_t pos,
+                 RawDirent& de) {
+  if (pos + RawDirent::kHeaderSize > kBlockSize) return false;
+  // metadata bytes, not payload  netstore-lint: allow(raw-datapath-memcpy)
+  std::memcpy(&de.ino, buf.data() + pos, 4);
+  // metadata bytes, not payload  netstore-lint: allow(raw-datapath-memcpy)
+  std::memcpy(&de.rec_len, buf.data() + pos + 4, 2);
+  de.name_len = buf[pos + 6];
+  de.type = buf[pos + 7];
+  return de.rec_len >= RawDirent::kHeaderSize && pos + de.rec_len <= kBlockSize;
+}
+
+std::string_view dirent_name(const block::BlockBuf& buf, std::uint32_t pos,
+                             const RawDirent& de) {
+  return {reinterpret_cast<const char*>(buf.data() + pos + 8), de.name_len};
+}
+
+/// The largest record the dirent at hand can take: a free entry's whole
+/// span, or the slack after a live entry's name.
+std::uint16_t room(const RawDirent& de) {
+  if (de.ino == 0) return de.rec_len;
+  const std::uint16_t used = RawDirent::size_for_name(de.name_len);
+  return de.rec_len > used ? static_cast<std::uint16_t>(de.rec_len - used) : 0;
+}
+
 struct DirCursor {
   std::uint32_t pos = 0;
 
   bool next(const block::BlockBuf& buf, RawDirent& de, std::string& name) {
-    while (pos + RawDirent::kHeaderSize <= kBlockSize) {
-      // metadata bytes, not payload  netstore-lint: allow(raw-datapath-memcpy)
-      std::memcpy(&de.ino, buf.data() + pos, 4);
-      // metadata bytes, not payload  netstore-lint: allow(raw-datapath-memcpy)
-      std::memcpy(&de.rec_len, buf.data() + pos + 4, 2);
-      de.name_len = buf[pos + 6];
-      de.type = buf[pos + 7];
-      if (de.rec_len < RawDirent::kHeaderSize ||
-          pos + de.rec_len > kBlockSize) {
-        return false;  // corruption guard
-      }
+    for (; read_dirent(buf, pos, de); pos += de.rec_len) {
       if (de.ino != 0) {
-        name.assign(reinterpret_cast<const char*>(buf.data() + pos + 8),
-                    de.name_len);
+        name.assign(dirent_name(buf, pos, de));
         return true;
       }
-      pos += de.rec_len;
     }
     return false;
   }
@@ -605,31 +626,108 @@ void write_dirent_at(block::BlockBuf& buf, std::uint32_t pos,
 }
 }  // namespace
 
-// This scan is the hottest loop of the metadata workloads (about 70% of
-// perfbench fleet_nfs host time), and its speed moves by 10-25% with its
-// start address modulo 64.  Unpinned, that address shifts whenever code
-// linked before it changes size, so pin it to a cache line.
-[[gnu::aligned(64)]] Result<Ino> Ext3Fs::dir_find(Ino dir, RawInode& dri,
-                                                  const std::string& name,
-                                                  FileType* type_out) {
-  const std::uint64_t nblocks = dri.size / kBlockSize;
-  for (std::uint64_t b = 0; b < nblocks; ++b) {
-    bool dummy = false;
-    Result<Lba> r = bmap(dir, dri, b, /*alloc=*/false, dummy);
-    if (!r || *r == 0) continue;
-    block::BlockBuf& buf = bcache_->get(*r);
-    DirCursor cur;
-    RawDirent de;
-    std::string entry_name;
-    while (cur.next(buf, de, entry_name)) {
-      if (entry_name == name) {
-        if (type_out) *type_out = raw_to_type(de.type);
-        return static_cast<Ino>(de.ino);
-      }
-      cur.pos += de.rec_len;
+Ext3Fs::DirIndex& Ext3Fs::dir_index(Ino dir, const RawInode& dri) {
+  DirIndex& ix = dir_index_[dir];
+  NETSTORE_CHECK_LE(ix.max_slot.size(), dri.size / kBlockSize,
+                    "directory index outlived its directory");
+  return ix;
+}
+
+block::BlockBuf* Ext3Fs::dir_block(DirIndex& ix, Ino dir, RawInode& dri,
+                                   std::uint64_t b, Lba& lba) {
+  NETSTORE_DCHECK_LE(b, ix.max_slot.size());
+  const bool fresh = b == ix.max_slot.size();
+  bool dummy = false;
+  Result<Lba> r = bmap(dir, dri, b, /*alloc=*/false, dummy);
+  if (!r || *r == 0) {
+    if (fresh) ix.max_slot.push_back(0);  // a hole holds and takes nothing
+    return nullptr;
+  }
+  lba = *r;
+  block::BlockBuf& buf = bcache_->get(*r);
+  if (fresh) index_block(ix, b, buf);
+  return &buf;
+}
+
+void Ext3Fs::index_block(DirIndex& ix, std::uint64_t b,
+                         const block::BlockBuf& buf) {
+  std::uint16_t best = 0;
+  RawDirent de;
+  for (std::uint32_t pos = 0; read_dirent(buf, pos, de); pos += de.rec_len) {
+    dirents_parsed_++;
+    best = std::max(best, room(de));
+    if (de.ino != 0) {
+      // emplace: an earlier block's copy of a name wins, as in a scan.
+      ix.names.try_emplace(std::string(dirent_name(buf, pos, de)),
+                           DirIndex::Entry{b, de.ino, raw_to_type(de.type)});
     }
   }
-  return Err::kNoEnt;
+  ix.max_slot.push_back(best);
+}
+
+std::uint16_t Ext3Fs::max_slot(const block::BlockBuf& buf) {
+  std::uint16_t best = 0;
+  RawDirent de;
+  for (std::uint32_t pos = 0; read_dirent(buf, pos, de); pos += de.rec_len) {
+    dirents_parsed_++;
+    best = std::max(best, room(de));
+  }
+  return best;
+}
+
+bool Ext3Fs::find_in_block(const block::BlockBuf& buf, const std::string& name,
+                           RawDirent& de, std::uint32_t& pos,
+                           std::uint32_t& prev_pos) {
+  prev_pos = kBlockSize;  // sentinel: none
+  for (pos = 0; read_dirent(buf, pos, de); prev_pos = pos, pos += de.rec_len) {
+    dirents_parsed_++;
+    if (de.ino != 0 && dirent_name(buf, pos, de) == name) return true;
+  }
+  return false;
+}
+
+const Ext3Fs::DirIndex::Entry* Ext3Fs::dir_locate(DirIndex& ix, Ino dir,
+                                                  RawInode& dri,
+                                                  const std::string& name,
+                                                  Lba& lba,
+                                                  block::BlockBuf*& buf) {
+  // Element pointers, unlike iterators, survive the rehash of a parse.
+  auto hit = ix.names.find(name);
+  const DirIndex::Entry* e = hit == ix.names.end() ? nullptr : &hit->second;
+  const std::uint64_t nblocks = dri.size / kBlockSize;
+  for (std::uint64_t b = 0; b < nblocks; ++b) {
+    const bool fresh = b == ix.max_slot.size();
+    buf = dir_block(ix, dir, dri, b, lba);
+    if (buf == nullptr) continue;
+    if (e == nullptr && fresh) {
+      auto it = ix.names.find(name);
+      if (it != ix.names.end()) e = &it->second;  // in the block just parsed
+    }
+    if (e == nullptr || e->block != b) continue;
+    if (params_.invariant_audits) {
+      RawDirent de;
+      std::uint32_t pos = 0;
+      std::uint32_t prev_pos = 0;
+      const bool found = find_in_block(*buf, name, de, pos, prev_pos);
+      NETSTORE_CHECK(found, "directory index: name not in its block");
+      NETSTORE_CHECK_EQ(de.ino, e->ino, "directory index: stale ino");
+      NETSTORE_CHECK(raw_to_type(de.type) == e->type,
+                     "directory index: stale type");
+    }
+    return e;
+  }
+  return nullptr;
+}
+
+Result<Ino> Ext3Fs::dir_find(Ino dir, RawInode& dri, const std::string& name,
+                             FileType* type_out) {
+  Lba lba = 0;
+  block::BlockBuf* buf = nullptr;
+  const DirIndex::Entry* e =
+      dir_locate(dir_index(dir, dri), dir, dri, name, lba, buf);
+  if (e == nullptr) return Err::kNoEnt;
+  if (type_out) *type_out = e->type;
+  return e->ino;
 }
 
 Status Ext3Fs::dir_add(Ino dir, RawInode& dri, const std::string& name,
@@ -638,47 +736,50 @@ Status Ext3Fs::dir_add(Ino dir, RawInode& dri, const std::string& name,
   const std::uint16_t needed =
       RawDirent::size_for_name(static_cast<std::uint32_t>(name.size()));
 
+  DirIndex& ix = dir_index(dir, dri);
   const std::uint64_t nblocks = dri.size / kBlockSize;
   for (std::uint64_t b = 0; b < nblocks; ++b) {
-    bool dummy = false;
-    Result<Lba> r = bmap(dir, dri, b, /*alloc=*/false, dummy);
-    if (!r || *r == 0) continue;
-    block::BlockBuf& buf = bcache_->get(*r);
-    std::uint32_t pos = 0;
-    while (pos + RawDirent::kHeaderSize <= kBlockSize) {
-      RawDirent de;
-      // metadata bytes, not payload  netstore-lint: allow(raw-datapath-memcpy)
-      std::memcpy(&de.ino, buf.data() + pos, 4);
-      // metadata bytes, not payload  netstore-lint: allow(raw-datapath-memcpy)
-      std::memcpy(&de.rec_len, buf.data() + pos + 4, 2);
-      de.name_len = buf[pos + 6];
-      if (de.rec_len < RawDirent::kHeaderSize || pos + de.rec_len > kBlockSize)
-        break;
-      if (de.ino == 0 && de.rec_len >= needed) {
-        // Claim the free slot, keeping its rec_len (covers the free span).
-        write_dirent_at(buf, pos, static_cast<std::uint32_t>(ino), de.rec_len,
-                        name, type_to_raw(type));
-        journal_->dirty_metadata(*r);
-        return Status::Ok();
-      }
-      if (de.ino != 0) {
-        const std::uint16_t used = RawDirent::size_for_name(de.name_len);
-        if (de.rec_len >= used + needed) {
-          // Split the slack after the live entry.
-          const std::uint16_t new_rec = de.rec_len - used;
-          // metadata bytes, not payload  netstore-lint: allow(raw-datapath-memcpy)
-          std::memcpy(buf.data() + pos + 4, &used, 2);
-          write_dirent_at(buf, pos + used, static_cast<std::uint32_t>(ino),
-                          new_rec, name, type_to_raw(type));
-          journal_->dirty_metadata(*r);
-          return Status::Ok();
-        }
-      }
-      pos += de.rec_len;
+    Lba lba = 0;
+    block::BlockBuf* buf = dir_block(ix, dir, dri, b, lba);
+    if (buf == nullptr) continue;
+    if (params_.invariant_audits) {
+      NETSTORE_CHECK_EQ(ix.max_slot[b], max_slot(*buf),
+                        "directory index: stale free-slot size");
     }
+    if (ix.max_slot[b] < needed) continue;
+    // First fit within the block, as a scan of every block would find.
+    RawDirent de;
+    std::uint32_t pos = 0;
+    bool fits = false;
+    for (; read_dirent(*buf, pos, de); pos += de.rec_len) {
+      dirents_parsed_++;
+      if (room(de) >= needed) {
+        fits = true;
+        break;
+      }
+    }
+    NETSTORE_CHECK(fits, "directory index: no slot found");
+    if (de.ino == 0) {
+      // Claim the free slot, keeping its rec_len (covers the free span).
+      write_dirent_at(*buf, pos, static_cast<std::uint32_t>(ino), de.rec_len,
+                      name, type_to_raw(type));
+    } else {
+      // Split the slack after the live entry.
+      const std::uint16_t used = RawDirent::size_for_name(de.name_len);
+      const auto new_rec = static_cast<std::uint16_t>(de.rec_len - used);
+      // metadata bytes, not payload  netstore-lint: allow(raw-datapath-memcpy)
+      std::memcpy(buf->data() + pos + 4, &used, 2);
+      write_dirent_at(*buf, pos + used, static_cast<std::uint32_t>(ino),
+                      new_rec, name, type_to_raw(type));
+    }
+    ix.max_slot[b] = max_slot(*buf);
+    ix.names.try_emplace(name, DirIndex::Entry{b, ino, type});
+    journal_->dirty_metadata(lba);
+    return Status::Ok();
   }
 
-  // No room: append a fresh directory block.
+  // No room: append a fresh directory block.  The walk above indexed every
+  // block, so the new one extends the parsed prefix.
   bool inode_dirtied = false;
   Result<Lba> r = bmap(dir, dri, nblocks, /*alloc=*/true, inode_dirtied);
   if (!r) return r.error();
@@ -686,55 +787,42 @@ Status Ext3Fs::dir_add(Ino dir, RawInode& dri, const std::string& name,
   write_dirent_at(buf, 0, static_cast<std::uint32_t>(ino),
                   static_cast<std::uint16_t>(kBlockSize), name,
                   type_to_raw(type));
+  ix.max_slot.push_back(max_slot(buf));
+  ix.names.try_emplace(name, DirIndex::Entry{nblocks, ino, type});
   journal_->dirty_metadata(*r);
   dri.size += kBlockSize;
   return Status::Ok();
 }
 
 Status Ext3Fs::dir_remove(Ino dir, RawInode& dri, const std::string& name) {
-  const std::uint64_t nblocks = dri.size / kBlockSize;
-  for (std::uint64_t b = 0; b < nblocks; ++b) {
-    bool dummy = false;
-    Result<Lba> r = bmap(dir, dri, b, /*alloc=*/false, dummy);
-    if (!r || *r == 0) continue;
-    block::BlockBuf& buf = bcache_->get(*r);
-    std::uint32_t pos = 0;
-    std::uint32_t prev_pos = kBlockSize;  // sentinel: none
-    while (pos + RawDirent::kHeaderSize <= kBlockSize) {
-      RawDirent de;
-      // metadata bytes, not payload  netstore-lint: allow(raw-datapath-memcpy)
-      std::memcpy(&de.ino, buf.data() + pos, 4);
-      // metadata bytes, not payload  netstore-lint: allow(raw-datapath-memcpy)
-      std::memcpy(&de.rec_len, buf.data() + pos + 4, 2);
-      de.name_len = buf[pos + 6];
-      if (de.rec_len < RawDirent::kHeaderSize || pos + de.rec_len > kBlockSize)
-        break;
-      if (de.ino != 0) {
-        std::string entry_name(
-            reinterpret_cast<const char*>(buf.data() + pos + 8), de.name_len);
-        if (entry_name == name) {
-          if (prev_pos != kBlockSize) {
-            // Fold into the previous entry's rec_len.
-            std::uint16_t prev_rec;
-            // metadata bytes, not payload  netstore-lint: allow(raw-datapath-memcpy)
-            std::memcpy(&prev_rec, buf.data() + prev_pos + 4, 2);
-            prev_rec = static_cast<std::uint16_t>(prev_rec + de.rec_len);
-            // metadata bytes, not payload  netstore-lint: allow(raw-datapath-memcpy)
-            std::memcpy(buf.data() + prev_pos + 4, &prev_rec, 2);
-          } else {
-            const std::uint32_t zero = 0;
-            // metadata bytes, not payload  netstore-lint: allow(raw-datapath-memcpy)
-            std::memcpy(buf.data() + pos, &zero, 4);
-          }
-          journal_->dirty_metadata(*r);
-          return Status::Ok();
-        }
-      }
-      prev_pos = pos;
-      pos += de.rec_len;
-    }
+  DirIndex& ix = dir_index(dir, dri);
+  Lba lba = 0;
+  block::BlockBuf* buf = nullptr;
+  const DirIndex::Entry* e = dir_locate(ix, dir, dri, name, lba, buf);
+  if (e == nullptr) return Err::kNoEnt;
+
+  RawDirent de;
+  std::uint32_t pos = 0;
+  std::uint32_t prev_pos = 0;
+  const bool found = find_in_block(*buf, name, de, pos, prev_pos);
+  NETSTORE_CHECK(found, "directory index: name not in its block");
+  if (prev_pos != kBlockSize) {
+    // Fold into the previous entry's rec_len.
+    std::uint16_t prev_rec;
+    // metadata bytes, not payload  netstore-lint: allow(raw-datapath-memcpy)
+    std::memcpy(&prev_rec, buf->data() + prev_pos + 4, 2);
+    prev_rec = static_cast<std::uint16_t>(prev_rec + de.rec_len);
+    // metadata bytes, not payload  netstore-lint: allow(raw-datapath-memcpy)
+    std::memcpy(buf->data() + prev_pos + 4, &prev_rec, 2);
+  } else {
+    const std::uint32_t zero = 0;
+    // metadata bytes, not payload  netstore-lint: allow(raw-datapath-memcpy)
+    std::memcpy(buf->data() + pos, &zero, 4);
   }
-  return Err::kNoEnt;
+  ix.max_slot[e->block] = max_slot(*buf);
+  ix.names.erase(name);
+  journal_->dirty_metadata(lba);
+  return Status::Ok();
 }
 
 Result<bool> Ext3Fs::dir_empty(Ino dir, RawInode& dri) {

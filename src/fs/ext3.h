@@ -44,8 +44,9 @@ struct Ext3Params {
   // pipeline was shallow — about 8 outstanding pages).
   std::uint32_t readahead_min = 4;
   std::uint32_t readahead_max = 8;
-  // Runtime invariant audits (journal commit ordering); survives remounts
-  // because the journal inherits it on every mount.
+  // Runtime invariant audits (journal commit ordering, directory index
+  // against the directory blocks); survives remounts because the journal
+  // inherits it on every mount.
   bool invariant_audits = false;
 };
 
@@ -132,6 +133,10 @@ class Ext3Fs {
   [[nodiscard]] const SuperBlock& superblock() const { return sb_; }
   [[nodiscard]] std::uint64_t free_blocks() const;
   [[nodiscard]] std::uint64_t free_inodes() const;
+  /// Host work, not simulated behaviour: dirent headers decoded so far by
+  /// the name operations (lookup, add, remove), index builds included.
+  /// Registered in no report; tests read it to pin each call's cost.
+  [[nodiscard]] std::uint64_t dirents_parsed() const { return dirents_parsed_; }
 
  private:
   struct InodeLoc {
@@ -159,6 +164,47 @@ class Ext3Fs {
 
   /// Frees all data blocks at or beyond `from_index` (truncate helper).
   void free_blocks_from(Ino ino, RawInode& ri, std::uint64_t from_index);
+
+  // Host-side index of one directory (never on disk), built lazily: a
+  // walk parses block b into it the first time it reaches b, so the
+  // parsed blocks are always a prefix 0..max_slot.size()-1.  Name
+  // operations still call bmap and Bcache::get on every block a linear
+  // scan would visit, in the same order, so simulated cache state and
+  // timing are unchanged; only the re-parsing of dirents is skipped.
+  struct DirIndex {
+    struct Entry {
+      std::uint64_t block;  // first block in order that holds the name
+      Ino ino;
+      FileType type;
+    };
+    std::unordered_map<std::string, Entry> names;
+    // Per parsed block: the largest record it can take without moving an
+    // entry (0 for a hole), so dir_add skips full blocks unparsed.
+    std::vector<std::uint16_t> max_slot;
+  };
+
+  /// `dir`'s index (empty if no walk has reached it yet).
+  DirIndex& dir_index(Ino dir, const RawInode& dri);
+  /// Maps directory block `b` and fetches it through the Bcache, as a
+  /// linear scan does, parsing it into `ix` on the first walk to reach it.
+  /// nullptr for a hole.
+  block::BlockBuf* dir_block(DirIndex& ix, Ino dir, RawInode& dri,
+                             std::uint64_t b, block::Lba& lba);
+  /// Parses block `b`, the first unparsed one, into `ix`.
+  void index_block(DirIndex& ix, std::uint64_t b, const block::BlockBuf& buf);
+  /// Largest record `buf` can take (DirIndex::max_slot).
+  std::uint16_t max_slot(const block::BlockBuf& buf);
+  /// Finds the live entry `name` in `buf`: its header `de`, offset `pos`,
+  /// and the offset of the entry before it (kBlockSize if none).
+  bool find_in_block(const block::BlockBuf& buf, const std::string& name,
+                     RawDirent& de, std::uint32_t& pos,
+                     std::uint32_t& prev_pos);
+  /// The walk of a name lookup: blocks 0..k where block k holds `name`
+  /// (every block on a miss).  Returns the entry, with `buf` and `lba`
+  /// naming block k, or nullptr.
+  const DirIndex::Entry* dir_locate(DirIndex& ix, Ino dir, RawInode& dri,
+                                    const std::string& name, block::Lba& lba,
+                                    block::BlockBuf*& buf);
 
   // Directory block helpers.
   Result<Ino> dir_find(Ino dir, RawInode& dri, const std::string& name,
@@ -208,6 +254,11 @@ class Ext3Fs {
     std::uint32_t window = 0;
   };
   std::unordered_map<Ino, ReadState> readstate_;
+  // Dropped with the directory's inode (numbers are reused) and entirely
+  // at mount, unmount and crash (journal replay rewrites blocks below the
+  // cache).
+  std::unordered_map<Ino, DirIndex> dir_index_;
+  std::uint64_t dirents_parsed_ = 0;
 };
 
 }  // namespace netstore::fs

@@ -27,7 +27,16 @@ PageCache::Page& PageCache::emplace(Ino ino, std::uint64_t index,
   // zero-filled) before the page is observable.
   p.lba = lba;
   lru_.push_front(&p);
+  by_inode_[ino].push_front(&p);
   return p;
+}
+
+void PageCache::erase(Page* p, InodePages& list) {
+  if (p->dirty) dirty_count_--;
+  lru_.unlink(p);
+  list.unlink(p);
+  const Key key = p->key;  // copy: erase destroys the node
+  pages_.erase(key);
 }
 
 void PageCache::evict_if_needed() {
@@ -42,9 +51,9 @@ void PageCache::evict_if_needed() {
       }
     }
     if (victim != nullptr) {
-      lru_.unlink(victim);
-      const Key key = victim->key;  // copy: erase destroys the node
-      pages_.erase(key);
+      auto it = by_inode_.find(victim->key.ino);
+      erase(victim, it->second);
+      if (it->second.empty()) by_inode_.erase(it);
     } else {
       writeback(nullptr);  // everything; then the loop evicts clean pages
     }
@@ -122,18 +131,23 @@ void PageCache::install_dirty(Ino ino, std::uint64_t index, block::Lba lba,
   }
 }
 
-void PageCache::writeback(sim::FuncRef<bool(const Key&, const Page&)> pred) {
-  // Collect dirty pages, sort by LBA, coalesce contiguous runs into large
-  // device writes (this is where iSCSI's big write requests come from).
+void PageCache::writeback(sim::FuncRef<bool(const Page&)> pred) {
   // Locals, not members: an async device write may advance the clock and
   // dispatch a flusher tick that re-enters writeback.
   std::vector<Page*> victims;
+  pages_visited_ += pages_.size();
   // netstore-lint: allow(unordered-iter) -- victims are sorted by LBA below
   for (auto& [key, page] : pages_) {
-    if (page.dirty && (!pred || pred(key, page))) {
-      victims.push_back(&page);
-    }
+    if (page.dirty && (!pred || pred(page))) victims.push_back(&page);
   }
+  write_victims(victims);
+}
+
+void PageCache::write_victims(std::vector<Page*>& victims) {
+  // Sort by LBA and coalesce contiguous runs into large device writes
+  // (this is where iSCSI's big write requests come from).  Dirty pages
+  // have distinct LBAs, so the requests do not depend on the order the
+  // victims were collected in.
   std::sort(victims.begin(), victims.end(),
             [](const Page* a, const Page* b) { return a->lba < b->lba; });
 
@@ -168,7 +182,7 @@ void PageCache::schedule_flusher() {
     flusher_scheduled_ = false;
     if (stopped_) return;
     const sim::Time now = env_.now();
-    writeback([&](const Key&, const Page& p) {
+    writeback([&](const Page& p) {
       return now - p.dirty_since >= params_.max_dirty_age;
     });
     if (dirty_count_ > 0) schedule_flusher();
@@ -176,20 +190,28 @@ void PageCache::schedule_flusher() {
 }
 
 void PageCache::drop_inode(Ino ino, std::uint64_t from_index) {
-  // netstore-lint: allow(unordered-iter) -- pure erase, no I/O or stats
-  for (auto it = pages_.begin(); it != pages_.end();) {
-    if (it->first.ino == ino && it->first.index >= from_index) {
-      if (it->second.dirty) dirty_count_--;
-      lru_.unlink(&it->second);
-      it = pages_.erase(it);
-    } else {
-      ++it;
-    }
+  auto it = by_inode_.find(ino);
+  if (it == by_inode_.end()) return;
+  InodePages& list = it->second;
+  for (Page* p = list.front(); p != nullptr;) {
+    Page* next = InodePages::colder(p);
+    pages_visited_++;
+    if (p->key.index >= from_index) erase(p, list);
+    p = next;
   }
+  if (list.empty()) by_inode_.erase(it);
 }
 
 void PageCache::flush_inode(Ino ino) {
-  writeback([&](const Key& k, const Page&) { return k.ino == ino; });
+  std::vector<Page*> victims;
+  if (auto it = by_inode_.find(ino); it != by_inode_.end()) {
+    for (Page* p = it->second.front(); p != nullptr;
+         p = InodePages::colder(p)) {
+      pages_visited_++;
+      if (p->dirty) victims.push_back(p);
+    }
+  }
+  write_victims(victims);
   dev_.flush();
 }
 
@@ -203,6 +225,7 @@ void PageCache::clear() {
   flush_all(true);
   pages_.clear();
   lru_.reset();
+  by_inode_.clear();
   dirty_count_ = 0;
   stopped_ = false;
 }
@@ -211,6 +234,7 @@ void PageCache::crash() {
   stopped_ = true;
   pages_.clear();
   lru_.reset();
+  by_inode_.clear();
   dirty_count_ = 0;
   stopped_ = false;
 }

@@ -11,7 +11,9 @@
 // Hot-path layout: the LRU links live inside the map node (see
 // core/intrusive_lru.h) — one allocation per page, one hash lookup per
 // touch — and write-back hands the resident frames themselves to the
-// device instead of staging them into a bounce buffer.
+// device instead of staging them into a bounce buffer.  Each inode's pages
+// are also linked on a list of their own, as Linux keeps a file's pages on
+// its address_space, so fsync and unlink/truncate visit only that file.
 #pragma once
 
 #include <cstdint>
@@ -95,6 +97,10 @@ class PageCache {
   [[nodiscard]] PageCacheStats& mutable_stats() { return stats_; }
   [[nodiscard]] std::uint64_t resident_pages() const { return pages_.size(); }
   [[nodiscard]] std::uint64_t dirty_pages() const { return dirty_count_; }
+  /// Host work, not simulated behaviour: pages examined so far by
+  /// write-back's victim search and by drop_inode.  Registered in no
+  /// report; tests read it to pin each call's cost.
+  [[nodiscard]] std::uint64_t pages_visited() const { return pages_visited_; }
 
  private:
   struct Key {
@@ -114,7 +120,9 @@ class PageCache {
   struct Page {
     Page* lru_prev = nullptr;  // intrusive LRU links (core::LruList)
     Page* lru_next = nullptr;
-    Key key{};                 // owning map key, for erase via LRU walk
+    Page* ino_prev = nullptr;  // links on the inode's page list
+    Page* ino_next = nullptr;
+    Key key{};                 // owning map key, for erase via a list walk
     core::BufRef data;         // pooled frame; may be shared with the
                                // bcache below or the disk store
     block::Lba lba = 0;
@@ -123,12 +131,19 @@ class PageCache {
     sim::Time dirty_since = 0;  // first dirtying in this epoch
   };
 
+  using InodePages = core::LruList<Page, &Page::ino_prev, &Page::ino_next>;
+
   Page* lookup(Ino ino, std::uint64_t index);
   Page& emplace(Ino ino, std::uint64_t index, block::Lba lba);
+  /// Unlinks `p` from the LRU and from `list` (its inode's) and erases it;
+  /// the caller erases an emptied list's map entry.
+  void erase(Page* p, InodePages& list);
   void evict_if_needed();
-  /// Writes dirty pages selected by `pred` (null = all), coalescing
-  /// LBA-contiguous runs into one device write each; async.
-  void writeback(sim::FuncRef<bool(const Key&, const Page&)> pred);
+  /// Writes every dirty page `pred` selects (null = all); async.
+  void writeback(sim::FuncRef<bool(const Page&)> pred);
+  /// Sorts `victims` by LBA and writes them, coalescing LBA-contiguous
+  /// runs into one device write each; async.
+  void write_victims(std::vector<Page*>& victims);
   void schedule_flusher();
 
   sim::Env& env_;
@@ -139,7 +154,10 @@ class PageCache {
   std::shared_ptr<int> alive_ = std::make_shared<int>(0);
   std::unordered_map<Key, Page, KeyHash> pages_;
   core::LruList<Page> lru_;  // front = most recent
+  // One entry per inode with resident pages, erased when its list empties.
+  std::unordered_map<Ino, InodePages> by_inode_;
   std::uint64_t dirty_count_ = 0;
+  std::uint64_t pages_visited_ = 0;
   bool flusher_scheduled_ = false;
   bool stopped_ = false;
   PageCacheStats stats_;

@@ -224,7 +224,8 @@ void NfsClient::invalidate_caches() {
   attrs_.clear();
   access_cache_.clear();
   pages_.clear();
-  page_lru_.clear();
+  page_lru_.reset();
+  file_pages_.clear();
   files_.clear();
 }
 

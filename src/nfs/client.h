@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <queue>
 #include <string>
 #include <unordered_map>
@@ -30,6 +29,7 @@
 #include "rpc/rpc.h"
 #include "block/block.h"
 #include "core/buffer_pool.h"
+#include "core/intrusive_lru.h"
 #include "core/iovec.h"
 #include "sim/env.h"
 #include "sim/stats.h"
@@ -182,10 +182,15 @@ class NfsClient {
     }
   };
   struct Page {
+    Page* lru_prev = nullptr;  // intrusive LRU links (core::LruList)
+    Page* lru_next = nullptr;
+    Page* file_prev = nullptr;  // links on the file's page list
+    Page* file_next = nullptr;
+    PageKey key{};              // owning map key, for erase via a list walk
     core::BufRef data;  // pooled frame; may be shared with the server cache
     sim::Time ready_at = 0;
-    std::list<PageKey>::iterator lru_pos;
   };
+  using FilePages = core::LruList<Page, &Page::file_prev, &Page::file_next>;
   struct FileState {
     sim::Time last_reval = -1;
     sim::Time known_mtime = -1;
@@ -244,6 +249,8 @@ class NfsClient {
   /// until `first + count`.
   void install_slices(Fh fh, std::uint64_t first, std::uint32_t count,
                       const core::IoVec& iov, sim::Time ready_at);
+  /// Unlinks `p` from the LRU and from its file's list and erases it.
+  void erase_page(Page* p);
   void drop_pages(Fh fh);
   void evict_pages_if_needed();
   fs::Status revalidate_data(Fh fh, FileState& st);
@@ -307,7 +314,9 @@ class NfsClient {
   std::unordered_map<Fh, CachedAttr> attrs_;
   std::unordered_map<Fh, sim::Time> access_cache_;  // v4
   std::unordered_map<PageKey, Page, PageKeyHash> pages_;
-  std::list<PageKey> page_lru_;
+  core::LruList<Page> page_lru_;  // front = most recent
+  // One entry per file with resident pages, erased when its list empties.
+  std::unordered_map<Fh, FilePages> file_pages_;
   std::unordered_map<Fh, FileState> files_;
 
   std::priority_queue<sim::Time, std::vector<sim::Time>,

@@ -18,7 +18,7 @@ using block::kBlockSize;
 NfsClient::Page* NfsClient::find_page(Fh fh, std::uint64_t index) {
   auto it = pages_.find(PageKey{fh, index});
   if (it == pages_.end()) return nullptr;
-  page_lru_.splice(page_lru_.begin(), page_lru_, it->second.lru_pos);
+  page_lru_.touch(&it->second);
   return &it->second;
 }
 
@@ -26,19 +26,17 @@ void NfsClient::insert_page(Fh fh, std::uint64_t index, core::BufRef data,
                             sim::Time ready_at) {
   evict_pages_if_needed();
   const PageKey key{fh, index};
-  auto it = pages_.find(key);
-  if (it == pages_.end()) {
-    page_lru_.push_front(key);
-    Page& p = pages_[key];
-    p.data = std::move(data);  // adopts the handle: no copy, no allocation
-    p.lru_pos = page_lru_.begin();
-    p.ready_at = ready_at;
+  auto [it, inserted] = pages_.try_emplace(key);
+  Page& p = it->second;
+  if (inserted) {
+    p.key = key;
+    page_lru_.push_front(&p);
+    file_pages_[fh].push_front(&p);
   } else {
-    page_lru_.splice(page_lru_.begin(), page_lru_, it->second.lru_pos);
-    Page& p = it->second;
-    p.data = std::move(data);
-    p.ready_at = ready_at;
+    page_lru_.touch(&p);
   }
+  p.data = std::move(data);  // adopts the handle: no copy, no allocation
+  p.ready_at = ready_at;
 }
 
 void NfsClient::install_slices(Fh fh, std::uint64_t first, std::uint32_t count,
@@ -67,15 +65,23 @@ void NfsClient::install_slices(Fh fh, std::uint64_t first, std::uint32_t count,
   }
 }
 
+void NfsClient::erase_page(Page* p) {
+  page_lru_.unlink(p);
+  auto it = file_pages_.find(p->key.fh);
+  it->second.unlink(p);
+  if (it->second.empty()) file_pages_.erase(it);
+  const PageKey key = p->key;  // copy: erase destroys the node
+  pages_.erase(key);
+}
+
 void NfsClient::drop_pages(Fh fh) {
-  // netstore-lint: allow(unordered-iter) -- pure erase, no I/O or stats
-  for (auto it = pages_.begin(); it != pages_.end();) {
-    if (it->first.fh == fh) {
-      page_lru_.erase(it->second.lru_pos);
-      it = pages_.erase(it);
-    } else {
-      ++it;
-    }
+  auto it = file_pages_.find(fh);
+  if (it == file_pages_.end()) return;
+  // Erasing the last page erases the list itself, so step before erasing.
+  for (Page* p = it->second.front(); p != nullptr;) {
+    Page* next = FilePages::colder(p);
+    erase_page(p);
+    p = next;
   }
 }
 
@@ -83,8 +89,7 @@ void NfsClient::evict_pages_if_needed() {
   // The NFS page cache is write-through (every write is already an RPC in
   // flight), so eviction never loses data.
   while (pages_.size() >= config_.page_cache_capacity && !page_lru_.empty()) {
-    pages_.erase(page_lru_.back());
-    page_lru_.pop_back();
+    erase_page(page_lru_.back());
   }
 }
 

@@ -237,9 +237,10 @@ void NfsClient::flush_delegated_updates() {
 void NfsClient::ship_local_data(Fh provisional, Fh real) {
   // Collect the provisional file's pages in index order.
   std::vector<std::pair<std::uint64_t, Page*>> file_pages;
-  // netstore-lint: allow(unordered-iter) -- sorted by page index below
-  for (auto& [key, page] : pages_) {
-    if (key.fh == provisional) file_pages.emplace_back(key.index, &page);
+  if (auto it = file_pages_.find(provisional); it != file_pages_.end()) {
+    for (Page* p = it->second.front(); p != nullptr; p = FilePages::colder(p)) {
+      file_pages.emplace_back(p->key.index, p);
+    }
   }
   if (file_pages.empty()) {
     // Still propagate the size (sparse or metadata-only create).
@@ -296,12 +297,13 @@ void NfsClient::ship_local_data(Fh provisional, Fh real) {
   }
 
   // Re-key the pages so later reads hit the real handle: each page's
-  // frame is shared under its new key, not copied.
-  std::vector<std::pair<std::uint64_t, Page*>> moved = file_pages;
-  for (auto& [index, page] : moved) {
-    // The by-value handle is taken before insert_page can evict the
-    // source page.
-    insert_page(real, index, page->data, env_.now());
+  // frame is shared under its new key, not copied.  Every handle is taken
+  // before the first insert_page, which can evict provisional pages.
+  std::vector<std::pair<std::uint64_t, core::BufRef>> moved;
+  moved.reserve(file_pages.size());
+  for (auto& [index, page] : file_pages) moved.emplace_back(index, page->data);
+  for (auto& [index, data] : moved) {
+    insert_page(real, index, std::move(data), env_.now());
   }
   drop_pages(provisional);
 }

@@ -1,6 +1,8 @@
 // Property tests: the ext3 implementation against a trivially correct
 // in-memory reference model, under long randomized operation sequences
-// (parameterized across seeds), with periodic remounts and crash+replay.
+// (parameterized across seeds), with periodic remounts and crash+replay,
+// and with the runtime invariant audits on (journal ordering, and the
+// directory index against the directory blocks).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -50,7 +52,9 @@ TEST_P(FsPropertyTest, RandomOpsMatchReferenceModel) {
   MkfsOptions opts;
   opts.journal_blocks = 512;
   Ext3Fs::mkfs(dev, opts);
-  auto fsys = std::make_unique<Ext3Fs>(env, dev, Ext3Params{});
+  Ext3Params params;
+  params.invariant_audits = true;
+  auto fsys = std::make_unique<Ext3Fs>(env, dev, params);
   fsys->mount();
 
   sim::Rng rng(GetParam());
@@ -181,9 +185,16 @@ TEST_P(FsPropertyTest, RandomOpsMatchReferenceModel) {
         paths.push_back(q);
         break;
       }
-      case 7: {  // remount (every so often)
+      case 7: {  // remount (every so often), clean or by crash + replay
         if (rng.uniform(4) != 0) break;
-        fsys->unmount();
+        if (step % 2 == 0) {
+          fsys->unmount();
+        } else {
+          // Everything is durable after sync, so the model is unchanged;
+          // the mount replays the journal.
+          fsys->sync();
+          fsys->crash();
+        }
         fsys->mount();
         break;
       }

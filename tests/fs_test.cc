@@ -341,6 +341,155 @@ TEST_F(FsTest, FreeCountsConserved) {
   EXPECT_EQ(fs_->free_blocks(), blocks0);
 }
 
+TEST_F(FsTest, ReusedDirectoryInodeKnowsNoOldName) {
+  // The directory index is host-side state keyed by inode number; a new
+  // directory that reuses the number must start from its own blocks.
+  // Audits re-check every index hit and free-slot size against the blocks.
+  fs_->unmount();
+  Ext3Params audited;
+  audited.invariant_audits = true;
+  fs_ = std::make_unique<Ext3Fs>(env_, dev_, audited);
+  fs_->mount();
+
+  auto old_dir = fs_->mkdir(kRootIno, "old", 0755);
+  ASSERT_TRUE(old_dir.ok());
+  for (int i = 0; i < 600; ++i) {  // three directory blocks
+    ASSERT_TRUE(fs_->create(*old_dir, "old" + std::to_string(i), 0644).ok());
+  }
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(fs_->unlink(*old_dir, "old" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(fs_->rmdir(kRootIno, "old").ok());
+
+  auto new_dir = fs_->mkdir(kRootIno, "new", 0755);
+  ASSERT_TRUE(new_dir.ok());
+  ASSERT_EQ(*new_dir, *old_dir);
+  for (int i = 0; i < 300; ++i) {  // two directory blocks
+    ASSERT_TRUE(fs_->create(*new_dir, "new" + std::to_string(i), 0644).ok());
+  }
+  for (int i = 0; i < 600; ++i) {
+    EXPECT_EQ(fs_->lookup(*new_dir, "old" + std::to_string(i)).error(),
+              Err::kNoEnt);
+  }
+  for (int i = 0; i < 300; ++i) {
+    EXPECT_TRUE(fs_->lookup(*new_dir, "new" + std::to_string(i)).ok());
+  }
+  auto entries = fs_->readdir(*new_dir);
+  ASSERT_TRUE(entries.ok());
+  EXPECT_EQ(entries->size(), 300u);
+}
+
+// Host work per call, pinned as exact counts rather than timings: a call
+// about one file or one name must not cost work proportional to the cache
+// or the directory.
+
+struct PageVisits {
+  std::uint64_t fsync;
+  std::uint64_t unlink;
+};
+
+/// Pages the page cache visits to fsync and to unlink a 3-page file while
+/// `other_pages` clean pages of ten other files are resident.
+PageVisits page_visits_with(std::uint64_t other_pages) {
+  sim::Env env;
+  block::MemBlockDevice dev(256 * 1024);
+  Ext3Fs::mkfs(dev, MkfsOptions{});
+  Ext3Fs fs(env, dev, Ext3Params{});
+  fs.mount();
+  const std::vector<std::uint8_t> page(block::kBlockSize, 0x5a);
+  for (int f = 0; f < 10; ++f) {
+    auto ino = fs.create(kRootIno, "other" + std::to_string(f), 0644);
+    EXPECT_TRUE(ino.ok());
+    for (std::uint64_t i = 0; i < other_pages / 10; ++i) {
+      EXPECT_TRUE(fs.write(*ino, i * block::kBlockSize, page).ok());
+    }
+  }
+  fs.sync();
+  auto ino = fs.create(kRootIno, "small", 0644);
+  EXPECT_TRUE(ino.ok());
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(fs.write(*ino, i * block::kBlockSize, page).ok());
+  }
+  EXPECT_EQ(fs.pages().resident_pages(), other_pages + 3);
+
+  PageVisits v{};
+  std::uint64_t before = fs.pages().pages_visited();
+  EXPECT_TRUE(fs.fsync(*ino).ok());
+  v.fsync = fs.pages().pages_visited() - before;
+  before = fs.pages().pages_visited();
+  EXPECT_TRUE(fs.unlink(kRootIno, "small").ok());
+  v.unlink = fs.pages().pages_visited() - before;
+  EXPECT_EQ(fs.pages().resident_pages(), other_pages);
+  return v;
+}
+
+TEST(FsHostWorkTest, FsyncAndUnlinkVisitOnlyTheFilesPages) {
+  const PageVisits small = page_visits_with(1000);
+  const PageVisits large = page_visits_with(10000);
+  EXPECT_EQ(small.fsync, 3u);
+  EXPECT_EQ(small.unlink, 3u);
+  EXPECT_EQ(large.fsync, small.fsync);
+  EXPECT_EQ(large.unlink, small.unlink);
+}
+
+struct DirentParses {
+  std::uint64_t lookup_hit;
+  std::uint64_t lookup_miss;
+  std::uint64_t remove;
+  std::uint64_t create;
+};
+
+/// Dirents parsed by name operations in a directory of `names` entries
+/// whose index the creates that filled it already built.  Six-character
+/// names fill a block with exactly 256 entries.
+DirentParses dirent_parses_with(int names) {
+  sim::Env env;
+  block::MemBlockDevice dev(256 * 1024);
+  Ext3Fs::mkfs(dev, MkfsOptions{});
+  Ext3Fs fs(env, dev, Ext3Params{});
+  fs.mount();
+  auto dir = fs.mkdir(kRootIno, "d", 0755);
+  EXPECT_TRUE(dir.ok());
+  auto name = [](const char* prefix, int i) {
+    std::string digits = std::to_string(i);
+    return prefix + std::string(5 - digits.size(), '0') + digits;
+  };
+  for (int i = 0; i < names; ++i) {
+    EXPECT_TRUE(fs.create(*dir, name("f", i), 0644).ok());
+  }
+
+  auto parses = [&](auto&& op) {
+    const std::uint64_t before = fs.dirents_parsed();
+    op();
+    return fs.dirents_parsed() - before;
+  };
+  DirentParses p{};
+  p.lookup_hit = parses([&] { EXPECT_TRUE(fs.lookup(*dir, name("f", 300)).ok()); });
+  p.lookup_miss = parses([&] {
+    EXPECT_EQ(fs.lookup(*dir, name("g", 300)).error(), Err::kNoEnt);
+  });
+  p.remove = parses([&] { EXPECT_TRUE(fs.unlink(*dir, name("f", 100)).ok()); });
+  // Same length as the removed name: first fit takes its slot in block 0.
+  p.create = parses([&] { EXPECT_TRUE(fs.create(*dir, name("g", 100), 0644).ok()); });
+  EXPECT_TRUE(fs.lookup(*dir, name("g", 100)).ok());
+  return p;
+}
+
+TEST(FsHostWorkTest, NameOperationsParseOneBlockAtMost) {
+  const DirentParses small = dirent_parses_with(500);
+  const DirentParses large = dirent_parses_with(5000);
+  EXPECT_EQ(small.lookup_hit, 0u);
+  EXPECT_EQ(small.lookup_miss, 0u);
+  // Removal: find the entry, then re-derive the block's free slot.  Create:
+  // first fit in block 0, then the same re-derivation.
+  EXPECT_LE(small.remove, 2u * 256);
+  EXPECT_LE(small.create, 2u * 256);
+  EXPECT_EQ(large.lookup_hit, small.lookup_hit);
+  EXPECT_EQ(large.lookup_miss, small.lookup_miss);
+  EXPECT_EQ(large.remove, small.remove);
+  EXPECT_EQ(large.create, small.create);
+}
+
 // Regression: a device whose size is not a multiple of the group size
 // gets a short last group.  mkfs used to (a) underflow that group's
 // free-block count — the metadata marks and the beyond-device marks
