@@ -75,16 +75,12 @@ TEST(DiskTest, ReadsDontQueueBehindWrites) {
 
 TEST(DiskTest, DataRoundTrips) {
   Disk disk(DiskConfig{});
-  BlockBuf in;
-  for (std::size_t i = 0; i < kBlockSize; ++i) {
-    in[i] = static_cast<std::uint8_t>(i);
-  }
-  disk.write_data(42, in);
-  BlockBuf out{};
-  disk.read_data(42, out);
-  EXPECT_EQ(in, out);
-  disk.read_data(43, out);  // never written: zeros
-  EXPECT_EQ(out[0], 0);
+  const core::BufRef in = frames(pattern(kBlockSize, 0))[0];
+  disk.write_ref(42, in);
+  const core::BufRef out = disk.read_ref(42);
+  EXPECT_EQ(out.data(), in.data());  // adopted, not copied
+  EXPECT_EQ(out.block(), in.block());
+  EXPECT_EQ(disk.read_ref(43).block(), BlockBuf{});  // never written: zeros
 }
 
 class Raid5Test : public ::testing::Test {
@@ -163,6 +159,44 @@ TEST_F(Raid5Test, RandomizedParityInvariant) {
   std::vector<core::BufRef> out;
   raid_->read(0, 0, 256, out);
   EXPECT_EQ(image, bytes(out));
+}
+
+TEST_F(Raid5Test, DegradedPartialWritesSurviveRebuildAndASecondFailure) {
+  // Seeded random bytes, so no two blocks of a stripe cancel in parity.
+  sim::Rng rng(17);
+  const auto random_bytes = [&rng](std::size_t n) {
+    std::vector<std::uint8_t> v(n);
+    for (std::uint8_t& b : v) b = static_cast<std::uint8_t>(rng.next());
+    return v;
+  };
+  const auto read_all = [this] {
+    std::vector<core::BufRef> out;
+    raid_->read(0, 0, 256, out);
+    return bytes(out);
+  };
+  // Four full stripes.  Stripe 1 keeps its parity on member 3; stripes
+  // 0, 2 and 3 keep one data unit there.  So small writes after member 3
+  // fails take both degraded branches: folding the new block into parity
+  // and writing data with no parity left to update.
+  std::vector<std::uint8_t> image = random_bytes(kBlockSize * 256);
+  raid_->write(0, 0, frames(image));
+  raid_->fail_disk(3);
+  for (int op = 0; op < 200; ++op) {
+    const auto n = static_cast<std::uint32_t>(1 + rng.uniform(6));
+    const Lba lba = rng.uniform(256 - n + 1);
+    const auto data = random_bytes(kBlockSize * n);
+    raid_->write(0, lba, frames(data));
+    std::copy(data.begin(), data.end(),
+              image.begin() + static_cast<std::ptrdiff_t>(lba * kBlockSize));
+  }
+  EXPECT_EQ(image, read_all());
+
+  raid_->rebuild_disk(3, 256);
+  ASSERT_FALSE(raid_->degraded());
+  EXPECT_TRUE(raid_->verify_parity(256));
+
+  raid_->fail_disk(0);
+  EXPECT_EQ(image, read_all());
 }
 
 TEST(TimedCacheTest, WritesAckAtMemorySpeed) {
