@@ -2,42 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "core/check.h"
 
 namespace netstore::block {
-
-void Disk::read_data(Lba lba, MutBlockView out) const {
-  NETSTORE_CHECK_LT(lba, config_.block_count);
-  const auto it = store_.find(lba);
-  if (it == store_.end()) {
-    std::fill(out.begin(), out.end(), std::uint8_t{0});
-  } else {
-    // Parity math reads into a scratch block; the data path uses
-    // read_ref().  netstore-lint: allow(raw-datapath-memcpy)
-    std::memcpy(out.data(), it->second.data(), kBlockSize);
-  }
-}
 
 core::BufRef Disk::read_ref(Lba lba) const {
   NETSTORE_CHECK_LT(lba, config_.block_count);
   const auto it = store_.find(lba);
   if (it == store_.end()) return core::BufferPool::instance().zero_page();
   return it->second;
-}
-
-void Disk::write_data(Lba lba, BlockView data) {
-  NETSTORE_CHECK_LT(lba, config_.block_count);
-  auto& slot = store_[lba];
-  // Un-share before mutating: a frame still referenced by a cache layer
-  // above is frozen, copy-on-write.  The full block is overwritten, so a
-  // fresh frame needs no copy of the old contents.
-  if (!slot || slot.shared()) slot = core::BufferPool::instance().alloc();
-  // Parity block or rebuilt block computed in a scratch buffer; data
-  // blocks adopt via write_ref() instead.
-  // netstore-lint: allow(raw-datapath-memcpy)
-  std::memcpy(slot.mutable_data(), data.data(), kBlockSize);
 }
 
 void Disk::write_ref(Lba lba, const core::BufRef& data) {

@@ -34,7 +34,7 @@ struct DiskConfig {
 };
 
 /// One simulated disk: a sparse block store plus the service-time model.
-/// The disk serializes its own requests (busy_until); callers decide
+/// The disk serializes its own requests on each channel; callers decide
 /// whether to wait for completion.
 class Disk {
  public:
@@ -51,14 +51,8 @@ class Disk {
 
   /// Adopts `data` at `lba`: shares the caller's frame instead of
   /// copying its bytes.  Storing shares, never mutates, so the caller's
-  /// handle stays valid and any later write_data() un-shares first.
+  /// handle stays valid.
   void write_ref(Lba lba, const core::BufRef& data);
-
-  /// Byte access for the RAID layer's parity math and rebuild, which
-  /// fold whole blocks: copies the stored bytes for `lba` into `out`
-  /// (zeros if never written), or stores `data` at `lba`.
-  void read_data(Lba lba, MutBlockView out) const;
-  void write_data(Lba lba, BlockView data);
 
   /// Schedules a media access starting no earlier than `start`; returns
   /// the completion time.  Contiguous-with-previous requests stream at the
@@ -70,10 +64,6 @@ class Disk {
   /// keeps its own sequential-detection cursor.
   sim::Time submit(sim::Time start, Lba lba, std::uint32_t nblocks,
                    bool is_write);
-
-  /// Time the write/destage channel becomes idle.
-  [[nodiscard]] sim::Time busy_until() const { return write_busy_until_; }
-  [[nodiscard]] sim::Time read_busy_until() const { return read_busy_until_; }
 
   /// Drops all stored data (used to simulate a failed/replaced drive).
   void clear_data() { store_.clear(); }
@@ -87,10 +77,9 @@ class Disk {
   [[nodiscard]] sim::Duration seek_time(Lba from, Lba to) const;
 
   DiskConfig config_;
-  // Copy-on-write block store of pooled frames, shared with the cache
-  // layers above; write_data() un-shares a frame (shared()) before
-  // mutating it.  Writes always replace the full block, so a shared frame
-  // is immutable for as long as it stays shared.
+  // Block store of pooled frames, shared with the cache layers above.
+  // A write replaces the frame and never mutates it, so every handle to
+  // a stored frame stays valid.
   std::unordered_map<Lba, core::BufRef> store_;
   sim::Time read_busy_until_ = 0;
   sim::Time write_busy_until_ = 0;

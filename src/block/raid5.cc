@@ -1,16 +1,47 @@
 #include "block/raid5.h"
 
 #include <algorithm>
-#include <cstring>
+#include <array>
 
 #include "core/check.h"
 
 namespace netstore::block {
 
 namespace {
-void xor_into(MutBlockView acc, BlockView other) {
-  for (std::uint32_t i = 0; i < kBlockSize; ++i) acc[i] ^= other[i];
+
+// The restrict qualifiers state what every caller guarantees: the output
+// is a fresh frame that no source shares.  They let the compiler
+// vectorize these loops without a run-time overlap check.
+
+/// out = a ^ b ^ c over one block, in one pass.
+void xor3(std::uint8_t* __restrict out, const std::uint8_t* __restrict a,
+          const std::uint8_t* __restrict b, const std::uint8_t* __restrict c) {
+  for (std::uint32_t i = 0; i < kBlockSize; ++i) out[i] = a[i] ^ b[i] ^ c[i];
 }
+
+/// acc ^= src over one block.
+void xor_into(std::uint8_t* __restrict acc,
+              const std::uint8_t* __restrict src) {
+  for (std::uint32_t i = 0; i < kBlockSize; ++i) acc[i] ^= src[i];
+}
+
+/// XOR of `frames` (two or more) into a fresh pool frame.  All parity
+/// math goes through here: the small-write update, full-stripe parity,
+/// degraded reads and writes, rebuild and the parity audits.  The first
+/// pass folds three frames, so the small-write update takes one pass; the
+/// zero page stands in for a third frame when there are only two.
+core::BufRef fold(std::span<const core::BufRef> frames) {
+  core::BufferPool& pool = core::BufferPool::instance();
+  const core::BufRef zero = pool.zero_page();
+  core::BufRef acc = pool.alloc();
+  xor3(acc.mutable_data(), frames[0].data(), frames[1].data(),
+       (frames.size() > 2 ? frames[2] : zero).data());
+  for (std::size_t k = 3; k < frames.size(); ++k) {
+    xor_into(acc.mutable_data(), frames[k].data());
+  }
+  return acc;
+}
+
 }  // namespace
 
 Raid5Array::Raid5Array(Raid5Config config) : config_(config) {
@@ -61,25 +92,13 @@ std::uint32_t Raid5Array::data_disk_for(std::uint64_t stripe,
   return (parity_disk + 1 + unit_index) % config_.num_disks;
 }
 
-void Raid5Array::read_block_data(const Mapping& m, MutBlockView out) const {
-  if (static_cast<int>(m.data_disk) == failed_disk_) {
-    reconstruct_block(m, out);
-  } else {
-    disks_[m.data_disk]->read_data(m.physical_lba, out);
-  }
-}
-
-void Raid5Array::reconstruct_block(const Mapping& m, MutBlockView out) const {
-  BlockBuf acc{};
-  BlockBuf tmp;
+core::BufRef Raid5Array::fold_members(Lba plba, std::uint32_t skip) const {
+  std::vector<core::BufRef> frames;
+  frames.reserve(config_.num_disks);
   for (std::uint32_t d = 0; d < config_.num_disks; ++d) {
-    if (d == m.data_disk) continue;
-    disks_[d]->read_data(m.physical_lba, tmp);
-    xor_into(acc, tmp);
+    if (d != skip) frames.push_back(disks_[d]->read_ref(plba));
   }
-  // Reconstruction scratch -> caller block: parity math, not a payload
-  // crossing.  netstore-lint: allow(raw-datapath-memcpy)
-  std::memcpy(out.data(), acc.data(), kBlockSize);
+  return fold(frames);
 }
 
 sim::Time Raid5Array::read(sim::Time start, Lba lba, std::uint32_t nblocks,
@@ -90,9 +109,7 @@ sim::Time Raid5Array::read(sim::Time start, Lba lba, std::uint32_t nblocks,
     const Mapping m = map(lba + i);
     if (static_cast<int>(m.data_disk) == failed_disk_) {
       // Degraded read: every surviving spindle contributes one block.
-      core::BufRef ref = core::BufferPool::instance().alloc();
-      reconstruct_block(m, ref.mutable_view());
-      out.push_back(std::move(ref));
+      out.push_back(fold_members(m.physical_lba, m.data_disk));
       for (std::uint32_t d = 0; d < config_.num_disks; ++d) {
         if (static_cast<int>(d) == failed_disk_) continue;
         done = std::max(done,
@@ -131,8 +148,9 @@ sim::Time Raid5Array::write(sim::Time start, Lba lba,
     if (full_stripe) {
       // Full-stripe write: parity from new data alone; one request per
       // member disk, no reads.
+      std::vector<core::BufRef> row;
       for (std::uint64_t off = 0; off < config_.stripe_unit_blocks; ++off) {
-        BlockBuf parity{};
+        row.clear();
         for (std::uint32_t u = 0; u < data_disks; ++u) {
           const Lba logical =
               stripe_begin + u * config_.stripe_unit_blocks + off;
@@ -141,11 +159,11 @@ sim::Time Raid5Array::write(sim::Time start, Lba lba,
           if (static_cast<int>(m.data_disk) != failed_disk_) {
             disks_[m.data_disk]->write_ref(m.physical_lba, block);
           }
-          xor_into(parity, block.view());
+          row.push_back(block);
         }
         const Mapping m0 = map(stripe_begin + off);
         if (static_cast<int>(m0.parity_disk) != failed_disk_) {
-          disks_[m0.parity_disk]->write_data(m0.physical_lba, parity);
+          disks_[m0.parity_disk]->write_ref(m0.physical_lba, fold(row));
         }
       }
       const Mapping m0 = map(stripe_begin);
@@ -163,33 +181,20 @@ sim::Time Raid5Array::write(sim::Time start, Lba lba,
 
     // Partial-stripe block: read-modify-write on data + parity spindles.
     const Mapping m = map(cur);
-    const BlockView new_data = blocks[i].view();
-    BlockBuf old_data;
-    read_block_data(m, old_data);
-
     if (static_cast<int>(m.data_disk) == failed_disk_) {
       // Writing to the failed member: fold the update into parity so a
       // later reconstruction returns the new data.
-      BlockBuf parity{};
-      BlockBuf tmp;
-      const std::uint64_t unit = config_.stripe_unit_blocks;
-      const std::uint64_t within_unit = m.physical_lba % unit;
+      std::vector<core::BufRef> row{blocks[i]};
       for (std::uint32_t u = 0; u < data_disks; ++u) {
-        const Lba logical = m.stripe * stripe_logical + u * unit + within_unit;
-        const Mapping mu = map(logical);
-        if (static_cast<int>(mu.data_disk) == failed_disk_) {
-          xor_into(parity, new_data);
-        } else {
-          disks_[mu.data_disk]->read_data(mu.physical_lba, tmp);
-          xor_into(parity, tmp);
-          // Part of background destage: ride the write channel.
-          done = std::max(done, disks_[mu.data_disk]->submit(
-                                    controller(start, true),
-                                    mu.physical_lba, 1,
-                                    /*is_write=*/true));
-        }
+        const std::uint32_t d = data_disk_for(m.stripe, u);
+        if (static_cast<int>(d) == failed_disk_) continue;
+        row.push_back(disks_[d]->read_ref(m.physical_lba));
+        // Part of background destage: ride the write channel.
+        done = std::max(done, disks_[d]->submit(controller(start, true),
+                                                m.physical_lba, 1,
+                                                /*is_write=*/true));
       }
-      disks_[m.parity_disk]->write_data(m.physical_lba, parity);
+      disks_[m.parity_disk]->write_ref(m.physical_lba, fold(row));
       done = std::max(done,
                       disks_[m.parity_disk]->submit(controller(start, true),
                                                     m.physical_lba, 1,
@@ -202,13 +207,12 @@ sim::Time Raid5Array::write(sim::Time start, Lba lba,
                                                   m.physical_lba, 1,
                                                   /*is_write=*/true));
     } else {
-      BlockBuf old_parity;
-      disks_[m.parity_disk]->read_data(m.physical_lba, old_parity);
       // new_parity = old_parity ^ old_data ^ new_data
-      xor_into(old_parity, old_data);
-      xor_into(old_parity, new_data);
+      const std::array<core::BufRef, 3> update{
+          disks_[m.parity_disk]->read_ref(m.physical_lba),
+          disks_[m.data_disk]->read_ref(m.physical_lba), blocks[i]};
       disks_[m.data_disk]->write_ref(m.physical_lba, blocks[i]);
-      disks_[m.parity_disk]->write_data(m.physical_lba, old_parity);
+      disks_[m.parity_disk]->write_ref(m.physical_lba, fold(update));
       // Two accesses on each of the two spindles (read then write).
       // RMW is background destage work: both its reads and writes ride
       // the controller's and the spindles' write/destage channels, so
@@ -240,17 +244,11 @@ sim::Time Raid5Array::write(sim::Time start, Lba lba,
 }
 
 bool Raid5Array::stripe_parity_clean(std::uint64_t stripe) const {
-  BlockBuf acc;
-  BlockBuf tmp;
+  const core::BufRef zero = core::BufferPool::instance().zero_page();
   for (std::uint64_t off = 0; off < config_.stripe_unit_blocks; ++off) {
     const Lba plba = stripe * config_.stripe_unit_blocks + off;
-    acc.fill(0);
-    for (std::uint32_t d = 0; d < config_.num_disks; ++d) {
-      disks_[d]->read_data(plba, tmp);
-      xor_into(acc, tmp);
-    }
-    for (std::uint32_t b = 0; b < kBlockSize; ++b) {
-      if (acc[b] != 0) return false;
+    if (fold_members(plba, config_.num_disks).block() != zero.block()) {
+      return false;
     }
   }
   return true;
@@ -285,14 +283,7 @@ void Raid5Array::rebuild_disk(std::uint32_t index, Lba max_logical_lba) {
   for (std::uint64_t s = 0; s < stripes; ++s) {
     for (std::uint64_t off = 0; off < config_.stripe_unit_blocks; ++off) {
       const Lba plba = s * config_.stripe_unit_blocks + off;
-      BlockBuf acc{};
-      BlockBuf tmp;
-      for (std::uint32_t d = 0; d < config_.num_disks; ++d) {
-        if (static_cast<int>(d) == failed_disk_) continue;
-        disks_[d]->read_data(plba, tmp);
-        xor_into(acc, tmp);
-      }
-      disks_[index]->write_data(plba, acc);
+      disks_[index]->write_ref(plba, fold_members(plba, index));
     }
   }
   failed_disk_ = -1;

@@ -50,8 +50,9 @@ class Raid5Array {
                  std::vector<core::BufRef>& out);
 
   /// Writes blocks[i] to lba + i; returns the completion time.  Each
-  /// member disk adopts (shares) its data frames; parity is computed from
-  /// the frames' bytes.  Full-stripe writes skip the read-modify-write.
+  /// member disk adopts (shares) its data frames; parity is folded from
+  /// the frames into fresh ones.  Full-stripe writes skip the
+  /// read-modify-write.
   sim::Time write(sim::Time start, Lba lba,
                   std::span<const core::BufRef> blocks);
 
@@ -90,8 +91,9 @@ class Raid5Array {
   /// Charges one controller slot on the read or write channel; returns
   /// the time the member-disk request may begin.
   sim::Time controller(sim::Time start, bool is_write);
-  void reconstruct_block(const Mapping& m, MutBlockView out) const;
-  void read_block_data(const Mapping& m, MutBlockView out) const;
+  /// XOR of the blocks at physical `plba` on every member but `skip`
+  /// (num_disks folds them all), into a fresh frame.
+  [[nodiscard]] core::BufRef fold_members(Lba plba, std::uint32_t skip) const;
   /// XOR across all members is zero for every unit of `stripe`.
   [[nodiscard]] bool stripe_parity_clean(std::uint64_t stripe) const;
 

@@ -26,7 +26,7 @@
 //     of the same operation.
 //   * Full-block overwrites should not pay the un-share copy: replace
 //     the handle with a fresh BufferPool::alloc() when shared()
-//     (see block::Disk::write_data), then initialize every byte.
+//     (see fs::Bcache::get_new), then initialize every byte.
 //   * alloc() frames hold indeterminate bytes — recycled frames keep
 //     their previous contents.  Callers must fully initialize them.
 //   * zero_page() shares one canonical all-zero frame (disk holes,
