@@ -7,10 +7,8 @@
 // write-back cache, so synchronous writes (and flush barriers) are
 // acknowledged at NVRAM speed while destaging to the spindles proceeds in
 // the background; reads still contend with that destaging for the
-// mechanisms.  Set `nvram_ack` to 0 to model a write-through controller.
+// mechanisms.
 #pragma once
-
-#include <algorithm>
 
 #include "block/device.h"
 #include "block/raid5.h"
@@ -21,9 +19,12 @@ namespace netstore::block {
 
 class LocalBlockDevice final : public BlockDevice {
  public:
-  LocalBlockDevice(sim::Env& env, Raid5Array& array,
-                   sim::Duration nvram_ack = sim::microseconds(80))
-      : env_(env), array_(array), nvram_ack_(nvram_ack) {}
+  /// Time the adapter takes to acknowledge a synchronous write or a
+  /// flush barrier from its NVRAM.
+  static constexpr sim::Duration kNvramAck = sim::microseconds(80);
+
+  LocalBlockDevice(sim::Env& env, Raid5Array& array)
+      : env_(env), array_(array) {}
 
   [[nodiscard]] std::uint64_t block_count() const override {
     return array_.block_count();
@@ -37,42 +38,25 @@ class LocalBlockDevice final : public BlockDevice {
     env_.advance_to(done);
   }
 
-  /// The member disks adopt (share) the frames.
+  /// The member disks adopt (share) the frames.  The array destages in
+  /// the background; a synchronous write waits only for the NVRAM ack.
   void write(Lba lba, std::span<const core::BufRef> blocks,
              WriteMode mode) override {
-    finish_write(array_.write(env_.now(), lba, blocks), mode);
+    array_.write(env_.now(), lba, blocks);
+    if (mode == WriteMode::kSync) ack_from_nvram();
   }
 
-  void flush() override {
-    if (nvram_ack_ > 0) {
-      charge_media(nvram_ack_);
-      env_.advance(nvram_ack_);
-    } else {
-      charge_media(last_write_done_ - env_.now());
-      env_.advance_to(last_write_done_);
-    }
-  }
+  void flush() override { ack_from_nvram(); }
 
   std::optional<sim::Time> prefetch(Lba lba, std::uint32_t nblocks,
                                     std::vector<core::BufRef>& out) override {
     return array_.read(env_.now(), lba, nblocks, out);
   }
 
-  /// Test hook: waits until the spindles are idle (full destage).
-  void drain_to_media() { env_.advance_to(last_write_done_); }
-
  private:
-  void finish_write(sim::Time done, WriteMode mode) {
-    last_write_done_ = std::max(last_write_done_, done);
-    if (mode == WriteMode::kSync) {
-      if (nvram_ack_ > 0) {
-        charge_media(nvram_ack_);
-        env_.advance(nvram_ack_);  // durable in controller NVRAM
-      } else {
-        charge_media(done - env_.now());
-        env_.advance_to(done);
-      }
-    }
+  void ack_from_nvram() {
+    charge_media(kNvramAck);
+    env_.advance(kNvramAck);
   }
 
   /// Media time the caller is about to wait out (trace attribution).
@@ -84,8 +68,6 @@ class LocalBlockDevice final : public BlockDevice {
 
   sim::Env& env_;
   Raid5Array& array_;
-  sim::Duration nvram_ack_;
-  sim::Time last_write_done_ = 0;
 };
 
 }  // namespace netstore::block
