@@ -55,7 +55,6 @@ class TimedCache {
   /// Simulates a crash: drop all cached blocks, dirty data lost.
   void crash();
 
-  [[nodiscard]] std::uint64_t resident_blocks() const { return map_.size(); }
   [[nodiscard]] std::uint64_t dirty_blocks() const { return dirty_count_; }
   [[nodiscard]] const sim::Counter& hits() const { return hits_; }
   [[nodiscard]] const sim::Counter& misses() const { return misses_; }

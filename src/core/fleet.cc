@@ -153,7 +153,6 @@ void Fleet::do_op(std::uint64_t client, Client& cl) {
 void Fleet::run() {
   if (!setup_done_) setup();
   sim::Env& env = world_->env();
-  obs::Tracer& tracer = world_->tracer();
 
   for (std::uint64_t done = 0; done < workload_.ops; ++done) {
     const Arrival head = arrivals_.pop();
@@ -168,7 +167,6 @@ void Fleet::run() {
       queue_delay = env.now() - head.at;
     }
 
-    tracer.set_client_context(static_cast<std::uint32_t>(head.client));
     const sim::Time t0 = env.now();
     do_op(head.client, cl);
     const sim::Duration service = env.now() - t0;
@@ -185,7 +183,6 @@ void Fleet::run() {
     // independent of how slow the server was.
     arrivals_.push(Arrival{head.at + think(cl), head.client});
   }
-  tracer.set_client_context(0);
 
   // Fairness digest: each active client's mean response, in id order.
   client_mean_us_->reset();

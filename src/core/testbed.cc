@@ -71,7 +71,6 @@ Testbed::Testbed(Protocol protocol, TestbedConfig config)
       client_cpu_(config.system.cpu_sample_period) {
   env_.set_audit(config_.system.invariant_audits);
   // Observability first: components built below may cache env pointers.
-  env_.set_metrics(&metrics_);
   env_.set_tracer(&tracer_);
   link_ = std::make_unique<net::Link>(env_, config_.system.link);
   // Size the array to hold the requested volume.

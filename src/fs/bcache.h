@@ -56,9 +56,6 @@ class Bcache {
   /// Marks `lba` dirty and pins it (journal will checkpoint it later).
   void mark_dirty(block::Lba lba);
 
-  [[nodiscard]] bool is_cached(block::Lba lba) const {
-    return map_.contains(lba);
-  }
   [[nodiscard]] bool is_dirty(block::Lba lba) const;
 
   /// Writes a dirty block in place on the device and clears its dirty bit.
@@ -76,7 +73,6 @@ class Bcache {
   void crash();
 
   [[nodiscard]] std::uint64_t resident() const { return map_.size(); }
-  [[nodiscard]] std::uint64_t dirty_count() const { return dirty_count_; }
   [[nodiscard]] const sim::Counter& hits() const { return hits_; }
   [[nodiscard]] const sim::Counter& misses() const { return misses_; }
   /// Non-const access for MetricsRegistry adoption (src/obs).

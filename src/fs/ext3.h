@@ -214,7 +214,6 @@ class Ext3Fs {
   Status dir_remove(Ino dir, RawInode& dri, const std::string& name);
   Result<bool> dir_empty(Ino dir, RawInode& dri);
 
-  void touch_ctime(Ino ino, RawInode& ri);
   void do_readahead(Ino ino, RawInode& ri, std::uint64_t index);
 
   /// The loop behind both read()s: clamps the request to the

@@ -1,8 +1,7 @@
 // iSCSI PDU definitions (RFC 3720 subset).
 //
 // netstore models PDU framing for byte accounting: every PDU carries the
-// 48-byte basic header segment (BHS) plus its data segment.  Only the PDU
-// types a normal-session block workload generates are modelled.
+// 48-byte basic header segment (BHS) plus its data segment.
 #pragma once
 
 #include <cstdint>
@@ -11,20 +10,6 @@ namespace netstore::iscsi {
 
 /// Basic Header Segment size (RFC 3720 §10.2).
 constexpr std::uint32_t kBhsSize = 48;
-
-enum class PduOp : std::uint8_t {
-  kNopOut = 0x00,
-  kScsiCommand = 0x01,
-  kLoginRequest = 0x03,
-  kScsiDataOut = 0x05,
-  kLogoutRequest = 0x06,
-  kNopIn = 0x20,
-  kScsiResponse = 0x21,
-  kLoginResponse = 0x23,
-  kScsiDataIn = 0x25,
-  kR2T = 0x31,
-  kLogoutResponse = 0x26,
-};
 
 /// Wire size of a PDU with `data_segment` payload bytes, including header
 /// padding to a 4-byte boundary as the RFC requires.

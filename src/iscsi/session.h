@@ -27,7 +27,6 @@ struct SessionParams {
   std::uint32_t max_burst_length = 256 * 1024;
   // Unsolicited data allowed with the command PDU (skips the first R2T).
   bool immediate_data = true;
-  bool initial_r2t = false;
   // Tagged command queue depth at the initiator.
   std::uint32_t queue_depth = 32;
   // Text bytes exchanged during login negotiation (key=value pairs).

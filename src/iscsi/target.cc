@@ -4,7 +4,6 @@ namespace netstore::iscsi {
 
 sim::Time Target::admit(const scsi::Cdb& cdb, sim::Time start,
                         scsi::CommandResult& result) {
-  commands_.add(1);
   result = scsi::CommandResult{};
   sim::Time t = start;
   if (cost_hook_) {

@@ -46,9 +46,6 @@ class Target {
   void set_cost_hook(TargetCostHook hook) { cost_hook_ = std::move(hook); }
 
   [[nodiscard]] std::uint64_t volume_blocks() const { return volume_blocks_; }
-  [[nodiscard]] std::uint64_t commands_served() const {
-    return commands_.value();
-  }
 
   /// Exclusive LUN ownership.  A session claims its LUN at login and
   /// releases it at logout; claiming a LUN another session holds is a
@@ -62,9 +59,6 @@ class Target {
                    "LUN already owned by another session");
   }
   void release_lun(std::uint32_t lun) { claimed_luns_.erase(lun); }
-  [[nodiscard]] bool lun_claimed(std::uint32_t lun) const {
-    return claimed_luns_.contains(lun);
-  }
 
   /// Orderly restart (cold-cache emulation): flush and drop the cache.
   void restart() { cache_.restart(); }
@@ -75,17 +69,16 @@ class Target {
   [[nodiscard]] block::TimedCache& cache() { return cache_; }
 
  private:
-  /// Command prologue shared by both entry points: counts the command,
-  /// resets `result`, charges the cost hook, and rejects an LBA range
-  /// past the volume with CHECK CONDITION.  Returns the time execution
-  /// starts (or the rejection is sent).
+  /// Command prologue shared by both entry points: resets `result`,
+  /// charges the cost hook, and rejects an LBA range past the volume
+  /// with CHECK CONDITION.  Returns the time execution starts (or the
+  /// rejection is sent).
   sim::Time admit(const scsi::Cdb& cdb, sim::Time start,
                   scsi::CommandResult& result);
 
   block::TimedCache& cache_;
   std::uint64_t volume_blocks_;
   TargetCostHook cost_hook_;
-  sim::Counter commands_;
   std::unordered_set<std::uint32_t> claimed_luns_;
 };
 

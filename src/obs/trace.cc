@@ -47,7 +47,6 @@ SpanId Tracer::begin(Op op, sim::Time now) {
   SpanRecord r;
   r.id = next_id_++;
   r.op = op;
-  r.client = client_context_;
   r.start = now;
   active_.push_back(r);
   return r.id;

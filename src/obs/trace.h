@@ -68,10 +68,6 @@ using SpanId = std::uint64_t;
 struct SpanRecord {
   SpanId id = 0;
   Op op = Op::kMeta;
-  /// Issuing context (fleet client id; 0 for single-client runs).  Spans
-  /// stay attributable per client even when a fleet multiplexes many
-  /// flyweight clients over one protocol stack.
-  std::uint32_t client = 0;
   sim::Time start = 0;
   sim::Time end = 0;
   std::array<sim::Duration, kComponentCount> component{};
@@ -103,17 +99,9 @@ class Tracer {
   /// (the residual is derived, never charged).
   void charge(Component c, sim::Duration d);
 
-  /// Client context stamped onto spans begun after this call (fleet
-  /// support; 0 = the default single-client context).
-  void set_client_context(std::uint32_t client) { client_context_ = client; }
-  [[nodiscard]] std::uint32_t client_context() const {
-    return client_context_;
-  }
-
   // --- async suspension (see header comment) --------------------------
   void suspend() { suspended_++; }
   void resume() { suspended_--; }
-  [[nodiscard]] bool suspended() const { return suspended_ > 0; }
 
   // --- sinks ----------------------------------------------------------
   /// Completed spans still resident in the ring, oldest first.
@@ -147,7 +135,6 @@ class Tracer {
   std::vector<SpanRecord> active_;  // innermost last
   SpanId next_id_ = 1;
   int suspended_ = 0;
-  std::uint32_t client_context_ = 0;
 
   sim::Counter completed_;
   sim::Counter overattributed_;

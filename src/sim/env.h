@@ -26,7 +26,6 @@
 #include "sim/time.h"
 
 namespace netstore::obs {
-class MetricsRegistry;
 class Tracer;
 }  // namespace netstore::obs
 
@@ -98,16 +97,13 @@ class Env {
 
   /// Scheduling telemetry; adopted into the registry as sim.timer.* by
   /// the owning Testbed.
-  [[nodiscard]] const TimerStats& timer_stats() const { return timer_stats_; }
   [[nodiscard]] TimerStats& mutable_timer_stats() { return timer_stats_; }
 
-  /// Observability wiring (owned by the Testbed, see src/obs).  Null when
+  /// The request tracer (owned by the Testbed, see src/obs).  Null when
   /// a component is driven standalone; every instrumentation site must
   /// null-check.  The Env suspends the tracer around deferred-event
   /// dispatch so daemon work (journal commits, page flushes) never bills
   /// the request that happens to be advancing the clock.
-  void set_metrics(obs::MetricsRegistry* m) { metrics_ = m; }
-  [[nodiscard]] obs::MetricsRegistry* metrics() const { return metrics_; }
   void set_tracer(obs::Tracer* t) { tracer_ = t; }
   [[nodiscard]] obs::Tracer* tracer() const { return tracer_; }
 
@@ -136,7 +132,6 @@ class Env {
   void run_pending(Time target, bool drain_all);
 
   Time now_ = 0;
-  obs::MetricsRegistry* metrics_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   bool audit_ = false;
   bool audit_has_last_pop_ = false;

@@ -93,9 +93,6 @@ class Task {
 
   [[nodiscard]] explicit operator bool() const { return ops_ != nullptr; }
 
-  /// True if this task's capture lives in the heap fallback box.
-  [[nodiscard]] bool on_heap() const { return ops_ != nullptr && ops_->heap; }
-
   /// Process-wide construction counters.  Absolute values accumulate
   /// for the process lifetime — report deltas.
   static std::uint64_t inline_constructions() { return inline_constructions_; }
@@ -112,7 +109,6 @@ class Task {
     /// an indirect call.
     void (*relocate)(void* dst, void* src);
     void (*destroy)(void* p);
-    bool heap;
   };
 
   /// `ops_` must already be copied from `other` and non-null.
@@ -138,7 +134,6 @@ class Task {
               s->~Fn();
             },
       [](void* p) { std::launder(static_cast<Fn*>(p))->~Fn(); },
-      /*heap=*/false,
   };
 
   template <typename Fn>
@@ -146,7 +141,6 @@ class Task {
       [](void* p) { (**std::launder(static_cast<Fn**>(p)))(); },
       /*relocate=*/nullptr,  // moving the box is a pointer copy
       [](void* p) { delete *std::launder(static_cast<Fn**>(p)); },
-      /*heap=*/true,
   };
 
   void reset() {

@@ -35,9 +35,4 @@ constexpr double to_milliseconds(Duration d) {
   return static_cast<double>(d) / static_cast<double>(kMillisecond);
 }
 
-/// Builds a duration from fractional seconds, rounding to nanoseconds.
-constexpr Duration from_seconds(double s) {
-  return static_cast<Duration>(s * static_cast<double>(kSecond));
-}
-
 }  // namespace netstore::sim
