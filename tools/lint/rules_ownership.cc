@@ -39,7 +39,7 @@
 //                          core::copy_out/copy_in at user boundaries, or
 //                          suppress where a byte-small sub-payload copy
 //                          is semantically required (ext3 indirect
-//                          entries, parity folds).
+//                          entries).
 #include <filesystem>
 
 #include "lint/rules.h"
