@@ -7,19 +7,6 @@
 
 namespace netstore::block {
 
-core::BufRef Disk::read_ref(Lba lba) const {
-  NETSTORE_CHECK_LT(lba, config_.block_count);
-  const auto it = store_.find(lba);
-  if (it == store_.end()) return core::BufferPool::instance().zero_page();
-  return it->second;
-}
-
-void Disk::write_ref(Lba lba, const core::BufRef& data) {
-  NETSTORE_CHECK_LT(lba, config_.block_count);
-  NETSTORE_CHECK(static_cast<bool>(data));
-  store_[lba] = data;
-}
-
 sim::Duration Disk::seek_time(Lba from, Lba to) const {
   const auto distance =
       from > to ? from - to : to - from;
@@ -40,6 +27,7 @@ sim::Duration Disk::seek_time(Lba from, Lba to) const {
 sim::Time Disk::submit(sim::Time start, Lba lba, std::uint32_t nblocks,
                        bool is_write) {
   NETSTORE_CHECK_GT(nblocks, 0u);
+  NETSTORE_CHECK_LE(lba + nblocks, config_.block_count);
   requests_.add(1);
   sim::Time& busy_until = is_write ? write_busy_until_ : read_busy_until_;
   Lba& next_sequential = is_write ? next_sequential_write_ : next_sequential_read_;

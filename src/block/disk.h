@@ -1,4 +1,5 @@
-// Single-spindle disk model: storage plus a mechanical service-time model.
+// Single-spindle disk model: mechanical service time only.  The bytes a
+// member drive would hold live in the RAID-5 array's store above it.
 //
 // Parameters default to the paper's testbed drives: 10,000 RPM Ultra-160
 // SCSI, 18 GB.  The timing model distinguishes sequential streaming
@@ -8,10 +9,8 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "block/block.h"
-#include "core/buffer_pool.h"
 #include "sim/stats.h"
 #include "sim/time.h"
 
@@ -33,26 +32,12 @@ struct DiskConfig {
 
 };
 
-/// One simulated disk: a sparse block store plus the service-time model.
-/// The disk serializes its own requests on each channel; callers decide
-/// whether to wait for completion.
+/// One simulated disk's service-time model.  The disk serializes its own
+/// requests on each channel; callers decide whether to wait for
+/// completion.
 class Disk {
  public:
   explicit Disk(DiskConfig config) : config_(config) {}
-
-  [[nodiscard]] std::uint64_t block_count() const {
-    return config_.block_count;
-  }
-
-  /// Shares the stored page for `lba` (the pool zero page if never
-  /// written).  The handle stays valid after the block is overwritten —
-  /// writes un-share, they never mutate in place.
-  [[nodiscard]] core::BufRef read_ref(Lba lba) const;
-
-  /// Adopts `data` at `lba`: shares the caller's frame instead of
-  /// copying its bytes.  Storing shares, never mutates, so the caller's
-  /// handle stays valid.
-  void write_ref(Lba lba, const core::BufRef& data);
 
   /// Schedules a media access starting no earlier than `start`; returns
   /// the completion time.  Contiguous-with-previous requests stream at the
@@ -65,9 +50,6 @@ class Disk {
   sim::Time submit(sim::Time start, Lba lba, std::uint32_t nblocks,
                    bool is_write);
 
-  /// Drops all stored data (used to simulate a failed/replaced drive).
-  void clear_data() { store_.clear(); }
-
   /// Number of media requests serviced.
   [[nodiscard]] std::uint64_t requests_serviced() const {
     return requests_.value();
@@ -77,10 +59,6 @@ class Disk {
   [[nodiscard]] sim::Duration seek_time(Lba from, Lba to) const;
 
   DiskConfig config_;
-  // Block store of pooled frames, shared with the cache layers above.
-  // A write replaces the frame and never mutates it, so every handle to
-  // a stored frame stays valid.
-  std::unordered_map<Lba, core::BufRef> store_;
   sim::Time read_busy_until_ = 0;
   sim::Time write_busy_until_ = 0;
   Lba next_sequential_read_ = 0;

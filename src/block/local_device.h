@@ -38,8 +38,9 @@ class LocalBlockDevice final : public BlockDevice {
     env_.advance_to(done);
   }
 
-  /// The member disks adopt (share) the frames.  The array destages in
-  /// the background; a synchronous write waits only for the NVRAM ack.
+  /// The array's store adopts (shares) the frames.  The array destages
+  /// in the background; a synchronous write waits only for the NVRAM
+  /// ack.
   void write(Lba lba, std::span<const core::BufRef> blocks,
              WriteMode mode) override {
     array_.write(env_.now(), lba, blocks);

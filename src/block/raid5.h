@@ -1,16 +1,22 @@
 // Left-symmetric RAID-5 array over simulated member disks.
 //
 // Models the paper's storage subsystem: a 4+p RAID-5 array of 10 kRPM
-// Ultra-160 drives behind a ServeRAID adapter.  Parity is computed for
-// real (XOR over the stripe), so tests can fail a member drive and verify
-// reconstruction; timing reflects the classic small-write penalty
-// (read-modify-write touches two spindles twice) and the full-stripe
-// fast path for large sequential writes.
+// Ultra-160 drives behind a ServeRAID adapter.  Timing reflects the
+// classic small-write penalty (read-modify-write touches two spindles
+// twice) and the full-stripe fast path for large sequential writes; the
+// member disks model service time only.
+//
+// The volume's bytes live in one store keyed by logical block.  Parity is
+// never visible while every member is up, so it exists only while one is
+// down: fail_disk() folds it for every row that holds data, degraded
+// reads reconstruct from it, degraded writes keep it current, and
+// rebuild_disk() restores the lost member's blocks from it and drops it.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "block/block.h"
@@ -43,67 +49,65 @@ class Raid5Array {
 
   /// Reads `nblocks` starting at `lba`, appending one frame per block to
   /// `out`; returns the completion time of the slowest member-disk
-  /// request.  Frames are shared with the member disks' stores; in
-  /// degraded mode a lost block is reconstructed from parity into a
-  /// fresh frame.
+  /// request.  Frames are shared with the store (the pool zero page for
+  /// blocks never written); in degraded mode a lost block is
+  /// reconstructed from parity into a fresh frame.
   sim::Time read(sim::Time start, Lba lba, std::uint32_t nblocks,
                  std::vector<core::BufRef>& out);
 
-  /// Writes blocks[i] to lba + i; returns the completion time.  Each
-  /// member disk adopts (shares) its data frames; parity is folded from
-  /// the frames into fresh ones.  Full-stripe writes skip the
-  /// read-modify-write.
+  /// Writes blocks[i] to lba + i; returns the completion time.  The store
+  /// adopts (shares) the frames; in degraded mode parity is folded into
+  /// fresh ones.  Full-stripe writes skip the read-modify-write.
   sim::Time write(sim::Time start, Lba lba,
                   std::span<const core::BufRef> blocks);
 
-  /// Marks a member disk failed (its contents become unreadable).
+  /// Marks a member disk failed: folds the parity of every row that holds
+  /// data, then drops the member's blocks.
   void fail_disk(std::uint32_t index);
 
-  /// Rebuilds a previously failed disk from the survivors and returns it
-  /// to service.  `max_lba` bounds the rebuild scan (logical blocks).
-  void rebuild_disk(std::uint32_t index, Lba max_logical_lba);
+  /// Rebuilds the failed member's blocks from parity and returns it to
+  /// service; the array holds no parity afterwards.
+  void rebuild_disk(std::uint32_t index);
 
   [[nodiscard]] bool degraded() const { return failed_disk_ >= 0; }
   [[nodiscard]] const Raid5Config& config() const { return config_; }
-  [[nodiscard]] Disk& disk(std::uint32_t index) { return *disks_[index]; }
-
-  /// Enables runtime invariant audits: every write spot-checks parity
-  /// consistency of the stripes it touched (XOR across all members must be
-  /// zero).  Off by default — it re-reads whole stripes per write.
-  void set_audit(bool on) { audit_ = on; }
-
-  /// Scans the stripes backing logical blocks [0, max_logical_lba) and
-  /// verifies parity (XOR of every member's block is zero).  Always
-  /// returns true in degraded mode, where parity is provisional.
-  [[nodiscard]] bool verify_parity(Lba max_logical_lba) const;
+  [[nodiscard]] Disk& disk(std::uint32_t index) { return disks_[index]; }
 
  private:
   struct Mapping {
     std::uint32_t data_disk;
     std::uint32_t parity_disk;
-    Lba physical_lba;  // same on data and parity disks
+    Lba physical_lba;  // same on data and parity disks: the stripe row
     std::uint64_t stripe;
   };
 
   [[nodiscard]] Mapping map(Lba logical) const;
+  [[nodiscard]] std::uint32_t parity_disk_for(std::uint64_t stripe) const;
   [[nodiscard]] std::uint32_t data_disk_for(std::uint64_t stripe,
                                             std::uint32_t unit_index) const;
+  /// The logical block member `disk` holds in `row` (a physical block
+  /// address, the same on every member); nullopt where it holds parity.
+  [[nodiscard]] std::optional<Lba> block_on(Lba row,
+                                            std::uint32_t disk) const;
   /// Charges one controller slot on the read or write channel; returns
   /// the time the member-disk request may begin.
   sim::Time controller(sim::Time start, bool is_write);
-  /// XOR of the blocks at physical `plba` on every member but `skip`
-  /// (num_disks folds them all), into a fresh frame.
-  [[nodiscard]] core::BufRef fold_members(Lba plba, std::uint32_t skip) const;
-  /// XOR across all members is zero for every unit of `stripe`.
-  [[nodiscard]] bool stripe_parity_clean(std::uint64_t stripe) const;
+  /// XOR of `first` and the stored data blocks of `row` on every member
+  /// but `skip`, into a fresh frame.
+  [[nodiscard]] core::BufRef fold_row(Lba row, core::BufRef first,
+                                      std::uint32_t skip) const;
 
   Raid5Config config_;
   std::uint64_t logical_blocks_;
-  std::vector<std::unique_ptr<Disk>> disks_;
+  std::vector<Disk> disks_;
+  // The volume's bytes by logical block: the callers' frames, adopted.
+  // A failed member's blocks are absent until rebuild_disk().
+  std::unordered_map<Lba, core::BufRef> data_;
+  // Parity by row; empty unless a member is down.
+  std::unordered_map<Lba, core::BufRef> parity_;
   sim::Time ctrl_read_busy_ = 0;
   sim::Time ctrl_write_busy_ = 0;
   int failed_disk_ = -1;
-  bool audit_ = false;
 };
 
 }  // namespace netstore::block

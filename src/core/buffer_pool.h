@@ -1,12 +1,12 @@
 // core::BufferPool — a slab-backed, refcounted copy-on-write page store
 // for the 4 KB blocks that flow through the data path.
 //
-// Every cache layer (block::Disk, block::TimedCache, fs::Bcache,
-// fs::PageCache, the NFS client page cache) holds pages as core::BufRef
-// handles instead of owning unique_ptr<BlockBuf> allocations.  That buys
-// two things at once:
+// Every store and cache layer (block::Raid5Array, block::TimedCache,
+// fs::Bcache, fs::PageCache, the NFS client page cache) holds pages as
+// core::BufRef handles instead of owning unique_ptr<BlockBuf>
+// allocations.  That buys two things at once:
 //
-//   * a page crosses layers by reference: handing a frame from the disk
+//   * a page crosses layers by reference: handing a frame from the array
 //     store to a cache copies a refcounted handle, never page bytes.  A
 //     shared page is un-shared lazily, on its first write.
 //   * the steady state is allocation-free: frames released by cache

@@ -84,9 +84,9 @@ struct SystemConfig {
   sim::Duration cpu_sample_period = sim::seconds(2);
 
   // Runtime invariant audits across the whole stack: event-queue dispatch
-  // order (sim::Env), RAID-5 parity spot-checks after every write, and
-  // journal commit-ordering.  Off by default — audits re-read stripes and
-  // add per-event checks; tests turn them on.
+  // order (sim::Env), journal commit ordering, and ext3's directory index
+  // against its blocks.  Off by default — audits add per-event and
+  // per-lookup checks; tests turn them on.
   bool invariant_audits = false;
 };
 

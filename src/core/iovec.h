@@ -19,8 +19,9 @@
 // pool.bytes_copied == bytes_read + bytes_written exactly
 // (tools/check_report.py enforces <= on every validated pool snapshot).
 // Any other memcpy on frame memory is either semantically required and
-// byte-small (ext3 metadata, parity folds, sub-block merges — suppressed
-// case by case) or a bug the raw-datapath-memcpy lint rule flags.
+// byte-small (ext3 metadata, sub-block merges, the NFS EOF tail —
+// suppressed case by case) or a bug the raw-datapath-memcpy lint rule
+// flags.
 #pragma once
 
 #include <cstdint>

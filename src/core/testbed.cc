@@ -78,7 +78,6 @@ Testbed::Testbed(Protocol protocol, TestbedConfig config)
       config_.system.volume_blocks / (config_.system.raid.num_disks - 1) +
       config_.system.raid.stripe_unit_blocks;
   raid_ = std::make_unique<block::Raid5Array>(config_.system.raid);
-  raid_->set_audit(config_.system.invariant_audits);
 
   if (protocol_ == Protocol::kIscsi) {
     build_iscsi();
@@ -233,6 +232,9 @@ void Testbed::build_nfs() {
                              proc != nfs::Proc::kCommit;
         if (is_meta) layers += config_.system.cpu.nfs_meta_miss_layers / 2;
         sim::Duration d = config_.system.cpu.server_layer * layers;
+        // `bytes` is request plus reply payload (file handle, arguments
+        // and attributes around the data), so a 4 KB READ or WRITE rounds
+        // up to two pages of per-page cost.
         if (!is_meta) {
           const sim::Duration per_page =
               proc == nfs::Proc::kWrite ? config_.system.cpu.server_per_page_write

@@ -72,12 +72,8 @@ class Bcache {
   /// Crash: drops everything including dirty blocks (data loss).
   void crash();
 
-  [[nodiscard]] std::uint64_t resident() const { return map_.size(); }
   [[nodiscard]] const sim::Counter& hits() const { return hits_; }
   [[nodiscard]] const sim::Counter& misses() const { return misses_; }
-  /// Non-const access for MetricsRegistry adoption (src/obs).
-  [[nodiscard]] sim::Counter& hits_counter() { return hits_; }
-  [[nodiscard]] sim::Counter& misses_counter() { return misses_; }
 
  private:
   struct Entry {

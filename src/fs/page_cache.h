@@ -93,8 +93,6 @@ class PageCache {
   void crash();
 
   [[nodiscard]] const PageCacheStats& stats() const { return stats_; }
-  /// Non-const access for MetricsRegistry adoption (src/obs).
-  [[nodiscard]] PageCacheStats& mutable_stats() { return stats_; }
   [[nodiscard]] std::uint64_t resident_pages() const { return pages_.size(); }
   [[nodiscard]] std::uint64_t dirty_pages() const { return dirty_count_; }
   /// Host work, not simulated behaviour: pages examined so far by

@@ -66,8 +66,6 @@ class Target {
   /// Power-loss crash: cached dirty data is gone.
   void crash() { cache_.crash(); }
 
-  [[nodiscard]] block::TimedCache& cache() { return cache_; }
-
  private:
   /// Command prologue shared by both entry points: resets `result`,
   /// charges the cost hook, and rejects an LBA range past the volume

@@ -135,7 +135,6 @@ class NfsClient {
   [[nodiscard]] const ClientStats& stats() const { return stats_; }
   /// Non-const access for MetricsRegistry adoption (src/obs).
   [[nodiscard]] ClientStats& mutable_stats() { return stats_; }
-  [[nodiscard]] rpc::RpcTransport& transport() { return rpc_; }
 
   /// §7: forces the delegated-update queue out now (tests/benches).
   void flush_delegated_updates();

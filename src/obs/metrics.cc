@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#include <limits>
-
 #include "core/check.h"
 
 namespace netstore::obs {
@@ -40,20 +38,6 @@ sim::Sampler& MetricsRegistry::sampler(const std::string& key) {
   return *metrics_.emplace(key, std::move(m)).first->second.sampler;
 }
 
-sim::Histogram& MetricsRegistry::histogram(const std::string& key,
-                                           std::vector<double> bounds) {
-  auto it = metrics_.find(key);
-  if (it != metrics_.end()) {
-    NETSTORE_CHECK(it->second.kind == MetricValue::Kind::kHistogram,
-                   ("metric key reused as a different kind: " + key).c_str());
-    return *it->second.owned_histogram;
-  }
-  Metric m;
-  m.kind = MetricValue::Kind::kHistogram;
-  m.owned_histogram = std::make_unique<sim::Histogram>(std::move(bounds));
-  return *metrics_.emplace(key, std::move(m)).first->second.owned_histogram;
-}
-
 void MetricsRegistry::adopt_counter(const std::string& key, sim::Counter& c) {
   check_fresh(key);
   Metric m;
@@ -83,17 +67,6 @@ MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
         v.count = m.sampler->count();
         v.summary = m.sampler->summary();
         break;
-      case MetricValue::Kind::kHistogram: {
-        const sim::Histogram& h = *m.owned_histogram;
-        v.count = h.total();
-        for (std::size_t i = 0; i < h.bucket_count(); ++i) {
-          const double bound = i < h.bounds().size()
-                                   ? h.bounds()[i]
-                                   : std::numeric_limits<double>::infinity();
-          v.buckets.emplace_back(bound, h.bucket(i));
-        }
-        break;
-      }
     }
     out.emplace(key, std::move(v));
   }
@@ -115,13 +88,6 @@ MetricsRegistry::Snapshot MetricsRegistry::diff(const Snapshot& newer,
                             "snapshot diff: counter went backwards");
           v.count = nv.count - it->second.count;
           break;
-        case MetricValue::Kind::kHistogram:
-          v.count = nv.count - it->second.count;
-          for (std::size_t i = 0;
-               i < v.buckets.size() && i < it->second.buckets.size(); ++i) {
-            v.buckets[i].second -= it->second.buckets[i].second;
-          }
-          break;
         case MetricValue::Kind::kSampler:
           break;  // samples are not invertible; keep the newer summary
       }
@@ -139,9 +105,6 @@ void MetricsRegistry::reset() {
         break;
       case MetricValue::Kind::kSampler:
         m.sampler->reset();
-        break;
-      case MetricValue::Kind::kHistogram:
-        m.owned_histogram->reset();
         break;
     }
   }

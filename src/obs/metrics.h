@@ -1,14 +1,14 @@
 // MetricsRegistry: the single naming authority for every measurement the
 // testbed exposes.
 //
-// Every counter, sampler and histogram is reachable under a hierarchical,
+// Every counter and sampler is reachable under a hierarchical,
 // dot-separated key ("link.c2s.bytes", "rpc.calls",
 // "trace.component.media_us"), replacing the per-class getter sprawl the
 // paper-table benches used to navigate.  The registry supports two
 // registration styles:
 //
-//   * owned metrics   — created on first use via counter()/sampler()/
-//                       histogram(); the registry owns storage.
+//   * owned metrics   — created on first use via counter()/sampler();
+//                       the registry owns storage.
 //   * adopted metrics — existing component members (link traffic counters,
 //                       cache hit counters, ...) registered by reference so
 //                       legacy ownership stays put while snapshots see one
@@ -27,7 +27,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "sim/stats.h"
 
@@ -35,16 +34,13 @@ namespace netstore::obs {
 
 /// Value of one metric at snapshot time.
 struct MetricValue {
-  enum class Kind { kCounter, kSampler, kHistogram };
+  enum class Kind { kCounter, kSampler };
 
   Kind kind = Kind::kCounter;
-  // kCounter: the count.  kHistogram: total records.  kSampler: count.
+  // kCounter: the count.  kSampler: count.
   std::uint64_t count = 0;
   // kSampler only.
   sim::Sampler::Summary summary;
-  // kHistogram only: (upper bound, count) per bucket; the final entry is
-  // the overflow bucket with an infinite bound.
-  std::vector<std::pair<double, std::uint64_t>> buckets;
 };
 
 class MetricsRegistry {
@@ -58,8 +54,6 @@ class MetricsRegistry {
   // --- owned metrics (created on first use) ---------------------------
   sim::Counter& counter(const std::string& key);
   sim::Sampler& sampler(const std::string& key);
-  sim::Histogram& histogram(const std::string& key,
-                            std::vector<double> bounds);
 
   // --- adopted metrics (component-owned storage) ----------------------
   void adopt_counter(const std::string& key, sim::Counter& c);
@@ -74,8 +68,8 @@ class MetricsRegistry {
   /// Values of every metric, ordered by key.
   [[nodiscard]] Snapshot snapshot() const;
 
-  /// Counter-wise difference `newer - older`: counters and histogram
-  /// bucket counts subtract; sampler values are taken from `newer`
+  /// Counter-wise difference `newer - older`: counters subtract;
+  /// sampler values are taken from `newer`
   /// unchanged (samples are not invertible).  Keys present only in
   /// `newer` pass through; keys present only in `older` are dropped.
   [[nodiscard]] static Snapshot diff(const Snapshot& newer,
@@ -92,7 +86,6 @@ class MetricsRegistry {
     sim::Sampler* sampler = nullptr;
     std::unique_ptr<sim::Counter> owned_counter;
     std::unique_ptr<sim::Sampler> owned_sampler;
-    std::unique_ptr<sim::Histogram> owned_histogram;
   };
 
   void check_fresh(const std::string& key) const;

@@ -57,8 +57,9 @@ void RpcTransport::call(std::uint32_t request_payload,
 sim::Time RpcTransport::call_async(std::uint32_t request_payload,
                                    std::uint32_t reply_payload,
                                    ServerWork work) {
-  // Write-behind traffic: the caller does not wait for this exchange, so
-  // none of its time may bill the active request's span.
+  // Write-behind traffic: the caller does not wait for the wire or the
+  // reply, so none of the exchange may bill the active request's span.
+  // Time `work` advances still moves the caller's clock (see rpc.h).
   obs::SuspendGuard guard(env_.tracer());
   return exchange(request_payload, reply_payload, work);
 }

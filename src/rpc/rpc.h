@@ -60,8 +60,11 @@ class RpcTransport {
   void call(std::uint32_t request_payload, std::uint32_t reply_payload,
             ServerWork work);
 
-  /// Asynchronous call (unstable WRITEs): performs the exchange without
-  /// blocking; returns the reply's arrival time.
+  /// Asynchronous call (unstable WRITEs): the caller does not wait for
+  /// the wire legs or the reply, and the exchange bills no traced
+  /// component; returns the reply's arrival time.  `work` still runs on
+  /// the caller's clock, so whatever it advances (the NFS server's CPU
+  /// charge) the caller waits for, in its span's residual.
   sim::Time call_async(std::uint32_t request_payload,
                        std::uint32_t reply_payload, ServerWork work);
 

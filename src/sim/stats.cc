@@ -57,21 +57,4 @@ Sampler::Summary Sampler::summary() const {
   return s;
 }
 
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  NETSTORE_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()),
-                 "histogram bounds must ascend");
-  counts_.assign(bounds_.size() + 1, 0);
-}
-
-void Histogram::record(double v) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  counts_[static_cast<std::size_t>(it - bounds_.begin())]++;
-  total_++;
-}
-
-void Histogram::reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  total_ = 0;
-}
-
 }  // namespace netstore::sim

@@ -70,25 +70,4 @@ class Sampler {
   mutable bool sorted_valid_ = false;
 };
 
-/// Fixed-boundary histogram for message-size / latency distributions.
-class Histogram {
- public:
-  /// `bounds` are the upper edges of each bucket, ascending; an overflow
-  /// bucket is added automatically.
-  explicit Histogram(std::vector<double> bounds);
-
-  void record(double v);
-  void reset();
-
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
 }  // namespace netstore::sim

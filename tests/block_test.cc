@@ -1,5 +1,5 @@
-// Unit tests for the block layer: disk timing, RAID-5 data/parity
-// correctness (including degraded mode and rebuild), caches.
+// Unit tests for the block layer: disk timing, RAID-5 data and parity
+// correctness (degraded mode, rebuild, a second failure), caches.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -73,16 +73,6 @@ TEST(DiskTest, ReadsDontQueueBehindWrites) {
   EXPECT_LT(r, sim::milliseconds(10));
 }
 
-TEST(DiskTest, DataRoundTrips) {
-  Disk disk(DiskConfig{});
-  const core::BufRef in = frames(pattern(kBlockSize, 0))[0];
-  disk.write_ref(42, in);
-  const core::BufRef out = disk.read_ref(42);
-  EXPECT_EQ(out.data(), in.data());  // adopted, not copied
-  EXPECT_EQ(out.block(), in.block());
-  EXPECT_EQ(disk.read_ref(43).block(), BlockBuf{});  // never written: zeros
-}
-
 class Raid5Test : public ::testing::Test {
  protected:
   Raid5Test() {
@@ -99,10 +89,15 @@ TEST_F(Raid5Test, CapacityIsDataDisks) {
 
 TEST_F(Raid5Test, WriteReadRoundTrip) {
   const auto data = pattern(kBlockSize * 3, 7);
-  raid_->write(0, 100, frames(data));
+  const std::vector<core::BufRef> in = frames(data);
+  raid_->write(0, 100, in);
   std::vector<core::BufRef> out;
   raid_->read(0, 100, 3, out);
   EXPECT_EQ(data, bytes(out));
+  EXPECT_EQ(out[0].data(), in[0].data());  // adopted, not copied
+  out.clear();
+  raid_->read(0, 103, 1, out);
+  EXPECT_EQ(out[0].block(), BlockBuf{});  // never written: zeros
 }
 
 TEST_F(Raid5Test, FullStripeWriteRoundTrip) {
@@ -134,7 +129,7 @@ TEST_F(Raid5Test, DegradedWriteThenRebuild) {
   raid_->read(0, 0, 64, out);
   EXPECT_EQ(after, bytes(out));
 
-  raid_->rebuild_disk(2, 128);
+  raid_->rebuild_disk(2);
   ASSERT_FALSE(raid_->degraded());
   out.clear();
   raid_->read(0, 0, 64, out);
@@ -179,24 +174,63 @@ TEST_F(Raid5Test, DegradedPartialWritesSurviveRebuildAndASecondFailure) {
   // fails take both degraded branches: folding the new block into parity
   // and writing data with no parity left to update.
   std::vector<std::uint8_t> image = random_bytes(kBlockSize * 256);
+  const auto small_writes = [&](int count) {
+    for (int op = 0; op < count; ++op) {
+      const auto n = static_cast<std::uint32_t>(1 + rng.uniform(6));
+      const Lba lba = rng.uniform(256 - n + 1);
+      const auto data = random_bytes(kBlockSize * n);
+      raid_->write(0, lba, frames(data));
+      std::copy(data.begin(), data.end(),
+                image.begin() + static_cast<std::ptrdiff_t>(lba * kBlockSize));
+    }
+  };
   raid_->write(0, 0, frames(image));
   raid_->fail_disk(3);
-  for (int op = 0; op < 200; ++op) {
-    const auto n = static_cast<std::uint32_t>(1 + rng.uniform(6));
-    const Lba lba = rng.uniform(256 - n + 1);
-    const auto data = random_bytes(kBlockSize * n);
-    raid_->write(0, lba, frames(data));
-    std::copy(data.begin(), data.end(),
-              image.begin() + static_cast<std::ptrdiff_t>(lba * kBlockSize));
-  }
+  small_writes(200);
   EXPECT_EQ(image, read_all());
 
-  raid_->rebuild_disk(3, 256);
+  raid_->rebuild_disk(3);
   ASSERT_FALSE(raid_->degraded());
-  EXPECT_TRUE(raid_->verify_parity(256));
+  EXPECT_EQ(image, read_all());
 
+  // Healthy writes between the failures: any parity left over from the
+  // first one would now be stale.
+  small_writes(50);
   raid_->fail_disk(0);
   EXPECT_EQ(image, read_all());
+  raid_->rebuild_disk(0);
+  ASSERT_FALSE(raid_->degraded());
+  EXPECT_EQ(image, read_all());
+}
+
+TEST_F(Raid5Test, UnwrittenUnitOfAFailedMemberReadsAsZeros) {
+  // Stripe 0 keeps parity on member 4 and unit u on member u, so row 0
+  // holds logical blocks 0, 16, 32 and 48.  Write every unit of the row
+  // but member 2's.
+  const Lba unit = cfg_.stripe_unit_blocks;
+  const std::vector<Lba> written{0, unit, 3 * unit};
+  const Lba unwritten = 2 * unit;
+  std::vector<std::vector<std::uint8_t>> data;
+  for (std::size_t k = 0; k < written.size(); ++k) {
+    data.push_back(pattern(kBlockSize, static_cast<std::uint8_t>(40 * k + 1)));
+    raid_->write(0, written[k], frames(data.back()));
+  }
+  const auto read_one = [this](Lba lba) {
+    std::vector<core::BufRef> out;
+    raid_->read(0, lba, 1, out);
+    return bytes(out);
+  };
+  const auto check_row = [&] {
+    EXPECT_EQ(read_one(unwritten), std::vector<std::uint8_t>(kBlockSize, 0));
+    for (std::size_t k = 0; k < written.size(); ++k) {
+      EXPECT_EQ(read_one(written[k]), data[k]) << "unit at " << written[k];
+    }
+  };
+  raid_->fail_disk(2);
+  check_row();
+  raid_->rebuild_disk(2);
+  ASSERT_FALSE(raid_->degraded());
+  check_row();
 }
 
 TEST(TimedCacheTest, WritesAckAtMemorySpeed) {

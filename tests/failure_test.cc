@@ -103,7 +103,7 @@ TEST(FailureTest, RebuildAfterFailureRestoresRedundancy) {
   bed.cold_caches();
 
   bed.raid().fail_disk(0);
-  bed.raid().rebuild_disk(0, 64 * 1024);  // rebuild the used region
+  bed.raid().rebuild_disk(0);
   // A different spindle can now fail without data loss.
   bed.raid().fail_disk(1);
   auto fd2 = bed.vfs().open("/f");

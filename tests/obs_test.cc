@@ -85,22 +85,6 @@ TEST(MetricsRegistry, SnapshotDiffSubtractsCountersAndKeepsNewerSamplers) {
   EXPECT_DOUBLE_EQ(d.at("s").summary.max, 3.0);
 }
 
-TEST(MetricsRegistry, HistogramSnapshotsBucketsWithOverflow) {
-  MetricsRegistry reg;
-  sim::Histogram& h = reg.histogram("h", {10.0, 100.0});
-  h.record(5);
-  h.record(50);
-  h.record(500);
-  const auto snap = reg.snapshot();
-  const MetricValue& v = snap.at("h");
-  EXPECT_EQ(v.kind, MetricValue::Kind::kHistogram);
-  EXPECT_EQ(v.count, 3u);
-  ASSERT_EQ(v.buckets.size(), 3u);  // two bounded + overflow
-  EXPECT_EQ(v.buckets[0].second, 1u);
-  EXPECT_EQ(v.buckets[1].second, 1u);
-  EXPECT_EQ(v.buckets[2].second, 1u);
-}
-
 // --- Tracer -----------------------------------------------------------
 
 TEST(Tracer, ResidualAbsorbsUnattributedTime) {
