@@ -40,24 +40,21 @@ inline void print_header(const char* title, const char* paper_ref) {
 /// Command-line options every bench binary supports.
 struct Options {
   std::string json_path;  // --json <path>: write an obs::Report as JSON
-  std::string csv_path;   // --csv <path>: same tables as CSV
 };
 
 inline Options parse_args(int argc, char** argv) {
   Options opts;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const bool is_json = arg == "--json";
-    if (is_json || arg == "--csv") {
+    if (arg == "--json") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s requires a path argument\n", arg.c_str());
         std::exit(2);
       }
-      (is_json ? opts.json_path : opts.csv_path) = argv[++i];
+      opts.json_path = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "unknown argument: %s\nusage: %s [--json <path>] "
-                   "[--csv <path>]\n",
+                   "unknown argument: %s\nusage: %s [--json <path>]\n",
                    arg.c_str(), argv[0]);
       std::exit(2);
     }
@@ -89,7 +86,7 @@ inline obs::MetricsRegistry::Snapshot pool_snapshot() {
   return snap;
 }
 
-/// Writes the report to any requested sinks; returns the process exit code.
+/// Writes the report if --json asked for it; returns the process exit code.
 /// With NETSTORE_POOL_STATS set, a "pool" snapshot (BufferPool telemetry)
 /// is appended first.  Off by default: pool counters are process-wide and
 /// depend on what else the process ran, and the golden digests of the
@@ -99,16 +96,11 @@ inline int finish(const Options& opts, obs::Report& report) {
   if (ps != nullptr && ps[0] != '\0' && ps[0] != '0') {
     report.add_snapshot("pool", pool_snapshot());
   }
-  int rc = 0;
   if (!opts.json_path.empty() &&
       !obs::Report::write_file(opts.json_path, report.json())) {
-    rc = 1;
+    return 1;
   }
-  if (!opts.csv_path.empty() &&
-      !obs::Report::write_file(opts.csv_path, report.csv())) {
-    rc = 1;
-  }
-  return rc;
+  return 0;
 }
 
 }  // namespace netstore::bench

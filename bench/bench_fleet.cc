@@ -48,8 +48,6 @@ FleetOptions parse_fleet_args(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--json") {
       o.out.json_path = need_value(i++);
-    } else if (arg == "--csv") {
-      o.out.csv_path = need_value(i++);
     } else if (arg == "--max-clients") {
       o.max_clients = std::strtoull(need_value(i++), nullptr, 10);
     } else if (arg == "--ops") {
@@ -59,8 +57,7 @@ FleetOptions parse_fleet_args(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "unknown argument: %s\nusage: %s [--json <path>] "
-                   "[--csv <path>] [--max-clients <n>] [--ops <n>] "
-                   "[--seed <n>]\n",
+                   "[--max-clients <n>] [--ops <n>] [--seed <n>]\n",
                    arg.c_str(), argv[0]);
       std::exit(2);
     }

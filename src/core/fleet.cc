@@ -70,11 +70,15 @@ void Fleet::setup() {
   // Flyweight client state: ~64 B each, so 1M clients fit in tens of MB.
   // Rng streams are decorrelated by full-avalanche mixing of (seed, id).
   clients_.resize(workload_.clients);
+  std::vector<Arrival> first;
+  first.reserve(clients_.size());
   for (std::uint64_t c = 0; c < workload_.clients; ++c) {
     Client& cl = clients_[c];
     cl.rng.reseed(sim::mix64(workload_.seed ^ sim::mix64(c + 1)));
-    arrivals_.push(Arrival{start + think(cl), c});
+    first.push_back(Arrival{start + think(cl), c});
   }
+  // One heapify over every first arrival, not one push per client.
+  arrivals_ = decltype(arrivals_)(Later{}, std::move(first));
 
   if (world_->is_nfs()) {
     // Per-(client, object) validation times: the flat matrix is the whole
@@ -155,7 +159,8 @@ void Fleet::run() {
   sim::Env& env = world_->env();
 
   for (std::uint64_t done = 0; done < workload_.ops; ++done) {
-    const Arrival head = arrivals_.pop();
+    const Arrival head = arrivals_.top();
+    arrivals_.pop();
     Client& cl = clients_[head.client];
 
     // Open-loop queueing: an arrival in the future means the server is

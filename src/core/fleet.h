@@ -38,13 +38,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/config.h"
 #include "core/testbed.h"
-#include "sim/event_heap.h"
 #include "sim/rng.h"
 
 namespace netstore::core {
@@ -100,10 +100,11 @@ class Fleet {
     sim::Time at;
     std::uint64_t client;
   };
-  struct Sooner {
+  /// Heap order: `a` is served after `b`.
+  struct Later {
     bool operator()(const Arrival& a, const Arrival& b) const {
-      if (a.at != b.at) return a.at < b.at;
-      return a.client < b.client;
+      if (a.at != b.at) return a.at > b.at;
+      return a.client > b.client;
     }
   };
 
@@ -121,7 +122,7 @@ class Fleet {
   sim::ZipfSampler zipf_;
   std::unique_ptr<Testbed> world_;
   std::vector<Client> clients_;  // indexed by client id
-  sim::DaryHeap<Arrival, Sooner> arrivals_;
+  std::priority_queue<Arrival, std::vector<Arrival>, Later> arrivals_;
 
   // NFS coherence state, empty on iSCSI worlds: validated_[c*D + d] is
   // the last time client c validated shared object d (-1 = never), and

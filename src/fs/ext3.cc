@@ -35,6 +35,30 @@ std::vector<std::string> split_path(const std::string& path) {
 std::uint8_t type_to_raw(FileType t) { return static_cast<std::uint8_t>(t); }
 FileType raw_to_type(std::uint8_t t) { return static_cast<FileType>(t); }
 
+/// First-fit search: the lowest clear bit among the first `nbits` bits of
+/// `map` (bit i is bit i % 8 of byte i / 8), or `nbits` if all are set.
+/// Scans 64 bits at a time, so a partial last word also reads bits past
+/// `nbits`; mkfs keeps nbits <= 8 * kBlockSize, so they lie in the block.
+std::uint32_t first_clear_bit(const block::BlockBuf& map,
+                              std::uint32_t nbits) {
+  NETSTORE_DCHECK_LE(nbits, 8 * kBlockSize);
+  for (std::uint32_t base = 0; base < nbits; base += 64) {
+    // Eight bytes as one little-endian word, so word bit i is map bit
+    // base + i.  Spelled out over a pointer, GCC compiles it to one load.
+    const std::uint8_t* p = map.data() + base / 8;
+    const std::uint64_t word =
+        std::uint64_t{p[0]} | std::uint64_t{p[1]} << 8 |
+        std::uint64_t{p[2]} << 16 | std::uint64_t{p[3]} << 24 |
+        std::uint64_t{p[4]} << 32 | std::uint64_t{p[5]} << 40 |
+        std::uint64_t{p[6]} << 48 | std::uint64_t{p[7]} << 56;
+    if (word != ~std::uint64_t{0}) {
+      const auto ones = static_cast<std::uint32_t>(std::countr_one(word));
+      return std::min(nbits, base + ones);
+    }
+  }
+  return nbits;
+}
+
 }  // namespace
 
 Ext3Fs::Ext3Fs(sim::Env& env, block::BlockDevice& dev, Ext3Params params)
@@ -52,6 +76,11 @@ void Ext3Fs::mkfs(block::BlockDevice& dev, const MkfsOptions& opts) {
       (total + kBlocksPerGroup - 1) / kBlocksPerGroup);
   if (ngroups == 0 || ngroups * GroupDesc::kEncodedSize > kBlockSize) {
     throw std::invalid_argument("unsupported volume size");
+  }
+  // The inode bitmap is one block, and the root inode needs a table block.
+  if (opts.inodes_per_group < kInodesPerBlock ||
+      opts.inodes_per_group > 8 * kBlockSize) {
+    throw std::invalid_argument("unsupported inodes_per_group");
   }
   const std::uint32_t itable_blocks =
       opts.inodes_per_group / kInodesPerBlock;
@@ -332,16 +361,15 @@ Result<Ino> Ext3Fs::alloc_inode(bool is_dir, std::uint32_t parent_group) {
   if (group >= sb_.group_count) return Err::kNoSpace;
 
   block::BlockBuf& bitmap = bcache_->get(groups_[group].inode_bitmap);
-  for (std::uint32_t i = 0; i < sb_.inodes_per_group; ++i) {
-    if ((bitmap[i / 8] & (1u << (i % 8))) == 0) {
-      bitmap[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-      journal_->dirty_metadata(groups_[group].inode_bitmap);
-      groups_[group].free_inodes--;
-      update_group_desc(group);
-      return static_cast<Ino>(group) * sb_.inodes_per_group + i + 1;
-    }
+  const std::uint32_t i = first_clear_bit(bitmap, sb_.inodes_per_group);
+  if (i == sb_.inodes_per_group) {
+    return Err::kNoSpace;  // GDT count was stale; should not happen
   }
-  return Err::kNoSpace;  // GDT count was stale; should not happen
+  bitmap[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+  journal_->dirty_metadata(groups_[group].inode_bitmap);
+  groups_[group].free_inodes--;
+  update_group_desc(group);
+  return static_cast<Ino>(group) * sb_.inodes_per_group + i + 1;
 }
 
 void Ext3Fs::free_inode(Ino ino) {
@@ -363,18 +391,13 @@ Result<Lba> Ext3Fs::alloc_block(std::uint32_t goal_group) {
     const std::uint32_t g = (goal_group + i) % sb_.group_count;
     if (groups_[g].free_blocks == 0) continue;
     block::BlockBuf& bitmap = bcache_->get(groups_[g].block_bitmap);
-    for (std::uint32_t byte = 0; byte < kBlockSize; ++byte) {
-      if (bitmap[byte] == 0xFF) continue;
-      for (std::uint32_t bit = 0; bit < 8; ++bit) {
-        if ((bitmap[byte] & (1u << bit)) == 0) {
-          bitmap[byte] |= static_cast<std::uint8_t>(1u << bit);
-          journal_->dirty_metadata(groups_[g].block_bitmap);
-          groups_[g].free_blocks--;
-          update_group_desc(g);
-          return static_cast<Lba>(g) * kBlocksPerGroup + byte * 8 + bit;
-        }
-      }
-    }
+    const std::uint32_t bit = first_clear_bit(bitmap, kBlocksPerGroup);
+    if (bit == kBlocksPerGroup) continue;
+    bitmap[bit / 8] |= static_cast<std::uint8_t>(1u << (bit % 8));
+    journal_->dirty_metadata(groups_[g].block_bitmap);
+    groups_[g].free_blocks--;
+    update_group_desc(g);
+    return static_cast<Lba>(g) * kBlocksPerGroup + bit;
   }
   return Err::kNoSpace;
 }

@@ -30,7 +30,7 @@
 #include "fs/page_cache.h"
 #include "fs/types.h"
 #include "sim/env.h"
-#include "sim/task.h"
+#include "sim/func_ref.h"
 
 namespace netstore::fs {
 

@@ -25,9 +25,9 @@
 #include "core/buffer_pool.h"
 #include "core/intrusive_lru.h"
 #include "sim/env.h"
+#include "sim/func_ref.h"
 #include "sim/rng.h"
 #include "sim/stats.h"
-#include "sim/task.h"
 #include "fs/types.h"
 
 namespace netstore::fs {

@@ -137,16 +137,6 @@ sim::Time Initiator::issue_write(block::Lba lba,
   return link_.send_at(Direction::kServerToClient, pdu_size(0), served);
 }
 
-void Initiator::reserve_queue_slot() {
-  while (!outstanding_.empty() && outstanding_.top() <= env_.now()) {
-    outstanding_.pop();
-  }
-  while (outstanding_.size() >= params_.queue_depth) {
-    env_.advance_to(outstanding_.top());
-    outstanding_.pop();
-  }
-}
-
 void Initiator::read(block::Lba lba, std::uint32_t nblocks,
                      std::vector<core::BufRef>& out) {
   std::uint32_t done = 0;
@@ -175,22 +165,17 @@ void Initiator::write(block::Lba lba, std::span<const core::BufRef> blocks,
   sim::Time last = env_.now();
   for (std::size_t done = 0; done < blocks.size();) {
     const std::size_t n = std::min(blocks.size() - done, burst_blocks);
-    reserve_queue_slot();
+    outstanding_.reserve(env_, params_.queue_depth);
     const sim::Time complete =
         issue_write(lba + done, blocks.subspan(done, n));
-    outstanding_.push(complete);
+    outstanding_.add(complete);
     last = std::max(last, complete);
     done += n;
   }
   if (mode == block::WriteMode::kSync) env_.advance_to(last);
 }
 
-void Initiator::flush() {
-  while (!outstanding_.empty()) {
-    env_.advance_to(outstanding_.top());
-    outstanding_.pop();
-  }
-}
+void Initiator::flush() { outstanding_.drain(env_); }
 
 void Initiator::reset_stats() {
   exchanges_.reset();

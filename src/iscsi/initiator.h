@@ -19,7 +19,7 @@
 #include "iscsi/target.h"
 #include "net/link.h"
 #include "sim/env.h"
-#include "sim/event_heap.h"
+#include "sim/in_flight.h"
 #include "sim/stats.h"
 
 namespace netstore::iscsi {
@@ -88,10 +88,6 @@ class Initiator final : public block::BlockDevice {
   /// arrival time.  Does not block.
   sim::Time issue_write(block::Lba lba, std::span<const core::BufRef> blocks);
 
-  /// Pops completions that are already in the past; if the queue is still
-  /// full, blocks (advances the clock) until a slot frees up.
-  void reserve_queue_slot();
-
   sim::Env& env_;
   net::Link& link_;
   Target& target_;
@@ -99,8 +95,9 @@ class Initiator final : public block::BlockDevice {
   SessionState state_ = SessionState::kFree;
   InitiatorCostHook cost_hook_;
 
-  // Min-heap of outstanding async-write response arrival times.
-  sim::DaryHeap<sim::Time, std::less<sim::Time>> outstanding_;
+  // Outstanding async WRITEs' response arrival times, bounded by the
+  // session's queue depth.
+  sim::InFlight outstanding_;
 
   sim::Counter exchanges_;
   sim::Counter write_commands_;

@@ -213,7 +213,7 @@ void NfsClient::mount() {
 void NfsClient::unmount() {
   NETSTORE_CHECK(mounted_, "NFS client not mounted");
   flush_delegated_updates();
-  drain_writes();
+  write_pool_.drain(env_);
   invalidate_caches();
   mounted_ = false;
 }

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -32,6 +31,7 @@
 #include "core/intrusive_lru.h"
 #include "core/iovec.h"
 #include "sim/env.h"
+#include "sim/in_flight.h"
 #include "sim/stats.h"
 
 namespace netstore::nfs {
@@ -144,7 +144,7 @@ class NfsClient {
 
   /// Waits out every outstanding asynchronous WRITE RPC, advancing the
   /// clock to each completion (Testbed::quiesce() support).
-  void drain_pending_writes() { drain_writes(); }
+  void drain_pending_writes() { write_pool_.drain(env_); }
 
  private:
   // -- caches --
@@ -257,8 +257,6 @@ class NfsClient {
                     std::uint64_t eof_page, std::uint32_t chunk_pages);
   /// Demand READ RPC for `count` bytes at `off`; fills pages.
   fs::Status fetch_range(Fh fh, std::uint64_t off, std::uint32_t count);
-  void reserve_write_slot();
-  void drain_writes();
 
   // -- v4 helpers --
   void v4_open_sequence(Fh fh, FileState& st, bool with_access);
@@ -318,9 +316,9 @@ class NfsClient {
   std::unordered_map<Fh, FilePages> file_pages_;
   std::unordered_map<Fh, FileState> files_;
 
-  std::priority_queue<sim::Time, std::vector<sim::Time>,
-                      std::greater<sim::Time>>
-      write_pool_;
+  // Outstanding async WRITEs' completion times, bounded by
+  // config_.write_pool_slots.
+  sim::InFlight write_pool_;
 
   // §7 delegation state.
   std::vector<PendingUpdate> deleg_queue_;

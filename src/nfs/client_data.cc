@@ -239,7 +239,7 @@ fs::Status NfsClient::close(Fh fh) {
   }
   FileState& st = files_[fh];
   if (st.needs_commit) {
-    drain_writes();
+    write_pool_.drain(env_);
     if (config_.version != Version::kV2) {
       call(Proc::kCommit, WireSizes::kFh + 16, WireSizes::kAttrs,
            [&] { (void)server_.commit(to_real(fh)); });
@@ -262,7 +262,7 @@ fs::Status NfsClient::fsync(Fh fh) {
     fh = to_real(fh);
   }
   FileState& st = files_[fh];
-  drain_writes();
+  write_pool_.drain(env_);
   if (config_.version != Version::kV2 && st.needs_commit) {
     call(Proc::kCommit, WireSizes::kFh + 16, WireSizes::kAttrs,
          [&] { (void)server_.commit(to_real(fh)); });
@@ -416,25 +416,6 @@ fs::Result<std::uint32_t> NfsClient::read(Fh fh, std::uint64_t off,
 // write
 // ---------------------------------------------------------------------------
 
-void NfsClient::reserve_write_slot() {
-  while (!write_pool_.empty() && write_pool_.top() <= env_.now()) {
-    write_pool_.pop();
-  }
-  while (write_pool_.size() >= config_.write_pool_slots) {
-    // Pool full: pseudo-synchronous behaviour — the application blocks
-    // until the oldest outstanding WRITE completes.
-    env_.advance_to(write_pool_.top());
-    write_pool_.pop();
-  }
-}
-
-void NfsClient::drain_writes() {
-  while (!write_pool_.empty()) {
-    if (write_pool_.top() > env_.now()) env_.advance_to(write_pool_.top());
-    write_pool_.pop();
-  }
-}
-
 fs::Result<std::uint32_t> NfsClient::write(Fh fh, std::uint64_t off,
                                            std::span<const std::uint8_t> in) {
   if (delegated() && is_provisional(fh)) {
@@ -506,13 +487,15 @@ fs::Result<std::uint32_t> NfsClient::write(Fh fh, std::uint64_t off,
       });
       if (!out) return out.error();
     } else {
-      reserve_write_slot();
+      // With the pool full the application blocks until the earliest
+      // outstanding WRITE completes: pseudo-synchronous behaviour.
+      write_pool_.reserve(env_, config_.write_pool_slots);
       const std::uint64_t wpos = pos;
       const sim::Time completion = call_async(
           Proc::kWrite, WireSizes::kFh + 16 + chunk, WireSizes::kAttrs, [&] {
             (void)server_.write(real, wpos, iov, /*stable=*/false);
           });
-      write_pool_.push(completion);
+      write_pool_.add(completion);
       st.needs_commit = true;
     }
     done += chunk;

@@ -284,13 +284,13 @@ void NfsClient::ship_local_data(Fh provisional, Fh real) {
         iov.push_back(
             core::BufSlice{page.data, 0, std::min(kBlockSize, len - at)});
       }
-      reserve_write_slot();
+      write_pool_.reserve(env_, config_.write_pool_slots);
       const std::uint64_t woff = off;
       const sim::Time completion = call_async(
           Proc::kWrite, WireSizes::kFh + 16 + len, WireSizes::kAttrs, [&] {
             (void)server_.write(real, woff, iov, /*stable=*/false);
           });
-      write_pool_.push(completion);
+      write_pool_.add(completion);
       files_[real].needs_commit = true;
     }
     i += run;

@@ -63,18 +63,6 @@ std::string Cell::json() const {
   return "null";
 }
 
-std::string Cell::csv() const {
-  if (kind_ != Kind::kString) return json();  // numbers render identically
-  if (str_.find_first_of(",\"\n") == std::string::npos) return str_;
-  std::string out = "\"";
-  for (const char c : str_) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 void ReportTable::row(std::vector<Cell> cells) {
   NETSTORE_CHECK_EQ(cells.size(), columns.size(),
                     "report row width does not match the table header");
@@ -178,47 +166,6 @@ std::string Report::json() const {
     os << "}}";
   }
   os << "]}\n";
-  return os.str();
-}
-
-std::string Report::csv() const {
-  std::ostringstream os;
-  os << "# bench," << bench_ << "\n";
-  for (const auto& tp : tables_) {
-    const ReportTable& t = *tp;
-    os << "# table," << t.name << "\n";
-    for (std::size_t i = 0; i < t.columns.size(); ++i) {
-      if (i > 0) os << ",";
-      os << t.columns[i];
-    }
-    os << "\n";
-    for (const std::vector<Cell>& row : t.rows) {
-      for (std::size_t i = 0; i < row.size(); ++i) {
-        if (i > 0) os << ",";
-        os << row[i].csv();
-      }
-      os << "\n";
-    }
-  }
-  for (const auto& [label, snap] : snapshots_) {
-    os << "# snapshot," << label << "\n";
-    os << "key,kind,count,mean,min,max,p50,p95,p99,p999\n";
-    for (const auto& [key, v] : snap) {
-      const char* kind =
-          v.kind == MetricValue::Kind::kCounter ? "counter" : "sampler";
-      os << key << "," << kind << "," << v.count;
-      if (v.kind == MetricValue::Kind::kSampler) {
-        os << "," << format_double(v.summary.mean) << ","
-           << format_double(v.summary.min) << ","
-           << format_double(v.summary.max) << ","
-           << format_double(v.summary.p50) << ","
-           << format_double(v.summary.p95) << ","
-           << format_double(v.summary.p99) << ","
-           << format_double(v.summary.p999);
-      }
-      os << "\n";
-    }
-  }
   return os.str();
 }
 

@@ -44,8 +44,6 @@ class Cell {
   [[nodiscard]] Kind kind() const { return kind_; }
   /// JSON token for this cell (quoted+escaped string or bare number).
   [[nodiscard]] std::string json() const;
-  /// CSV field (quoted if it contains separators).
-  [[nodiscard]] std::string csv() const;
 
  private:
   Kind kind_;
@@ -86,7 +84,6 @@ class Report {
   [[nodiscard]] const std::string& bench() const { return bench_; }
 
   [[nodiscard]] std::string json() const;
-  [[nodiscard]] std::string csv() const;
 
   /// Writes `content` to `path`; returns false (and keeps going) on I/O
   /// error so a bad --json path never kills a long bench run.
@@ -99,7 +96,7 @@ class Report {
   std::vector<std::pair<std::string, MetricsRegistry::Snapshot>> snapshots_;
 };
 
-/// Fixed, locale-independent float formatting shared by JSON and CSV
+/// Fixed, locale-independent float formatting for the JSON export
 /// ("%.10g"; integral values render without a decimal point).
 [[nodiscard]] std::string format_double(double d);
 

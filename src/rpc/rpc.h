@@ -16,8 +16,8 @@
 
 #include "net/link.h"
 #include "sim/env.h"
+#include "sim/func_ref.h"
 #include "sim/stats.h"
-#include "sim/task.h"
 
 namespace netstore::rpc {
 

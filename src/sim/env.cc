@@ -9,15 +9,15 @@
 
 namespace netstore::sim {
 
-void Env::schedule_at(Time at, Task fn) {
+void Env::schedule_at(Time at, Callback fn) {
   // kNoEvent is reserved as the far-future sentinel; a deadline at it (or
   // a wrapped negative from an overflowing now+after) is a caller bug.
   NETSTORE_CHECK_LT(at, kNoEvent, "event deadline overflows sim::Time");
   timer_stats_.scheduled.add(1);
-  queue_.push(Event{at, next_seq_++, std::move(fn)});
+  queue_.emplace(std::make_pair(at, next_seq_++), std::move(fn));
 }
 
-void Env::schedule_after(Duration after, Task fn) {
+void Env::schedule_after(Duration after, Callback fn) {
   NETSTORE_CHECK_LE(after, kNoEvent - 1 - now_,
                     "event deadline overflows sim::Time");
   schedule_at(now_ + after, std::move(fn));
@@ -27,7 +27,7 @@ void Env::audit_pop(Time at, std::uint64_t seq, Time target) {
   NETSTORE_CHECK_LE(at, target, "event fired past the sweep target");
   // Between two pops with no intervening schedule_at (the sequence counter
   // is unchanged), the queue must yield events in strict (deadline, seq)
-  // order.  A violation means the heap or its ordering is corrupt —
+  // order.  A violation means the queue or its ordering is corrupt —
   // exactly the class of bug that silently reorders daemon work and breaks
   // run-to-run determinism.
   if (audit_has_last_pop_ && next_seq_ == audit_seq_snapshot_) {
@@ -46,20 +46,20 @@ void Env::audit_pop(Time at, std::uint64_t seq, Time target) {
 
 void Env::run_pending(Time target, bool drain_all) {
   while (!queue_.empty()) {
-    if (!drain_all && queue_.top().at > target) break;
-    // pop() moves the event out and leaves the heap consistent before the
-    // callback runs, so callbacks may schedule (push) re-entrantly.
-    Event ev = queue_.pop();
+    const auto [at, seq] = queue_.begin()->first;
+    if (!drain_all && at > target) break;
+    // The event leaves the map before its callback runs, so callbacks may
+    // schedule, advance or drain re-entrantly.
+    auto ev = queue_.extract(queue_.begin());
     timer_stats_.fired.add(1);
     if (audit_) {
-      audit_pop(ev.at, ev.seq,
-                drain_all ? (ev.at > now_ ? ev.at : now_) : target);
+      audit_pop(at, seq, drain_all ? (at > now_ ? at : now_) : target);
     }
-    if (ev.at > now_) now_ = ev.at;
+    if (at > now_) now_ = at;
     // Deferred daemon work must not bill the request whose advance
     // happens to dispatch it.
     obs::SuspendGuard guard(tracer_);
-    ev.fn();
+    ev.mapped()();
   }
 }
 

@@ -3,26 +3,25 @@
 // netstore uses a hybrid simulation style: protocol operations execute
 // synchronously in caller context and account for elapsed virtual time by
 // advancing the shared clock, while background activity (journal commit
-// daemons, dirty-page flushers, lease expiry) registers timed events that
-// fire whenever the clock sweeps past their deadline.  This keeps protocol
-// state machines readable (straight-line code, no callback chains) while
-// still modelling asynchronous daemons faithfully.
+// daemons, dirty-page flushers, delegation flushes) registers timed events
+// that fire whenever the clock sweeps past their deadline.  This keeps
+// protocol state machines readable (straight-line code, no callback
+// chains) while still modelling asynchronous daemons faithfully.
 //
-// Events hold a sim::Task (inline capture storage, no per-event
-// allocation) and wait in one 4-ary min-heap (event_heap.h) ordered by
-// (deadline, scheduling sequence): earlier deadlines first, FIFO among
-// equal deadlines.  That order is the determinism contract, and the audit
-// hooks re-verify it on every pop.  Paper workloads keep only a handful
-// of daemon events pending, so the heap is never the bottleneck
-// (DESIGN.md §12).
+// Events wait in one ordered map keyed by (deadline, scheduling
+// sequence): earlier deadlines first, FIFO among equal deadlines.  That
+// key order is the determinism contract, and the audit hooks re-verify it
+// on every dispatch.  Only those daemons schedule events, a few dozen per
+// workload run (DESIGN.md §12), so the queue is cold and is kept plain.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <map>
+#include <utility>
 
-#include "sim/event_heap.h"
 #include "sim/stats.h"
-#include "sim/task.h"
 #include "sim/time.h"
 
 namespace netstore::obs {
@@ -47,6 +46,11 @@ struct TimerStats {
 /// strictly single-threaded and deterministic.
 class Env {
  public:
+  /// A deferred event's work.  Owning, since the event outlives the call
+  /// that scheduled it.
+  // netstore-lint: allow(std-function-hot-path) -- cold: daemon events only
+  using Callback = std::function<void()>;
+
   Env() = default;
   Env(const Env&) = delete;
   Env& operator=(const Env&) = delete;
@@ -58,12 +62,12 @@ class Env {
   /// for the same instant run in scheduling order.  Events scheduled in the
   /// past run at the next advance.  `at` must be below kNoEvent (the
   /// far-future sentinel); NETSTORE_CHECK enforces it.
-  void schedule_at(Time at, Task fn);
+  void schedule_at(Time at, Callback fn);
 
   /// Schedules `fn` to run `after` from now.  NETSTORE_CHECKs that
   /// now() + after does not overflow Time: a silent wrap would file the
   /// event in the past.
-  void schedule_after(Duration after, Task fn);
+  void schedule_after(Duration after, Callback fn);
 
   /// Advances the clock to `t`, firing every event whose deadline is <= t
   /// in deadline order.  Events may schedule further events; those also run
@@ -108,21 +112,6 @@ class Env {
   [[nodiscard]] obs::Tracer* tracer() const { return tracer_; }
 
  private:
-  struct Event {
-    Time at;
-    std::uint64_t seq;  // tie-break: FIFO among same-deadline events
-    Task fn;
-  };
-  /// Min-heap ordering: earlier deadline pops first, scheduling order
-  /// breaks ties.  This pair ordering IS the determinism contract; the
-  /// audit hooks verify it on every pop.
-  struct Sooner {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at < b.at;
-      return a.seq < b.seq;
-    }
-  };
-
   /// Audit-mode dispatch bookkeeping (see set_audit).
   void audit_pop(Time at, std::uint64_t seq, Time target);
 
@@ -140,7 +129,10 @@ class Env {
   std::uint64_t audit_seq_snapshot_ = 0;
   std::uint64_t next_seq_ = 0;
   TimerStats timer_stats_;
-  DaryHeap<Event, Sooner> queue_;
+  /// Pending events keyed by (deadline, scheduling sequence): the map's
+  /// key order IS the determinism contract, and the audit hooks verify it
+  /// on every dispatch.
+  std::map<std::pair<Time, std::uint64_t>, Callback> queue_;
 };
 
 }  // namespace netstore::sim

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -520,6 +521,55 @@ TEST(FsShortLastGroupTest, AllocationStaysInsideTheDevice) {
     ASSERT_TRUE(fs.getattr(*ino).ok());
   }
   fs.unmount();
+}
+
+// The first-fit scans read the bitmap 64 bits at a time.  With 96 inodes
+// the group's second word is only half used, and bits freed on both sides
+// of the word boundary must come back lowest first.
+TEST(FsBitmapTest, FirstFitCrossesIntoAHalfUsedLastWord) {
+  sim::Env env;
+  block::MemBlockDevice dev(kBlocksPerGroup);  // one group
+  Ext3Fs::mkfs(dev, MkfsOptions{.inodes_per_group = 96});
+  Ext3Fs fs(env, dev, Ext3Params{});
+  fs.mount();
+  for (int i = 0; i < 95; ++i) {  // inode 1 is the root
+    auto ino = fs.create(kRootIno, "f" + std::to_string(i + 2), 0644);
+    ASSERT_TRUE(ino.ok()) << "create #" << i;
+    EXPECT_EQ(*ino, static_cast<Ino>(i + 2));
+  }
+  EXPECT_EQ(fs.free_inodes(), 0u);
+  EXPECT_EQ(fs.create(kRootIno, "full", 0644).error(), Err::kNoSpace);
+
+  for (const int n : {96, 65, 64}) {  // bits 95, 64 and 63
+    ASSERT_TRUE(fs.unlink(kRootIno, "f" + std::to_string(n)).ok());
+  }
+  for (const int n : {64, 65, 96}) {
+    auto ino = fs.create(kRootIno, "g" + std::to_string(n), 0644);
+    ASSERT_TRUE(ino.ok());
+    EXPECT_EQ(*ino, static_cast<Ino>(n));
+  }
+  fs.unmount();
+}
+
+// One block holds the inode bitmap (at most 32,768 inodes per group), and
+// the root inode needs an inode-table block (at least 32 inodes).
+TEST(FsBitmapTest, MkfsRejectsInodesPerGroupItCannotLayOut) {
+  for (const std::uint32_t n : {31u, 32769u}) {
+    block::MemBlockDevice dev(kBlocksPerGroup);
+    EXPECT_THROW(Ext3Fs::mkfs(dev, MkfsOptions{.inodes_per_group = n}),
+                 std::invalid_argument)
+        << n;
+  }
+  for (const std::uint32_t n : {32u, 32768u}) {
+    sim::Env env;
+    block::MemBlockDevice dev(kBlocksPerGroup);
+    Ext3Fs::mkfs(dev, MkfsOptions{.inodes_per_group = n});
+    Ext3Fs fs(env, dev, Ext3Params{});
+    fs.mount();
+    EXPECT_EQ(fs.free_inodes(), n - 1) << n;
+    EXPECT_TRUE(fs.create(kRootIno, "f", 0644).ok()) << n;
+    fs.unmount();
+  }
 }
 
 }  // namespace

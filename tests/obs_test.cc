@@ -231,13 +231,6 @@ TEST(Report, FormatDoubleDropsTrailingNoiseAndRejectsNan) {
   EXPECT_DEATH(obs::format_double(std::nan("")), "");
 }
 
-TEST(Report, CsvQuotesSeparatorsAndEmbeddedQuotes) {
-  Report r("t", "ref");
-  obs::ReportTable& t = r.table("tab", {"s"});
-  t.row({"a,b \"c\""});
-  EXPECT_NE(r.csv().find("\"a,b \"\"c\"\"\""), std::string::npos);
-}
-
 // --- End to end: the Table 4 acceptance criterion ---------------------
 
 class BreakdownSumsToTotal : public ::testing::TestWithParam<core::Protocol> {

@@ -1,13 +1,17 @@
 // Unit tests for the simulation core: virtual clock, event queue,
-// deterministic PRNG, statistics.
+// borrowed callables, bounded async queues, deterministic PRNG,
+// statistics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
 
 #include "sim/env.h"
+#include "sim/func_ref.h"
+#include "sim/in_flight.h"
 #include "sim/rng.h"
 #include "sim/stats.h"
 
@@ -252,6 +256,72 @@ TEST(EnvDeathTest, CheckQuiescedFiresWithPendingEvents) {
   Env env;
   env.schedule_at(seconds(1), [] {});
   EXPECT_DEATH(env.check_quiesced(), "events still pending at teardown");
+}
+
+// --- FuncRef -------------------------------------------------------------
+
+TEST(FuncRefTest, CallsThroughToTheBorrowedCallable) {
+  int calls = 0;
+  auto fn = [&calls](int x) { calls += x; };
+  FuncRef<void(int)> ref(fn);
+  ref(2);
+  ref(3);
+  EXPECT_EQ(calls, 5);
+}
+
+TEST(FuncRefTest, ReturnsValues) {
+  auto twice = [](int x) { return 2 * x; };
+  FuncRef<int(int)> ref(twice);
+  EXPECT_EQ(ref(21), 42);
+}
+
+TEST(FuncRefTest, NullIsFalsy) {
+  FuncRef<void()> ref(nullptr);
+  EXPECT_FALSE(ref);
+  auto fn = [] {};
+  ref = FuncRef<void()>(fn);
+  EXPECT_TRUE(ref);
+}
+
+TEST(FuncRefTest, SeesMutationsInTheReferencedCallable) {
+  int counter = 0;
+  auto fn = [&counter] { return ++counter; };
+  FuncRef<int()> ref(fn);
+  fn();
+  EXPECT_EQ(ref(), 2);  // same underlying state, not a copy
+}
+
+// --- InFlight: the NFS write pool and the iSCSI tag queue ----------------
+
+TEST(InFlightTest, FullQueueWaitsForTheEarliestCompletion) {
+  Env env;
+  InFlight q;
+  for (const Time t : {Time{30}, Time{10}, Time{20}}) q.add(t);
+  q.reserve(env, 3);
+  EXPECT_EQ(env.now(), 10);
+  EXPECT_EQ(q.size(), 2u);
+}
+
+TEST(InFlightTest, FreeSlotRetiresWhatIsDoneWithoutMovingTheClock) {
+  Env env;
+  InFlight q;
+  for (const Time t : {Time{30}, Time{10}, Time{20}}) q.add(t);
+  env.advance_to(20);
+  q.reserve(env, 3);
+  EXPECT_EQ(env.now(), 20);
+  EXPECT_EQ(q.size(), 1u);  // 10 and 20 retired; 30 still in flight
+}
+
+TEST(InFlightTest, DrainEndsAtTheLastCompletionAndFiresDueEvents) {
+  Env env;
+  InFlight q;
+  for (const Time t : {Time{30}, Time{10}, Time{20}}) q.add(t);
+  Time daemon_ran_at = -1;
+  env.schedule_at(15, [&] { daemon_ran_at = env.now(); });
+  q.drain(env);
+  EXPECT_EQ(daemon_ran_at, 15);
+  EXPECT_EQ(env.now(), 30);
+  EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(RngTest, Deterministic) {

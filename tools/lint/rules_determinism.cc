@@ -166,9 +166,10 @@ void check_raw_blockbuf_alloc(const SourceFile& f, std::vector<Finding>& out) {
 }
 
 void check_std_function(const SourceFile& f, std::vector<Finding>& out) {
-  // The event loop, file-system caches, and block layer are the hot
-  // paths: sim::Task (owning) and sim::FuncRef (borrowing) replace
-  // std::function there.
+  // The simulator core, file-system caches and block layer borrow
+  // callables on every call: sim::FuncRef replaces std::function there.
+  // A cold owning callable, such as a deferred event's work, is
+  // suppressed in place.
   static const std::set<std::string> kHotModules = {"sim", "fs", "block"};
   if (!f.in_src || kHotModules.count(f.module) == 0) return;
   for (std::size_t li = 0; li < f.code.size(); ++li) {
@@ -178,9 +179,8 @@ void check_std_function(const SourceFile& f, std::vector<Finding>& out) {
                      static_cast<std::uint32_t>(pos + 1),
                      "std-function-hot-path",
                      "std::function in hot module '" + f.module +
-                         "'; use sim::Task (owning) or sim::FuncRef "
-                         "(borrowing), or suppress for a cold "
-                         "configuration hook"});
+                         "'; borrow through sim::FuncRef, or suppress "
+                         "for a cold owning callable"});
       pos = f.code[li].find("std::function", pos + 1);
     }
   }

@@ -1,21 +1,19 @@
 // Fixture: lint-clean idiom for callables in hot modules, plus the
-// suppression escape for a genuine cold-path configuration hook.
+// suppression escape for a cold owning callable.
 // "std::function" in comments and string literals is invisible to the
 // rule, so this prose does not count as a finding.
 
 namespace netstore::sim {
 
 template <typename Signature>
-class FuncRef;  // stand-in for sim/task.h in this self-contained fixture
-class Task;
+class FuncRef;  // stand-in for sim/func_ref.h in this self-contained fixture
 
-struct EventLoop {
-  void schedule(Task fn);                 // owning callable: sim::Task
+struct Visitor {
   void for_each(FuncRef<void(int)> fn);   // synchronous borrow: FuncRef
 };
 
-// A cold hook wired once at configuration time may keep std::function
-// with a justification:
+// A cold owning callable, such as a hook wired once at configuration
+// time, may keep std::function with a justification:
 // netstore-lint: allow(std-function-hot-path) -- set once at setup, never hot
 using ColdHook = std::function<void(int level)>;
 
