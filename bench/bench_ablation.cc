@@ -16,7 +16,7 @@ using namespace netstore;
 
 namespace {
 
-double postmark_like_msgs_per_op(core::TestbedConfig cfg) {
+double postmark_like_msgs_per_op(core::SystemConfig cfg) {
   core::Testbed bed(core::Protocol::kIscsi, cfg);
   vfs::Vfs& v = bed.vfs();
   (void)v.mkdir("/pool", 0755);
@@ -52,8 +52,8 @@ int main(int argc, char** argv) {
               "batching, more loss risk)\n");
   std::printf("%-14s %14s\n", "interval (s)", "msgs/op");
   for (int secs : {1, 2, 5, 15, 30}) {
-    core::TestbedConfig cfg;
-    cfg.system.commit_interval = sim::seconds(secs);
+    core::SystemConfig cfg;
+    cfg.commit_interval = sim::seconds(secs);
     const double per_op = postmark_like_msgs_per_op(cfg);
     std::printf("%-14d %14.2f\n", secs, per_op);
     abl.row({"commit_interval", secs, "msgs_per_op", per_op});
@@ -67,8 +67,8 @@ int main(int argc, char** argv) {
   for (std::uint32_t slots : {1u, 4u, 16u, 64u, 256u}) {
     double times[2];
     for (int wan = 0; wan < 2; ++wan) {
-      core::TestbedConfig cfg;
-      cfg.system.nfs_write_pool_slots = slots;
+      core::SystemConfig cfg;
+      cfg.nfs_write_pool_slots = slots;
       core::Testbed bed(core::Protocol::kNfsV3, cfg);
       if (wan) bed.set_injected_rtt(sim::milliseconds(30));
       workloads::LargeIoConfig io;
@@ -86,8 +86,8 @@ int main(int argc, char** argv) {
               "(iSCSI)\n");
   std::printf("%-14s %14s\n", "window (pages)", "time (s)");
   for (std::uint32_t window : {0u, 2u, 8u, 32u}) {
-    core::TestbedConfig cfg;
-    cfg.system.fs_readahead_max = window;
+    core::SystemConfig cfg;
+    cfg.fs_readahead_max = window;
     core::Testbed bed(core::Protocol::kIscsi, cfg);
     workloads::LargeIoConfig io;
     io.file_mb = 32;

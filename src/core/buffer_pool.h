@@ -2,9 +2,9 @@
 // for the 4 KB blocks that flow through the data path.
 //
 // Every store and cache layer (block::Raid5Array, block::TimedCache,
-// fs::Bcache, fs::PageCache, the NFS client page cache) holds pages as
-// core::BufRef handles instead of owning unique_ptr<BlockBuf>
-// allocations.  That buys two things at once:
+// fs::Bcache, and fs::PageCache, which serves ext3 and the NFS client)
+// holds pages as core::BufRef handles instead of owning
+// unique_ptr<BlockBuf> allocations.  That buys two things at once:
 //
 //   * a page crosses layers by reference: handing a frame from the array
 //     store to a cache copies a refcounted handle, never page bytes.  A

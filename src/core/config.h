@@ -48,9 +48,8 @@ struct CpuCosts {
   sim::Duration client_per_page = sim::microseconds(30);
 };
 
-/// System half of the testbed configuration: everything that describes
-/// the machines — protocol, device, cache and network knobs.  Fixed when
-/// the stack is built.
+/// Testbed configuration: everything that describes the machines —
+/// device, cache and network knobs.  Fixed when the stack is built.
 struct SystemConfig {
   net::LinkConfig link;
   rpc::RpcConfig rpc;
@@ -109,9 +108,9 @@ struct ArrivalConfig {
   double pareto_shape = 1.5;
 };
 
-/// Workload half of the testbed configuration: who drives the system and
-/// how hard.  Supplied per run (a fleet sweep varies it point to point
-/// over worlds built from one SystemConfig).
+/// core::Fleet's workload: who drives the system and how hard.  Supplied
+/// per run (a fleet sweep varies it point to point over worlds built from
+/// one SystemConfig).
 struct WorkloadConfig {
   std::uint64_t clients = 1;
   std::uint64_t seed = 42;
@@ -130,13 +129,6 @@ struct WorkloadConfig {
   // a 10^6-client point simulates the first `ops` arrivals of the fleet,
   // not a million times more work than a 1-client point.
   std::uint64_t ops = 4000;
-};
-
-/// Complete testbed configuration.  The split mirrors the two lifetimes:
-/// `system` is fixed at stack build time, `workload` varies per run.
-struct TestbedConfig {
-  WorkloadConfig workload;
-  SystemConfig system;
 };
 
 }  // namespace netstore::core

@@ -64,20 +64,20 @@ const char* to_string(Protocol p) {
   return "?";
 }
 
-Testbed::Testbed(Protocol protocol, TestbedConfig config)
+Testbed::Testbed(Protocol protocol, SystemConfig config)
     : protocol_(protocol),
       config_(config),
-      server_cpu_(config.system.cpu_sample_period),
-      client_cpu_(config.system.cpu_sample_period) {
-  env_.set_audit(config_.system.invariant_audits);
+      server_cpu_(config.cpu_sample_period),
+      client_cpu_(config.cpu_sample_period) {
+  env_.set_audit(config_.invariant_audits);
   // Observability first: components built below may cache env pointers.
   env_.set_tracer(&tracer_);
-  link_ = std::make_unique<net::Link>(env_, config_.system.link);
+  link_ = std::make_unique<net::Link>(env_, config_.link);
   // Size the array to hold the requested volume.
-  config_.system.raid.disk.block_count =
-      config_.system.volume_blocks / (config_.system.raid.num_disks - 1) +
-      config_.system.raid.stripe_unit_blocks;
-  raid_ = std::make_unique<block::Raid5Array>(config_.system.raid);
+  config_.raid.disk.block_count =
+      config_.volume_blocks / (config_.raid.num_disks - 1) +
+      config_.raid.stripe_unit_blocks;
+  raid_ = std::make_unique<block::Raid5Array>(config_.raid);
 
   if (protocol_ == Protocol::kIscsi) {
     build_iscsi();
@@ -88,7 +88,7 @@ Testbed::Testbed(Protocol protocol, TestbedConfig config)
 }
 
 Testbed::~Testbed() {
-  if (config_.system.invariant_audits) {
+  if (config_.invariant_audits) {
     // Audited teardown: fire every deferred daemon event, then verify the
     // queue actually quiesced.
     env_.drain();
@@ -113,39 +113,39 @@ void Testbed::quiesce() {
   } while (env_.pending_events() > 0);
 }
 
-fs::Ext3Params Testbed::client_fs_params(const TestbedConfig& c) {
+fs::Ext3Params Testbed::client_fs_params(const SystemConfig& c) {
   fs::Ext3Params p;
-  p.bcache_capacity_blocks = c.system.client_metadata_blocks;
-  p.page_cache.capacity_pages = c.system.client_cache_pages;
-  p.page_cache.dirty_high_water = c.system.client_cache_pages / 4;
-  p.commit_interval = c.system.commit_interval;
-  p.readahead_max = c.system.fs_readahead_max;
+  p.bcache_capacity_blocks = c.client_metadata_blocks;
+  p.page_cache.capacity_pages = c.client_cache_pages;
+  p.page_cache.dirty_high_water = c.client_cache_pages / 4;
+  p.commit_interval = c.commit_interval;
+  p.readahead_max = c.fs_readahead_max;
   if (p.readahead_max == 0) p.readahead_min = 0;
-  p.invariant_audits = c.system.invariant_audits;
+  p.invariant_audits = c.invariant_audits;
   return p;
 }
 
 void Testbed::build_iscsi() {
   target_cache_ = std::make_unique<block::TimedCache>(
-      *raid_, config_.system.target_cache_blocks, config_.system.target_cache_blocks / 2);
+      *raid_, config_.target_cache_blocks, config_.target_cache_blocks / 2);
   target_cache_->set_tracer(&tracer_);
   target_ = std::make_unique<iscsi::Target>(*target_cache_,
-                                            config_.system.volume_blocks);
+                                            config_.volume_blocks);
   initiator_ =
-      std::make_unique<iscsi::Initiator>(env_, *link_, *target_, config_.system.iscsi);
+      std::make_unique<iscsi::Initiator>(env_, *link_, *target_, config_.iscsi);
   target_->set_cost_hook(
       [this](sim::Time at, bool is_write, std::uint32_t nblocks) {
         const sim::Duration d =
-            config_.system.cpu.server_layer * config_.system.cpu.iscsi_layers +
-            (is_write ? config_.system.cpu.server_per_page_write
-                      : config_.system.cpu.server_per_page_read) *
+            config_.cpu.server_layer * config_.cpu.iscsi_layers +
+            (is_write ? config_.cpu.server_per_page_write
+                      : config_.cpu.server_per_page_read) *
                 nblocks;
         server_cpu_.charge(at, d);
         tracer_.charge(obs::Component::kCpu, d);
         return d;
       });
   initiator_->set_cost_hook([this](sim::Time at, bool, std::uint32_t) {
-    const sim::Duration d = config_.system.cpu.client_per_command;
+    const sim::Duration d = config_.cpu.client_per_command;
     client_cpu_.charge(at, d);
     tracer_.charge(obs::Component::kCpu, d);
     return d;
@@ -153,7 +153,7 @@ void Testbed::build_iscsi() {
   initiator_->login();
 
   fs::MkfsOptions mkfs;
-  mkfs.journal_blocks = config_.system.journal_blocks;
+  mkfs.journal_blocks = config_.journal_blocks;
   fs::Ext3Fs::mkfs(*initiator_, mkfs);
 
   client_fs_ =
@@ -164,8 +164,8 @@ void Testbed::build_iscsi() {
   instr_ = std::make_unique<ClientInstr>(
       tracer_, [this](sim::Time at, vfs::Syscall, std::uint32_t bytes) {
         const sim::Duration d =
-            config_.system.cpu.client_fs_syscall +
-            config_.system.cpu.client_per_page *
+            config_.cpu.client_fs_syscall +
+            config_.cpu.client_per_page *
                 ((bytes + block::kBlockSize - 1) / block::kBlockSize);
         client_cpu_.charge(at, d);
         return d;
@@ -198,8 +198,8 @@ nfs::ClientConfig Testbed::nfs_client_config() const {
     default:
       throw std::logic_error("not an NFS protocol");
   }
-  c.page_cache_capacity = config_.system.client_cache_pages;
-  c.write_pool_slots = config_.system.nfs_write_pool_slots;
+  c.page_cache_capacity = config_.client_cache_pages;
+  c.write_pool_slots = config_.nfs_write_pool_slots;
   return c;
 }
 
@@ -207,15 +207,15 @@ void Testbed::build_nfs() {
   server_disk_ = std::make_unique<block::LocalBlockDevice>(env_, *raid_);
 
   fs::MkfsOptions mkfs;
-  mkfs.journal_blocks = config_.system.journal_blocks;
+  mkfs.journal_blocks = config_.journal_blocks;
   fs::Ext3Fs::mkfs(*server_disk_, mkfs);
 
   fs::Ext3Params p;
-  p.bcache_capacity_blocks = config_.system.server_metadata_blocks;
-  p.page_cache.capacity_pages = config_.system.server_cache_pages;
-  p.page_cache.dirty_high_water = config_.system.server_cache_pages / 4;
-  p.commit_interval = config_.system.commit_interval;
-  p.invariant_audits = config_.system.invariant_audits;
+  p.bcache_capacity_blocks = config_.server_metadata_blocks;
+  p.page_cache.capacity_pages = config_.server_cache_pages;
+  p.page_cache.dirty_high_water = config_.server_cache_pages / 4;
+  p.commit_interval = config_.commit_interval;
+  p.invariant_audits = config_.invariant_audits;
   server_fs_ = std::make_unique<fs::Ext3Fs>(env_, *server_disk_, p);
   server_fs_->mount();
 
@@ -224,21 +224,21 @@ void Testbed::build_nfs() {
   nfs_server_ = std::make_unique<nfs::NfsServer>(env_, *server_fs_, sc);
   nfs_server_->set_cost_hook(
       [this](sim::Time at, nfs::Proc proc, std::uint32_t bytes) {
-        std::uint32_t layers = config_.system.cpu.nfs_layers;
+        std::uint32_t layers = config_.cpu.nfs_layers;
         // Meta-data requests that miss the server cache traverse the
         // VFS/FS/block layers repeatedly (paper §5.4).
         const bool is_meta = proc != nfs::Proc::kRead &&
                              proc != nfs::Proc::kWrite &&
                              proc != nfs::Proc::kCommit;
-        if (is_meta) layers += config_.system.cpu.nfs_meta_miss_layers / 2;
-        sim::Duration d = config_.system.cpu.server_layer * layers;
+        if (is_meta) layers += config_.cpu.nfs_meta_miss_layers / 2;
+        sim::Duration d = config_.cpu.server_layer * layers;
         // `bytes` is request plus reply payload (file handle, arguments
         // and attributes around the data), so a 4 KB READ or WRITE rounds
         // up to two pages of per-page cost.
         if (!is_meta) {
           const sim::Duration per_page =
-              proc == nfs::Proc::kWrite ? config_.system.cpu.server_per_page_write
-                                        : config_.system.cpu.server_per_page_read;
+              proc == nfs::Proc::kWrite ? config_.cpu.server_per_page_write
+                                        : config_.cpu.server_per_page_read;
           d += per_page *
                ((bytes + block::kBlockSize - 1) / block::kBlockSize);
         }
@@ -247,7 +247,7 @@ void Testbed::build_nfs() {
         return d;
       });
 
-  rpc_ = std::make_unique<rpc::RpcTransport>(env_, *link_, config_.system.rpc);
+  rpc_ = std::make_unique<rpc::RpcTransport>(env_, *link_, config_.rpc);
   nfs_client_ = std::make_unique<nfs::NfsClient>(env_, *rpc_, *nfs_server_,
                                                  nfs_client_config());
   nfs_client_->mount();
@@ -256,8 +256,8 @@ void Testbed::build_nfs() {
   instr_ = std::make_unique<ClientInstr>(
       tracer_, [this](sim::Time at, vfs::Syscall, std::uint32_t bytes) {
         const sim::Duration d =
-            config_.system.cpu.client_nfs_syscall +
-            config_.system.cpu.client_per_page *
+            config_.cpu.client_nfs_syscall +
+            config_.cpu.client_per_page *
                 ((bytes + block::kBlockSize - 1) / block::kBlockSize) / 2;
         client_cpu_.charge(at, d);
         return d;
@@ -265,15 +265,6 @@ void Testbed::build_nfs() {
   v->set_instrumentation(instr_.get());
   vfs_ = std::move(v);
 }
-
-namespace {
-
-double hit_ratio(std::uint64_t hits, std::uint64_t misses) {
-  const std::uint64_t total = hits + misses;
-  return total == 0 ? 0.0 : static_cast<double>(hits) / total;
-}
-
-}  // namespace
 
 StatsSnapshot Testbed::snapshot() const {
   StatsSnapshot s;
@@ -293,17 +284,9 @@ StatsSnapshot Testbed::snapshot() const {
   if (protocol_ == Protocol::kIscsi) {
     s.messages = initiator_->exchanges();
     s.retransmissions = 0;
-    s.client_cache_hit_ratio =
-        hit_ratio(client_fs_->pages().stats().hits.value(),
-                  client_fs_->pages().stats().misses.value());
-    s.server_cache_hit_ratio = hit_ratio(target_cache_->hits().value(),
-                                         target_cache_->misses().value());
   } else {
     s.messages = rpc_->stats().calls.value();
     s.retransmissions = rpc_->stats().retransmissions.value();
-    s.server_cache_hit_ratio =
-        hit_ratio(server_fs_->pages().stats().hits.value(),
-                  server_fs_->pages().stats().misses.value());
   }
 
   s.server_cpu_busy = server_cpu_.total_busy();

@@ -60,18 +60,11 @@ struct StatsSnapshot {
   // in CpuModel; this is the running total).
   sim::Duration server_cpu_busy = 0;
   sim::Duration client_cpu_busy = 0;
-
-  // Cache effectiveness, computed live from whichever caches the stack
-  // has: client = client fs page cache (iSCSI; NFS has no client-side
-  // page-hit counter), server = server fs page cache (NFS) or target
-  // write-back cache (iSCSI).  0 when there are no lookups yet.
-  double client_cache_hit_ratio = 0.0;
-  double server_cache_hit_ratio = 0.0;
 };
 
 class Testbed {
  public:
-  explicit Testbed(Protocol protocol, TestbedConfig config = {});
+  explicit Testbed(Protocol protocol, SystemConfig config = {});
   ~Testbed();
 
   Testbed(const Testbed&) = delete;
@@ -85,7 +78,6 @@ class Testbed {
   [[nodiscard]] net::Link& link() { return *link_; }
   [[nodiscard]] CpuModel& server_cpu() { return server_cpu_; }
   [[nodiscard]] CpuModel& client_cpu() { return client_cpu_; }
-  [[nodiscard]] const TestbedConfig& config() const { return config_; }
 
   /// One coherent cut of every counter the tables consume.
   [[nodiscard]] StatsSnapshot snapshot() const;
@@ -132,17 +124,17 @@ class Testbed {
 
   void build_iscsi();
   void build_nfs();
-  /// Adopts every long-lived component counter into the registry.  The fs
-  /// page/buffer caches are deliberately absent: mount() recreates them,
-  /// which would dangle an adopted reference — their ratios are computed
-  /// live in snapshot() instead.
+  /// Adopts every long-lived component counter into the registry.  The
+  /// page and buffer caches are absent: an ext3 mount() recreates its
+  /// caches, which would dangle an adopted reference, and no report reads
+  /// the NFS client's page-cache counters.
   void register_metrics();
   [[nodiscard]] nfs::ClientConfig nfs_client_config() const;
   [[nodiscard]] static fs::Ext3Params client_fs_params(
-      const TestbedConfig& c);
+      const SystemConfig& c);
 
   Protocol protocol_;
-  TestbedConfig config_;
+  SystemConfig config_;
   sim::Env env_;
   obs::MetricsRegistry metrics_;
   obs::Tracer tracer_;

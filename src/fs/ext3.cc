@@ -18,20 +18,6 @@ namespace {
 
 constexpr std::uint32_t kMaxSymlinkDepth = 8;
 
-/// Splits an absolute path into components ("/a//b/" -> {"a", "b"}).
-std::vector<std::string> split_path(const std::string& path) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < path.size()) {
-    while (i < path.size() && path[i] == '/') i++;
-    std::size_t j = i;
-    while (j < path.size() && path[j] != '/') j++;
-    if (j > i) out.push_back(path.substr(i, j - i));
-    i = j;
-  }
-  return out;
-}
-
 std::uint8_t type_to_raw(FileType t) { return static_cast<std::uint8_t>(t); }
 FileType raw_to_type(std::uint8_t t) { return static_cast<FileType>(t); }
 
@@ -1156,10 +1142,8 @@ Result<std::vector<DirEntry>> Ext3Fs::readdir(Ino dir) {
       cur.pos += de.rec_len;
     }
   }
-  if (params_.update_atime) {
-    dri.atime = env_.now();
-    write_inode(dir, dri);
-  }
+  dri.atime = env_.now();
+  write_inode(dir, dri);
   return out;
 }
 
@@ -1176,10 +1160,8 @@ Result<std::string> Ext3Fs::readlink(Ino ino) {
     block::BlockBuf& buf = bcache_->get(*blk);
     target.assign(reinterpret_cast<const char*>(buf.data()), ri.size);
   }
-  if (params_.update_atime) {
-    ri.atime = env_.now();
-    write_inode(ino, ri);
-  }
+  ri.atime = env_.now();
+  write_inode(ino, ri);
   return target;
 }
 
@@ -1294,10 +1276,8 @@ Result<std::uint32_t> Ext3Fs::read_pages(
     do_readahead(ino, ri, index);
   }
 
-  if (params_.update_atime) {
-    ri.atime = env_.now();
-    write_inode(ino, ri);
-  }
+  ri.atime = env_.now();
+  write_inode(ino, ri);
   return n;
 }
 

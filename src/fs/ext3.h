@@ -38,7 +38,6 @@ struct Ext3Params {
   std::uint64_t bcache_capacity_blocks = 32768;  // 128 MB metadata cache
   PageCacheParams page_cache;
   sim::Duration commit_interval = sim::seconds(5);
-  bool update_atime = true;
   // Read-ahead: window starts at `readahead_min` pages on a sequential
   // streak and doubles up to `readahead_max` (Linux 2.4's effective
   // pipeline was shallow — about 8 outstanding pages).

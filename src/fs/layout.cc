@@ -192,6 +192,19 @@ bool JournalCommit::decode(block::BlockView in, JournalCommit& out) {
   return true;
 }
 
+std::vector<std::string> split_path(const std::string& path) {
+  std::vector<std::string> out;
+  std::size_t i = 0;
+  while (i < path.size()) {
+    while (i < path.size() && path[i] == '/') i++;
+    std::size_t j = i;
+    while (j < path.size() && path[j] != '/') j++;
+    if (j > i) out.push_back(path.substr(i, j - i));
+    i = j;
+  }
+  return out;
+}
+
 std::string to_string(Err e) {
   switch (e) {
     case Err::kOk:

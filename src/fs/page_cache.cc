@@ -8,7 +8,21 @@ namespace netstore::fs {
 
 PageCache::PageCache(sim::Env& env, block::BlockDevice& dev,
                      PageCacheParams params)
-    : env_(env), dev_(dev), params_(params) {}
+    : PageCache(env, params) {
+  dev_ = &dev;
+}
+
+PageCache::PageCache(sim::Env& env, PageCacheParams params)
+    : env_(env), dev_(nullptr), params_(params) {
+  // Eviction makes room before each insert; with no room at all it would
+  // spin forever.
+  NETSTORE_CHECK_GT(params_.capacity_pages, 0u, "page cache needs a page");
+}
+
+void PageCache::check_device() const {
+  NETSTORE_CHECK(dev_ != nullptr,
+                 "write-through page cache: no device, no dirty pages");
+}
 
 PageCache::Page* PageCache::lookup(Ino ino, std::uint64_t index) {
   auto it = pages_.find(Key{ino, index});
@@ -71,8 +85,23 @@ const core::BufRef* PageCache::find(Ino ino, std::uint64_t index) {
   return &p->data;
 }
 
+core::BufRef* PageCache::page(Ino ino, std::uint64_t index) {
+  Page* p = lookup(ino, index);
+  return p ? &p->data : nullptr;
+}
+
 bool PageCache::contains(Ino ino, std::uint64_t index) const {
   return pages_.contains(Key{ino, index});
+}
+
+void PageCache::for_each_page(
+    Ino ino,
+    sim::FuncRef<void(std::uint64_t, const core::BufRef&)> fn) const {
+  auto it = by_inode_.find(ino);
+  if (it == by_inode_.end()) return;
+  for (Page* p = it->second.front(); p != nullptr; p = InodePages::colder(p)) {
+    fn(p->key.index, p->data);
+  }
 }
 
 void PageCache::insert_clean(Ino ino, std::uint64_t index, block::Lba lba,
@@ -88,6 +117,7 @@ void PageCache::insert_clean(Ino ino, std::uint64_t index, block::Lba lba,
 
 block::BlockBuf& PageCache::write_page(Ino ino, std::uint64_t index,
                                        block::Lba lba) {
+  check_device();
   Page* existing = lookup(ino, index);
   Page& p = existing ? *existing : emplace(ino, index, lba);
   if (!p.data) {
@@ -115,6 +145,7 @@ void PageCache::install_dirty(Ino ino, std::uint64_t index, block::Lba lba,
                               core::BufRef data) {
   // A full-block payload that already lives in a pooled frame replaces
   // the page's frame outright — no zero-fill, no byte copy.
+  check_device();
   Page* existing = lookup(ino, index);
   Page& p = existing ? *existing : emplace(ino, index, lba);
   if (p.ready_at > env_.now()) env_.advance_to(p.ready_at);
@@ -167,7 +198,7 @@ void PageCache::write_victims(std::vector<Page*>& victims) {
       victims[i + j]->dirty = false;
       dirty_count_--;
     }
-    dev_.write(victims[i]->lba, refs, block::WriteMode::kAsync);
+    dev_->write(victims[i]->lba, refs, block::WriteMode::kAsync);
     stats_.writeback_pages.add(run);
     i += run;
   }
@@ -203,6 +234,7 @@ void PageCache::drop_inode(Ino ino, std::uint64_t from_index) {
 }
 
 void PageCache::flush_inode(Ino ino) {
+  check_device();
   std::vector<Page*> victims;
   if (auto it = by_inode_.find(ino); it != by_inode_.end()) {
     for (Page* p = it->second.front(); p != nullptr;
@@ -212,15 +244,17 @@ void PageCache::flush_inode(Ino ino) {
     }
   }
   write_victims(victims);
-  dev_.flush();
+  dev_->flush();
 }
 
 void PageCache::flush_all(bool wait) {
+  check_device();
   writeback(nullptr);
-  if (wait) dev_.flush();
+  if (wait) dev_->flush();
 }
 
 void PageCache::clear() {
+  check_device();
   stopped_ = true;
   flush_all(true);
   pages_.clear();

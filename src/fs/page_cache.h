@@ -8,6 +8,10 @@
 // Pages remember the disk block they map to (assigned by the file system
 // at insertion), so write-back needs no callback into the FS.
 //
+// The NFS client keeps its file pages in the same cache, built without a
+// device: its writes are RPCs in flight, so none of its pages is ever
+// dirty (Linux 2.4 likewise kept NFS and ext3 pages in one page cache).
+//
 // Hot-path layout: the LRU links live inside the map node (see
 // core/intrusive_lru.h) — one allocation per page, one hash lookup per
 // touch — and write-back hands the resident frames themselves to the
@@ -49,14 +53,29 @@ struct PageCacheStats {
 class PageCache {
  public:
   PageCache(sim::Env& env, block::BlockDevice& dev, PageCacheParams params);
+  /// A write-through cache with no device below it, whose pages are never
+  /// dirty: write_page, install_dirty, flush_inode, flush_all and clear
+  /// CHECK-fail on it.
+  PageCache(sim::Env& env, PageCacheParams params);
 
   /// Looks up (ino, page index).  On a hit returns the page's pool handle
   /// (share it to keep the frame past the next cache operation), blocking
   /// until any in-flight read-ahead for it completes.  nullptr on miss.
   const core::BufRef* find(Ino ino, std::uint64_t index);
 
+  /// The page's pool handle, marked most recent, without counting a hit
+  /// and without waiting for in-flight read-ahead: for callers that
+  /// overwrite the page or never waited on it.  nullptr if absent.
+  core::BufRef* page(Ino ino, std::uint64_t index);
+
   /// True if the page is resident or in flight (no blocking).
   [[nodiscard]] bool contains(Ino ino, std::uint64_t index) const;
+
+  /// Calls `fn(index, data)` for each resident page of `ino`, most recently
+  /// inserted first, leaving recency alone.
+  void for_each_page(
+      Ino ino,
+      sim::FuncRef<void(std::uint64_t, const core::BufRef&)> fn) const;
 
   /// Inserts a clean page read from `lba`, adopting `data` (e.g. a frame
   /// straight from BlockDevice::read or the pool zero page); `ready_at`
@@ -143,9 +162,11 @@ class PageCache {
   /// runs into one device write each; async.
   void write_victims(std::vector<Page*>& victims);
   void schedule_flusher();
+  /// CHECK-fails on a cache without a device.
+  void check_device() const;
 
   sim::Env& env_;
-  block::BlockDevice& dev_;
+  block::BlockDevice* dev_;  // null: write-through, never dirty
   PageCacheParams params_;
   // Guards scheduled flusher callbacks against outliving this object
   // (remount destroys the cache while events may still be queued).

@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 #include <variant>
+#include <vector>
 
 #include "sim/time.h"
 
@@ -36,6 +37,9 @@ enum class Err {
 };
 
 [[nodiscard]] std::string to_string(Err e);
+
+/// Splits an absolute path into components ("/a//b/" -> {"a", "b"}).
+[[nodiscard]] std::vector<std::string> split_path(const std::string& path);
 
 /// Minimal expected-like result carrier (C++20; std::expected is C++23).
 template <typename T>

@@ -6,26 +6,16 @@
 
 namespace netstore::nfs {
 
-namespace {
-
-std::vector<std::string> split_path(const std::string& path) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < path.size()) {
-    while (i < path.size() && path[i] == '/') i++;
-    std::size_t j = i;
-    while (j < path.size() && path[j] != '/') j++;
-    if (j > i) out.push_back(path.substr(i, j - i));
-    i = j;
-  }
-  return out;
-}
-
-}  // namespace
+using fs::split_path;
 
 NfsClient::NfsClient(sim::Env& env, rpc::RpcTransport& rpc, NfsServer& server,
                      ClientConfig config)
-    : env_(env), rpc_(rpc), server_(server), config_(config) {}
+    : env_(env),
+      rpc_(rpc),
+      server_(server),
+      config_(config),
+      pages_(env, fs::PageCacheParams{.capacity_pages =
+                                          config.page_cache_capacity}) {}
 
 NfsClient::~NfsClient() = default;
 
@@ -223,9 +213,7 @@ void NfsClient::invalidate_caches() {
   dentries_.clear();
   attrs_.clear();
   access_cache_.clear();
-  pages_.clear();
-  page_lru_.reset();
-  file_pages_.clear();
+  pages_.crash();
   files_.clear();
 }
 
@@ -411,7 +399,7 @@ fs::Status NfsClient::unlink(const std::string& path) {
   if (out) {
     forget_dentry(*parent, leaf);
     attrs_.erase(*victim);
-    drop_pages(*victim);
+    pages_.drop_inode(*victim);
     if (config_.version == Version::kV4) do_getattr(*parent);
   }
   return out;
@@ -551,6 +539,37 @@ fs::Status NfsClient::rename(const std::string& from, const std::string& to) {
   return out;
 }
 
+fs::Status NfsClient::setattr_rpc(Fh fh, const fs::SetAttr& sa) {
+  fs::Status out = fs::Status::Ok();
+  call(Proc::kSetattr, WireSizes::kFh + WireSizes::kSetAttrs,
+       WireSizes::kAttrs, [&] {
+         fs::Result<fs::Attr> a = server_.setattr(to_real(fh), sa);
+         if (!a) {
+           out = a.error();
+           return;
+         }
+         remember_attr(fh, *a);
+       });
+  return out;
+}
+
+fs::Status NfsClient::setattr_path(const std::string& path,
+                                   const fs::SetAttr& sa, bool revalidate) {
+  fs::Result<Fh> fh = walk(path);
+  if (!fh) return fh.error();
+  if (revalidate) {
+    if (config_.version == Version::kV4) {
+      v4_ensure_access(*fh);
+    } else if (!config_.consistent_metadata_cache) {
+      if (fs::Status s = do_getattr(*fh); !s) return s;
+    }
+  }
+  if (delegated()) materialize(*fh);
+  const fs::Status out = setattr_rpc(*fh, sa);
+  if (config_.version == Version::kV4) do_getattr(*fh);
+  return out;
+}
+
 fs::Status NfsClient::truncate(const std::string& path, std::uint64_t size) {
   fs::Result<Fh> fh = walk(path);
   if (!fh) return fh.error();
@@ -565,19 +584,9 @@ fs::Status NfsClient::truncate(const std::string& path, std::uint64_t size) {
     v4_ensure_access(*fh);
     v4_open_sequence(*fh, st, /*with_access=*/false);
   }
-  fs::Status out = fs::Status::Ok();
-  fs::SetAttr sa;
-  sa.size = static_cast<std::int64_t>(size);
-  call(Proc::kSetattr, WireSizes::kFh + WireSizes::kSetAttrs,
-       WireSizes::kAttrs, [&] {
-         fs::Result<fs::Attr> a = server_.setattr(to_real(*fh), sa);
-         if (!a) {
-           out = a.error();
-           return;
-         }
-         remember_attr(*fh, *a);
-       });
-  drop_pages(*fh);
+  const fs::Status out =
+      setattr_rpc(*fh, fs::SetAttr{.size = static_cast<std::int64_t>(size)});
+  pages_.drop_inode(*fh);
   if (config_.version == Version::kV4) {
     call(Proc::kClose, WireSizes::kFh + 16, 16, [] {});
   }
@@ -585,80 +594,19 @@ fs::Status NfsClient::truncate(const std::string& path, std::uint64_t size) {
 }
 
 fs::Status NfsClient::chmod(const std::string& path, std::uint16_t perm) {
-  fs::Result<Fh> fh = walk(path);
-  if (!fh) return fh.error();
-  if (config_.version == Version::kV4) {
-    v4_ensure_access(*fh);
-  } else if (!config_.consistent_metadata_cache) {
-    if (fs::Status s = do_getattr(*fh); !s) return s;
-  }
-  if (delegated()) materialize(*fh);
-
-  fs::Status out = fs::Status::Ok();
-  fs::SetAttr sa;
-  sa.mode = perm;
-  call(Proc::kSetattr, WireSizes::kFh + WireSizes::kSetAttrs,
-       WireSizes::kAttrs, [&] {
-         fs::Result<fs::Attr> a = server_.setattr(to_real(*fh), sa);
-         if (!a) {
-           out = a.error();
-           return;
-         }
-         remember_attr(*fh, *a);
-       });
-  if (config_.version == Version::kV4) do_getattr(*fh);
-  return out;
+  return setattr_path(path, fs::SetAttr{.mode = perm}, /*revalidate=*/true);
 }
 
 fs::Status NfsClient::chown(const std::string& path, std::uint32_t uid,
                             std::uint32_t gid) {
-  fs::Result<Fh> fh = walk(path);
-  if (!fh) return fh.error();
-  if (config_.version == Version::kV4) {
-    v4_ensure_access(*fh);
-  } else if (!config_.consistent_metadata_cache) {
-    if (fs::Status s = do_getattr(*fh); !s) return s;
-  }
-  if (delegated()) materialize(*fh);
-
-  fs::Status out = fs::Status::Ok();
-  fs::SetAttr sa;
-  sa.uid = uid;
-  sa.gid = gid;
-  call(Proc::kSetattr, WireSizes::kFh + WireSizes::kSetAttrs,
-       WireSizes::kAttrs, [&] {
-         fs::Result<fs::Attr> a = server_.setattr(to_real(*fh), sa);
-         if (!a) {
-           out = a.error();
-           return;
-         }
-         remember_attr(*fh, *a);
-       });
-  if (config_.version == Version::kV4) do_getattr(*fh);
-  return out;
+  return setattr_path(path, fs::SetAttr{.uid = uid, .gid = gid},
+                      /*revalidate=*/true);
 }
 
 fs::Status NfsClient::utime(const std::string& path, sim::Time atime,
                             sim::Time mtime) {
-  fs::Result<Fh> fh = walk(path);
-  if (!fh) return fh.error();
-  if (delegated()) materialize(*fh);
-
-  fs::Status out = fs::Status::Ok();
-  fs::SetAttr sa;
-  sa.atime = atime;
-  sa.mtime = mtime;
-  call(Proc::kSetattr, WireSizes::kFh + WireSizes::kSetAttrs,
-       WireSizes::kAttrs, [&] {
-         fs::Result<fs::Attr> a = server_.setattr(to_real(*fh), sa);
-         if (!a) {
-           out = a.error();
-           return;
-         }
-         remember_attr(*fh, *a);
-       });
-  if (config_.version == Version::kV4) do_getattr(*fh);
-  return out;
+  return setattr_path(path, fs::SetAttr{.atime = atime, .mtime = mtime},
+                      /*revalidate=*/false);
 }
 
 fs::Status NfsClient::access(const std::string& path, int amode) {

@@ -28,8 +28,8 @@
 #include "rpc/rpc.h"
 #include "block/block.h"
 #include "core/buffer_pool.h"
-#include "core/intrusive_lru.h"
 #include "core/iovec.h"
+#include "fs/page_cache.h"
 #include "sim/env.h"
 #include "sim/in_flight.h"
 #include "sim/stats.h"
@@ -168,28 +168,6 @@ class NfsClient {
     fs::Attr attr;
     sim::Time fetched_at;
   };
-  struct PageKey {
-    Fh fh;
-    std::uint64_t index;
-    bool operator==(const PageKey&) const = default;
-  };
-  struct PageKeyHash {
-    std::size_t operator()(const PageKey& k) const {
-      // Full mix of both words: a multiply-then-XOR of the raw index left
-      // the low bits of consecutive pages colliding across files.
-      return static_cast<std::size_t>(sim::mix64(k.fh ^ sim::mix64(k.index)));
-    }
-  };
-  struct Page {
-    Page* lru_prev = nullptr;  // intrusive LRU links (core::LruList)
-    Page* lru_next = nullptr;
-    Page* file_prev = nullptr;  // links on the file's page list
-    Page* file_next = nullptr;
-    PageKey key{};              // owning map key, for erase via a list walk
-    core::BufRef data;  // pooled frame; may be shared with the server cache
-    sim::Time ready_at = 0;
-  };
-  using FilePages = core::LruList<Page, &Page::file_prev, &Page::file_next>;
   struct FileState {
     sim::Time last_reval = -1;
     sim::Time known_mtime = -1;
@@ -235,23 +213,24 @@ class NfsClient {
   // LOOKUP RPC.
   fs::Result<NfsServer::LookupReply> rpc_lookup(Fh dir,
                                                 const std::string& name);
+  /// SETATTR RPC; caches the reply's attributes.
+  fs::Status setattr_rpc(Fh fh, const fs::SetAttr& sa);
+  /// chmod/chown/utime: walks `path`, revalidates the file if `revalidate`
+  /// (v4 ACCESS, else a GETATTR unless the consistent cache is on), sends
+  /// the SETATTR, then v4's GETATTR.
+  fs::Status setattr_path(const std::string& path, const fs::SetAttr& sa,
+                          bool revalidate);
 
   // -- data-path helpers --
-  Page* find_page(Fh fh, std::uint64_t index);
-  /// Installs `data` as the page (adopts the handle: a shared server
-  /// frame or the pool zero page), replacing any resident copy.
-  void insert_page(Fh fh, std::uint64_t index, core::BufRef data,
-                   sim::Time ready_at);
   /// Installs a READ reply's slices as client pages starting at `first`;
   /// whole-frame slices are adopted, the EOF tail is staged into a fresh
   /// frame, and pages past the reply (beyond EOF) share the zero page
   /// until `first + count`.
   void install_slices(Fh fh, std::uint64_t first, std::uint32_t count,
                       const core::IoVec& iov, sim::Time ready_at);
-  /// Unlinks `p` from the LRU and from its file's list and erases it.
-  void erase_page(Page* p);
-  void drop_pages(Fh fh);
-  void evict_pages_if_needed();
+  /// The page at `index`, installing the pool zero page if absent (a
+  /// write's target; the caller's copy_in un-shares it).
+  core::BufRef& page_for_write(Fh fh, std::uint64_t index);
   fs::Status revalidate_data(Fh fh, FileState& st);
   void do_readahead(Fh fh, FileState& st, std::uint64_t index,
                     std::uint64_t eof_page, std::uint32_t chunk_pages);
@@ -310,10 +289,9 @@ class NfsClient {
   std::unordered_set<DentryKey, DentryKeyHash> deleg_negative_;
   std::unordered_map<Fh, CachedAttr> attrs_;
   std::unordered_map<Fh, sim::Time> access_cache_;  // v4
-  std::unordered_map<PageKey, Page, PageKeyHash> pages_;
-  core::LruList<Page> page_lru_;  // front = most recent
-  // One entry per file with resident pages, erased when its list empties.
-  std::unordered_map<Fh, FilePages> file_pages_;
+  // File data, keyed by handle.  Write-through: no page is ever dirty, so
+  // the cache has no device below it.
+  fs::PageCache pages_;
   std::unordered_map<Fh, FileState> files_;
 
   // Outstanding async WRITEs' completion times, bounded by

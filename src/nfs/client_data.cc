@@ -15,30 +15,6 @@ using block::kBlockSize;
 // Client page cache
 // ---------------------------------------------------------------------------
 
-NfsClient::Page* NfsClient::find_page(Fh fh, std::uint64_t index) {
-  auto it = pages_.find(PageKey{fh, index});
-  if (it == pages_.end()) return nullptr;
-  page_lru_.touch(&it->second);
-  return &it->second;
-}
-
-void NfsClient::insert_page(Fh fh, std::uint64_t index, core::BufRef data,
-                            sim::Time ready_at) {
-  evict_pages_if_needed();
-  const PageKey key{fh, index};
-  auto [it, inserted] = pages_.try_emplace(key);
-  Page& p = it->second;
-  if (inserted) {
-    p.key = key;
-    page_lru_.push_front(&p);
-    file_pages_[fh].push_front(&p);
-  } else {
-    page_lru_.touch(&p);
-  }
-  p.data = std::move(data);  // adopts the handle: no copy, no allocation
-  p.ready_at = ready_at;
-}
-
 void NfsClient::install_slices(Fh fh, std::uint64_t first, std::uint32_t count,
                                const core::IoVec& iov, sim::Time ready_at) {
   std::uint64_t p = first;
@@ -46,7 +22,7 @@ void NfsClient::install_slices(Fh fh, std::uint64_t first, std::uint32_t count,
     if (s.off == 0 && s.len == kBlockSize) {
       // Whole server frame: the client cache shares it across the
       // (simulated) wire; copy-on-write isolates later mutation.
-      insert_page(fh, p, s.buf, ready_at);
+      pages_.insert_clean(fh, p, 0, s.buf, ready_at);
     } else {
       // EOF tail: sub-block slice staged into a zero-filled frame so the
       // page's tail reads as zeros.
@@ -55,42 +31,25 @@ void NfsClient::install_slices(Fh fh, std::uint64_t first, std::uint32_t count,
       // sub-block EOF tail, not a user boundary
       // netstore-lint: allow(raw-datapath-memcpy)
       std::memcpy(frame.mutable_data() + s.off, s.data(), s.len);
-      insert_page(fh, p, std::move(frame), ready_at);
+      pages_.insert_clean(fh, p, 0, std::move(frame), ready_at);
     }
     p++;
   }
   // Pages requested past EOF come back empty; they read as zeros.
   for (; p < first + count; ++p) {
-    insert_page(fh, p, core::BufferPool::instance().zero_page(), ready_at);
+    pages_.insert_clean(fh, p, 0, core::BufferPool::instance().zero_page(),
+                        ready_at);
   }
 }
 
-void NfsClient::erase_page(Page* p) {
-  page_lru_.unlink(p);
-  auto it = file_pages_.find(p->key.fh);
-  it->second.unlink(p);
-  if (it->second.empty()) file_pages_.erase(it);
-  const PageKey key = p->key;  // copy: erase destroys the node
-  pages_.erase(key);
-}
-
-void NfsClient::drop_pages(Fh fh) {
-  auto it = file_pages_.find(fh);
-  if (it == file_pages_.end()) return;
-  // Erasing the last page erases the list itself, so step before erasing.
-  for (Page* p = it->second.front(); p != nullptr;) {
-    Page* next = FilePages::colder(p);
-    erase_page(p);
-    p = next;
+core::BufRef& NfsClient::page_for_write(Fh fh, std::uint64_t index) {
+  core::BufRef* page = pages_.page(fh, index);
+  if (page == nullptr) {
+    pages_.insert_clean(fh, index, 0, core::BufferPool::instance().zero_page(),
+                        env_.now());
+    page = pages_.page(fh, index);
   }
-}
-
-void NfsClient::evict_pages_if_needed() {
-  // The NFS page cache is write-through (every write is already an RPC in
-  // flight), so eviction never loses data.
-  while (pages_.size() >= config_.page_cache_capacity && !page_lru_.empty()) {
-    erase_page(page_lru_.back());
-  }
+  return *page;
 }
 
 // ---------------------------------------------------------------------------
@@ -224,7 +183,7 @@ fs::Result<Fh> NfsClient::open(const std::string& path) {
   auto it = attrs_.find(*fh);
   if (it != attrs_.end()) {
     if (st.known_mtime >= 0 && it->second.attr.mtime != st.known_mtime) {
-      drop_pages(*fh);
+      pages_.drop_inode(*fh);
     }
     st.known_mtime = it->second.attr.mtime;
     st.last_reval = env_.now();
@@ -286,7 +245,7 @@ fs::Status NfsClient::revalidate_data(Fh fh, FileState& st) {
   if (fs::Status s = do_getattr(fh); !s) {
     if (s.error() == fs::Err::kStale) {
       attrs_.erase(fh);
-      drop_pages(fh);
+      pages_.drop_inode(fh);
     }
     return s;
   }
@@ -294,7 +253,7 @@ fs::Status NfsClient::revalidate_data(Fh fh, FileState& st) {
   auto it = attrs_.find(fh);
   if (it == attrs_.end()) return fs::Err::kStale;
   if (st.known_mtime >= 0 && it->second.attr.mtime != st.known_mtime) {
-    drop_pages(fh);  // another client's write would be visible here
+    pages_.drop_inode(fh);  // another client's write would be visible here
   }
   st.known_mtime = it->second.attr.mtime;
   return fs::Status::Ok();
@@ -347,7 +306,7 @@ void NfsClient::do_readahead(Fh fh, FileState& st, std::uint64_t index,
                   std::max(chunk_pages, 1u),
       eof_page);
   while (j <= limit) {
-    if (pages_.contains(PageKey{fh, j})) {
+    if (pages_.contains(fh, j)) {
       j++;
       continue;
     }
@@ -388,10 +347,8 @@ fs::Result<std::uint32_t> NfsClient::read(Fh fh, std::uint64_t off,
     const std::uint32_t len =
         std::min<std::uint32_t>(n - done, kBlockSize - page_off);
 
-    Page* page = find_page(fh, index);
-    if (page && page->ready_at > env_.now()) {
-      env_.advance_to(page->ready_at);  // read-ahead still in flight
-    }
+    // A hit waits out a read-ahead still in flight.
+    const core::BufRef* page = pages_.find(fh, index);
     if (!page) {
       // Demand fetch: the requested range, capped by the transfer limit.
       const std::uint32_t want = std::min<std::uint32_t>(
@@ -399,12 +356,12 @@ fs::Result<std::uint32_t> NfsClient::read(Fh fh, std::uint64_t off,
       if (fs::Status s = fetch_range(fh, pos, std::max(want, len)); !s) {
         return s.error();
       }
-      page = find_page(fh, index);
+      page = pages_.find(fh, index);
       NETSTORE_CHECK(page, "page vanished after fetch_range");
     }
     // The client's user-buffer boundary: the only payload copy on the
     // whole NFS read path.
-    core::copy_out(out.data() + done, page->data.data() + page_off, len);
+    core::copy_out(out.data() + done, page->data() + page_off, len);
     done += len;
     do_readahead(fh, st, index, eof_page,
                  std::max<std::uint32_t>(1, n / kBlockSize));
@@ -444,7 +401,7 @@ fs::Result<std::uint32_t> NfsClient::write(Fh fh, std::uint64_t off,
     // Keep the client cache coherent with what we send.  A partial
     // overwrite of an uncached page inside the file needs the old data.
     const bool partial_head = page_off != 0 || chunk < kBlockSize;
-    if (partial_head && pos < old_size && !pages_.contains(PageKey{fh, index})) {
+    if (partial_head && pos < old_size && !pages_.contains(fh, index)) {
       if (fs::Status s = fetch_range(fh, index * kBlockSize, kBlockSize); !s) {
         return s.error();
       }
@@ -461,16 +418,10 @@ fs::Result<std::uint32_t> NfsClient::write(Fh fh, std::uint64_t off,
           static_cast<std::uint32_t>((pos + copied) % kBlockSize);
       const std::uint32_t len =
           std::min<std::uint32_t>(chunk - copied, kBlockSize - in_page_off);
-      Page* page = find_page(fh, p);
-      if (!page) {
-        // Fresh page: share the pool zero page; the copy_in un-shares it.
-        insert_page(fh, p, core::BufferPool::instance().zero_page(),
-                        env_.now());
-        page = find_page(fh, p);
-      }
-      core::copy_in(page->data.mutable_data() + in_page_off,
+      core::BufRef& page = page_for_write(fh, p);
+      core::copy_in(page.mutable_data() + in_page_off,
                     in.data() + done + copied, len);
-      iov.push_back(core::BufSlice{page->data, in_page_off, len});
+      iov.push_back(core::BufSlice{page, in_page_off, len});
       copied += len;
       p++;
     }
@@ -526,15 +477,9 @@ fs::Result<std::uint32_t> NfsClient::write_local(
     const auto page_off = static_cast<std::uint32_t>(pos % kBlockSize);
     const std::uint32_t len =
         std::min<std::uint32_t>(n - done, kBlockSize - page_off);
-    Page* page = find_page(fh, index);
-    if (!page) {
-      // Fresh page: share the pool zero page; the copy_in un-shares it.
-      insert_page(fh, index, core::BufferPool::instance().zero_page(),
-                      env_.now());
-      page = find_page(fh, index);
-    }
     // User-buffer boundary for delegated (local-only) writes.
-    core::copy_in(page->data.mutable_data() + page_off, in.data() + done, len);
+    core::copy_in(page_for_write(fh, index).mutable_data() + page_off,
+                  in.data() + done, len);
     done += len;
   }
   auto it = attrs_.find(fh);
@@ -559,10 +504,9 @@ fs::Result<std::uint32_t> NfsClient::read_local(Fh fh, std::uint64_t off,
     const auto page_off = static_cast<std::uint32_t>(pos % kBlockSize);
     const std::uint32_t len =
         std::min<std::uint32_t>(n - done, kBlockSize - page_off);
-    Page* page = find_page(fh, index);
-    if (page) {
+    if (const core::BufRef* page = pages_.page(fh, index)) {
       // User-buffer boundary for delegated (local-only) reads.
-      core::copy_out(out.data() + done, page->data.data() + page_off, len);
+      core::copy_out(out.data() + done, page->data() + page_off, len);
     } else {
       std::memset(out.data() + done, 0, len);  // sparse hole
     }

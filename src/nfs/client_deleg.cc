@@ -61,7 +61,7 @@ void NfsClient::queue_update(PendingUpdate u) {
       forget_dentry(u.dir, u.name);
       if (prov != 0) {
         attrs_.erase(prov);
-        drop_pages(prov);
+        pages_.drop_inode(prov);
       }
       stats_.batched_ops.add(2);  // both ops handled without the server
       return;
@@ -100,7 +100,7 @@ void NfsClient::queue_update(PendingUpdate u) {
       forget_dentry(u.dir, u.name);
       deleg_negative_.insert(DentryKey{u.dir, u.name});
       attrs_.erase(u.aux_fh);
-      drop_pages(u.aux_fh);
+      pages_.drop_inode(u.aux_fh);
       break;
     case Proc::kRename: {
       auto it = dentries_.find(DentryKey{u.dir, u.name});
@@ -235,13 +235,14 @@ void NfsClient::flush_delegated_updates() {
 }
 
 void NfsClient::ship_local_data(Fh provisional, Fh real) {
-  // Collect the provisional file's pages in index order.
-  std::vector<std::pair<std::uint64_t, Page*>> file_pages;
-  if (auto it = file_pages_.find(provisional); it != file_pages_.end()) {
-    for (Page* p = it->second.front(); p != nullptr; p = FilePages::colder(p)) {
-      file_pages.emplace_back(p->key.index, p);
-    }
-  }
+  // The provisional file's pages in index order.  Each frame is shared,
+  // not copied, and stays held across the re-key below, where an insert
+  // can evict provisional pages.
+  std::vector<std::pair<std::uint64_t, core::BufRef>> file_pages;
+  pages_.for_each_page(provisional,
+                       [&](std::uint64_t index, const core::BufRef& data) {
+                         file_pages.emplace_back(index, data);
+                       });
   if (file_pages.empty()) {
     // Still propagate the size (sparse or metadata-only create).
     auto it = attrs_.find(provisional);
@@ -253,7 +254,8 @@ void NfsClient::ship_local_data(Fh provisional, Fh real) {
     }
     return;
   }
-  std::sort(file_pages.begin(), file_pages.end());
+  std::sort(file_pages.begin(), file_pages.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
 
   auto ait = attrs_.find(provisional);
   const std::uint64_t size =
@@ -280,9 +282,8 @@ void NfsClient::ship_local_data(Fh provisional, Fh real) {
       // IoVec::kMaxSlices.
       core::IoVec iov;
       for (std::uint32_t at = 0; at < len; at += kBlockSize) {
-        const Page& page = *file_pages[i + at / kBlockSize].second;
-        iov.push_back(
-            core::BufSlice{page.data, 0, std::min(kBlockSize, len - at)});
+        iov.push_back(core::BufSlice{file_pages[i + at / kBlockSize].second,
+                                     0, std::min(kBlockSize, len - at)});
       }
       write_pool_.reserve(env_, config_.write_pool_slots);
       const std::uint64_t woff = off;
@@ -296,16 +297,11 @@ void NfsClient::ship_local_data(Fh provisional, Fh real) {
     i += run;
   }
 
-  // Re-key the pages so later reads hit the real handle: each page's
-  // frame is shared under its new key, not copied.  Every handle is taken
-  // before the first insert_page, which can evict provisional pages.
-  std::vector<std::pair<std::uint64_t, core::BufRef>> moved;
-  moved.reserve(file_pages.size());
-  for (auto& [index, page] : file_pages) moved.emplace_back(index, page->data);
-  for (auto& [index, data] : moved) {
-    insert_page(real, index, std::move(data), env_.now());
+  // Re-key the pages so later reads hit the real handle.
+  for (auto& [index, data] : file_pages) {
+    pages_.insert_clean(real, index, 0, std::move(data), env_.now());
   }
-  drop_pages(provisional);
+  pages_.drop_inode(provisional);
 }
 
 }  // namespace netstore::nfs

@@ -7,8 +7,19 @@ void NfsServer::charge(Proc proc, std::uint32_t bytes) {
   if (cost_hook_) env_.advance(cost_hook_(env_.now(), proc, bytes));
 }
 
-void NfsServer::metadata_barrier() {
-  if (config_.sync_metadata) fs_.journal().commit(/*wait=*/true);
+void NfsServer::metadata_barrier() { fs_.journal().commit(/*wait=*/true); }
+
+fs::Result<NfsServer::LookupReply> NfsServer::created(fs::Result<fs::Ino> ino) {
+  if (!ino) return ino.error();
+  metadata_barrier();
+  fs::Result<fs::Attr> attr = fs_.getattr(*ino);
+  if (!attr) return attr.error();
+  return LookupReply{*ino, *attr};
+}
+
+fs::Status NfsServer::barrier_if_ok(fs::Status s) {
+  if (s) metadata_barrier();
+  return s;
 }
 
 fs::Result<NfsServer::LookupReply> NfsServer::lookup(Fh dir,
@@ -33,58 +44,35 @@ fs::Status NfsServer::access(Fh fh, int amode) { return fs_.access(fh, amode); }
 fs::Result<NfsServer::LookupReply> NfsServer::create(Fh dir,
                                                      const std::string& name,
                                                      std::uint16_t perm) {
-  fs::Result<fs::Ino> ino = fs_.create(dir, name, perm);
-  if (!ino) return ino.error();
-  metadata_barrier();
-  fs::Result<fs::Attr> attr = fs_.getattr(*ino);
-  if (!attr) return attr.error();
-  return LookupReply{*ino, *attr};
+  return created(fs_.create(dir, name, perm));
 }
 
 fs::Result<NfsServer::LookupReply> NfsServer::mkdir(Fh dir,
                                                     const std::string& name,
                                                     std::uint16_t perm) {
-  fs::Result<fs::Ino> ino = fs_.mkdir(dir, name, perm);
-  if (!ino) return ino.error();
-  metadata_barrier();
-  fs::Result<fs::Attr> attr = fs_.getattr(*ino);
-  if (!attr) return attr.error();
-  return LookupReply{*ino, *attr};
+  return created(fs_.mkdir(dir, name, perm));
 }
 
 fs::Result<NfsServer::LookupReply> NfsServer::symlink(
     Fh dir, const std::string& name, const std::string& target) {
-  fs::Result<fs::Ino> ino = fs_.symlink(dir, name, target);
-  if (!ino) return ino.error();
-  metadata_barrier();
-  fs::Result<fs::Attr> attr = fs_.getattr(*ino);
-  if (!attr) return attr.error();
-  return LookupReply{*ino, *attr};
+  return created(fs_.symlink(dir, name, target));
 }
 
 fs::Status NfsServer::link(Fh dir, const std::string& name, Fh target) {
-  fs::Status s = fs_.link(dir, name, target);
-  if (s) metadata_barrier();
-  return s;
+  return barrier_if_ok(fs_.link(dir, name, target));
 }
 
 fs::Status NfsServer::remove(Fh dir, const std::string& name) {
-  fs::Status s = fs_.unlink(dir, name);
-  if (s) metadata_barrier();
-  return s;
+  return barrier_if_ok(fs_.unlink(dir, name));
 }
 
 fs::Status NfsServer::rmdir(Fh dir, const std::string& name) {
-  fs::Status s = fs_.rmdir(dir, name);
-  if (s) metadata_barrier();
-  return s;
+  return barrier_if_ok(fs_.rmdir(dir, name));
 }
 
 fs::Status NfsServer::rename(Fh sdir, const std::string& sname, Fh ddir,
                              const std::string& dname) {
-  fs::Status s = fs_.rename(sdir, sname, ddir, dname);
-  if (s) metadata_barrier();
-  return s;
+  return barrier_if_ok(fs_.rename(sdir, sname, ddir, dname));
 }
 
 fs::Result<std::vector<fs::DirEntry>> NfsServer::readdir(Fh dir) {

@@ -27,9 +27,6 @@ using ServerCostHook =
     std::function<sim::Duration(sim::Time at, Proc proc, std::uint32_t bytes)>;
 
 struct ServerConfig {
-  // Make directory-mutating operations durable before replying (knfsd
-  // default; "sync" export).
-  bool sync_metadata = true;
   // v2 semantics: data writes also synchronous.
   bool sync_data = false;
 };
@@ -87,8 +84,14 @@ class NfsServer {
   [[nodiscard]] sim::Counter& requests_counter() { return requests_; }
 
  private:
-  /// Journal barrier after a metadata mutation when sync_metadata.
+  /// Journal barrier after every metadata mutation: knfsd's "sync"
+  /// export makes it durable before the reply.
   void metadata_barrier();
+  /// The tail create, mkdir and symlink share: barrier, then the new
+  /// object's handle and attributes.
+  fs::Result<LookupReply> created(fs::Result<fs::Ino> ino);
+  /// The barrier link, remove, rmdir and rename pay when they succeed.
+  fs::Status barrier_if_ok(fs::Status s);
 
   sim::Env& env_;
   fs::Ext3Fs& fs_;

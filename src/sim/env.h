@@ -90,7 +90,7 @@ class Env {
   /// Enables runtime invariant audits (debug tooling, off by default):
   /// every event dispatch verifies that the clock never moves backwards
   /// and that no event fires past the sweep target.  Testbeds turn this
-  /// on for the whole stack via TestbedConfig::invariant_audits.
+  /// on for the whole stack via SystemConfig::invariant_audits.
   void set_audit(bool on) { audit_ = on; }
   [[nodiscard]] bool audit() const { return audit_; }
 

@@ -31,7 +31,7 @@ namespace {
 
 using core::Protocol;
 using core::Testbed;
-using core::TestbedConfig;
+using core::SystemConfig;
 
 std::uint64_t fnv1a(std::uint64_t h, std::span<const std::uint8_t> data) {
   for (const std::uint8_t b : data) {
@@ -41,9 +41,9 @@ std::uint64_t fnv1a(std::uint64_t h, std::span<const std::uint8_t> data) {
   return h;
 }
 
-TestbedConfig audited_config() {
-  TestbedConfig cfg;
-  cfg.system.invariant_audits = true;
+SystemConfig audited_config() {
+  SystemConfig cfg;
+  cfg.invariant_audits = true;
   return cfg;
 }
 

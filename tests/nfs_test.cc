@@ -220,6 +220,33 @@ TEST(NfsClientTest, CachedFullBlockReadIsSingleCopy) {
   EXPECT_EQ(after.copies - before.copies, kBytes / block::kBlockSize);
 }
 
+// The client's file pages live in a bounded fs::PageCache: past its
+// capacity the coldest pages go, and only those cost a READ again.
+TEST(NfsClientTest, EvictedPageCostsOneRead) {
+  ClientConfig small;
+  small.page_cache_capacity = 4;
+  NfsRig rig(small);
+  auto created = rig.client_->creat("/f", 0644);
+  ASSERT_TRUE(created.ok());
+  ASSERT_TRUE(rig.client_->close(*created).ok());
+  auto fh = rig.client_->open("/f");  // starts the attribute window
+  ASSERT_TRUE(fh.ok());
+  std::vector<std::uint8_t> data(6 * block::kBlockSize);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i / block::kBlockSize + 1);
+  }
+  ASSERT_TRUE(rig.client_->write(*fh, 0, data).ok());  // pages 0-5
+
+  std::vector<std::uint8_t> out(block::kBlockSize);
+  rig.reset();
+  ASSERT_TRUE(rig.client_->read(*fh, 5 * block::kBlockSize, out).ok());
+  EXPECT_EQ(rig.calls(), 0u);  // resident, attributes inside the window
+  EXPECT_EQ(out[0], 6);
+  ASSERT_TRUE(rig.client_->read(*fh, 0, out).ok());
+  EXPECT_EQ(rig.calls(), 1u);  // page 0 was evicted: one READ
+  EXPECT_EQ(out[0], 1);
+}
+
 TEST(NfsClientTest, V4UsesAccessAndOpenStateMachinery) {
   ClientConfig v4;
   v4.version = Version::kV4;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "block/block.h"
 #include "block/mem_device.h"
@@ -21,6 +22,7 @@ using block::Lba;
 
 constexpr Ino kInoA = 10;
 constexpr Ino kInoB = 11;
+constexpr Ino kInoC = 12;
 
 core::BufRef make_block(std::uint8_t fill) {
   core::BufRef b = core::BufferPool::instance().alloc();
@@ -219,6 +221,59 @@ TEST_F(PageCacheTest, ClearFlushesAndEmptiesCrashDiscards) {
   EXPECT_EQ(cache.resident_pages(), 0u);
   EXPECT_EQ(dev_.writes(), 1u);  // dirty data lost, not written
   env_.drain();                  // orphaned flusher events stay no-ops
+}
+
+TEST_F(PageCacheTest, ForEachPageWalksOneInodeAndKeepsLruOrder) {
+  PageCache cache(env_, small_params());  // device-less, as the NFS client's
+  const core::BufRef blk = make_block(0x33);
+  // Interleaved inserts: LRU order, coldest first, is A0 B0 A1 B1 ... B3.
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    cache.insert_clean(kInoA, i, 0, blk, env_.now());
+    cache.insert_clean(kInoB, i, 0, blk, env_.now());
+  }
+  std::vector<std::uint64_t> seen;
+  cache.for_each_page(kInoA, [&](std::uint64_t index, const core::BufRef& d) {
+    EXPECT_EQ(d.data()[0], 0x33);
+    seen.push_back(index);
+  });
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{3, 2, 1, 0}));
+
+  // Had the walk touched A's pages, B's would now be the coldest.
+  cache.insert_clean(kInoC, 0, 0, blk, env_.now());
+  EXPECT_FALSE(cache.contains(kInoA, 0));
+  EXPECT_TRUE(cache.contains(kInoB, 0));
+  cache.insert_clean(kInoC, 1, 0, blk, env_.now());
+  EXPECT_FALSE(cache.contains(kInoB, 0));
+  EXPECT_TRUE(cache.contains(kInoA, 1));
+}
+
+TEST_F(PageCacheTest, PageNeitherCountsAHitNorWaitsForReadahead) {
+  PageCache cache(env_, small_params());
+  const core::BufRef blk = make_block(0x42);
+  const sim::Time ready = env_.now() + sim::milliseconds(3);
+  cache.insert_clean(kInoA, 0, 0, blk, ready);
+  core::BufRef* got = cache.page(kInoA, 0);
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->data()[0], 0x42);
+  EXPECT_EQ(cache.page(kInoA, 1), nullptr);
+  EXPECT_EQ(env_.now(), sim::Time{0});
+  EXPECT_EQ(cache.stats().hits.value(), 0u);
+  EXPECT_EQ(cache.stats().misses.value(), 0u);
+}
+
+// A cache built without a device is write-through: it never holds a dirty
+// page, so every path that would create or write one back aborts.
+using PageCacheDeathTest = PageCacheTest;
+
+TEST_F(PageCacheDeathTest, WriteThroughCacheRefusesDirtyPages) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  PageCache cache(env_, small_params());
+  EXPECT_DEATH(cache.write_page(kInoA, 0, 100), "CHECK failed");
+  EXPECT_DEATH(cache.install_dirty(kInoA, 0, 100, make_block(0x01)),
+               "CHECK failed");
+  EXPECT_DEATH(cache.flush_inode(kInoA), "CHECK failed");
+  EXPECT_DEATH(cache.flush_all(/*wait=*/true), "CHECK failed");
+  EXPECT_DEATH(cache.clear(), "CHECK failed");
 }
 
 }  // namespace
