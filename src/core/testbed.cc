@@ -120,7 +120,6 @@ fs::Ext3Params Testbed::client_fs_params(const SystemConfig& c) {
   p.page_cache.dirty_high_water = c.client_cache_pages / 4;
   p.commit_interval = c.commit_interval;
   p.readahead_max = c.fs_readahead_max;
-  if (p.readahead_max == 0) p.readahead_min = 0;
   p.invariant_audits = c.invariant_audits;
   return p;
 }

@@ -17,6 +17,9 @@ using block::Lba;
 namespace {
 
 constexpr std::uint32_t kMaxSymlinkDepth = 8;
+// First read-ahead window on a sequential streak, before readahead_max
+// clamps it.
+constexpr std::uint32_t kReadaheadMin = 4;
 
 std::uint8_t type_to_raw(FileType t) { return static_cast<std::uint8_t>(t); }
 FileType raw_to_type(std::uint8_t t) { return static_cast<FileType>(t); }
@@ -1317,8 +1320,8 @@ void Ext3Fs::do_readahead(Ino ino, RawInode& ri, std::uint64_t index) {
   rs.last_index = index;
   if (rs.streak < 2 || params_.readahead_max == 0) return;
 
-  rs.window = std::max(params_.readahead_min,
-                       std::min(rs.window * 2, params_.readahead_max));
+  rs.window =
+      std::min(std::max(kReadaheadMin, rs.window * 2), params_.readahead_max);
   const std::uint64_t max_page =
       ri.size == 0 ? 0 : (ri.size - 1) / kBlockSize;
   for (std::uint64_t j = index + 1;

@@ -38,10 +38,9 @@ struct Ext3Params {
   std::uint64_t bcache_capacity_blocks = 32768;  // 128 MB metadata cache
   PageCacheParams page_cache;
   sim::Duration commit_interval = sim::seconds(5);
-  // Read-ahead: window starts at `readahead_min` pages on a sequential
-  // streak and doubles up to `readahead_max` (Linux 2.4's effective
-  // pipeline was shallow — about 8 outstanding pages).
-  std::uint32_t readahead_min = 4;
+  // Read-ahead: window starts at 4 pages on a sequential streak and
+  // doubles, never past `readahead_max` (Linux 2.4's effective pipeline
+  // was shallow — about 8 outstanding pages); 0 turns read-ahead off.
   std::uint32_t readahead_max = 8;
   // Runtime invariant audits (journal commit ordering, directory index
   // against the directory blocks); survives remounts because the journal

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,6 +64,33 @@ TEST(TestbedInvariants, WarmIscsiReadOpsAreFree) {
     Microbench mb(bed);
     EXPECT_EQ(mb.warm_op(op, 0), 0u) << op;
   }
+}
+
+// The ext3 read-ahead window opens at four pages on a sequential streak,
+// but never past fs_readahead_max (bench_ablation's window sweep).
+TEST(TestbedInvariants, ReadaheadWindowStaysWithinItsMaximum) {
+  const auto pages_read_ahead = [](std::uint32_t max_pages) {
+    core::SystemConfig cfg;
+    cfg.fs_readahead_max = max_pages;
+    Testbed bed(Protocol::kIscsi, cfg);
+    vfs::Vfs& v = bed.vfs();
+    std::vector<std::uint8_t> buf(16 * 4096, 0x5a);
+    auto fd = v.creat("/f", 0644);
+    EXPECT_TRUE(fd.ok());
+    EXPECT_TRUE(v.write(*fd, 0, buf).ok());
+    EXPECT_TRUE(v.close(*fd).ok());
+    bed.cold_caches();
+    fd = v.open("/f");
+    EXPECT_TRUE(fd.ok());
+    // Two sequential pages start the streak; the second opens the window.
+    std::span<std::uint8_t> page(buf.data(), 4096);
+    EXPECT_TRUE(v.read(*fd, 0, page).ok());
+    EXPECT_TRUE(v.read(*fd, 4096, page).ok());
+    return bed.client_fs().pages().stats().readahead_pages.value();
+  };
+  EXPECT_EQ(pages_read_ahead(2), 2u);
+  EXPECT_EQ(pages_read_ahead(4), 4u);
+  EXPECT_EQ(pages_read_ahead(8), 4u);
 }
 
 TEST(TestbedInvariants, V4CostsAtLeastV3Cold) {
